@@ -14,12 +14,14 @@ test-faults:
 	$(PY) -m pytest -q -m faults
 
 # Equivalence gates: columnar trace aggregates vs the legacy event walk,
-# parallel functional execution vs the serial oracle, and the fast
-# scheduler vs the fixpoint oracle.
+# and the engine drain (flat, queue and extrapolated paths; every ISA
+# class, deadlocks, lowered programs) vs the fixpoint oracle in
+# tests/core/oracle.py.
 test-equiv:
 	$(PY) -m pytest -q tests/core/test_trace_columnar.py \
-		tests/core/test_functional_parallel.py \
-		tests/core/test_engine_equivalence.py
+		tests/core/test_engine_equivalence.py \
+		tests/core/test_engine_fast_drain.py \
+		tests/core/test_deadlock_report.py
 
 bench:
 	$(PY) -m pytest benchmarks/ -q

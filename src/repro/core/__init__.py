@@ -14,8 +14,7 @@ two coupled modes:
 from .costs import CostModel
 from .trace import TraceEvent, ExecutionTrace, TraceSummary
 from .engine import schedule
-from .core import (AscendCore, RunResult, functional_min_tiles,
-                   resolve_workers)
+from .core import AscendCore, RunResult
 
 __all__ = [
     "CostModel",
@@ -25,6 +24,4 @@ __all__ = [
     "schedule",
     "AscendCore",
     "RunResult",
-    "functional_min_tiles",
-    "resolve_workers",
 ]

@@ -3,33 +3,14 @@
 The core owns its scratchpads (:class:`~repro.memory.hierarchy.CoreMemory`)
 and a :class:`~repro.core.costs.CostModel` for its design point.  ``run``
 first derives the schedule (Figure 3 semantics), then — unless timing-only
-— replays the instructions functionally in causal (start-time) order, so
-results are correct for any legally synchronized program.
-
-Functional replay has two modes:
-
-* **serial** (the oracle): one instruction at a time, in causal order —
-  bit-exact by construction, and the reference the parallel mode is
-  tested against.
-* **wavefront-parallel**: the scheduled trace is partitioned into waves
-  of instructions whose busy intervals mutually overlap.  Overlap on the
-  timeline proves independence — any flag edge or same-pipe program
-  order forces the consumer to start at or after the producer's end — so
-  a wave's tile ops touch disjoint state and dispatch together across a
-  thread pool.  numpy kernels release the GIL, so tiles compute
-  concurrently; waves are separated by barriers, preserving every
-  producer -> consumer edge and therefore the serial mode's results
-  bit-for-bit.
-
-Worker count comes from the ``workers`` argument, falling back to the
-``REPRO_FUNC_WORKERS`` environment variable (default 1 = serial oracle).
+— replays the instructions functionally, one at a time, in causal
+(start-time) order, so results are correct for any legally synchronized
+program.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Union
 
 from ..config.core_configs import CoreConfig
 from ..errors import IsaError
@@ -60,66 +41,7 @@ from .mte import (
 from .trace import ExecutionTrace
 from .vector import execute_vector
 
-__all__ = ["AscendCore", "RunResult", "functional_min_tiles",
-           "resolve_workers"]
-
-_ENV_WORKERS = "REPRO_FUNC_WORKERS"
-
-# Waves shorter than this run inline even in parallel mode: dispatching
-# a couple of tiles to a pool costs more than the GIL it frees.
-_MIN_PARALLEL_WAVE = 2
-
-_ENV_MIN_TILES = "REPRO_FUNC_MIN_TILES"
-
-# Programs with fewer functional (tile) instructions than this run
-# serially even when REPRO_FUNC_WORKERS asks for a pool: spinning up the
-# executor and partitioning waves costs more than the numpy time it
-# overlaps.  The default sits between a 256^3 GEMM (~130 tiles, where
-# the pool measured *slower* than serial) and the kernel sizes where
-# wavefront parallelism starts winning (thousands of tiles).
-_DEFAULT_MIN_TILES = 512
-
-
-def functional_min_tiles() -> int:
-    """Tile-count threshold below which functional replay stays serial.
-
-    ``REPRO_FUNC_MIN_TILES`` overrides (``0`` disables the cutover, so a
-    pool request always gets a pool); invalid values raise
-    :class:`~repro.errors.ConfigError` naming the variable.
-    """
-    from ..config.env import env_int
-
-    return env_int(_ENV_MIN_TILES, default=_DEFAULT_MIN_TILES, minimum=0)
-
-
-def resolve_workers(workers: Optional[Union[int, str]] = None) -> int:
-    """Effective functional worker count.
-
-    ``None`` defers to ``REPRO_FUNC_WORKERS`` (default 1).  ``"serial"``
-    and ``"oracle"`` force the serial path; any integer below 2 does the
-    same.  An invalid environment value raises
-    :class:`~repro.errors.ConfigError` naming the variable.
-    """
-    if workers is None:
-        from ..config.env import env_int
-
-        value = env_int(_ENV_WORKERS, default=1, minimum=0,
-                        special={"serial": 1, "oracle": 1})
-        return max(1, value)
-    if isinstance(workers, str):
-        cleaned = workers.strip().lower()
-        if cleaned in ("serial", "oracle", ""):
-            return 1
-        try:
-            workers = int(cleaned)
-        except ValueError:
-            from ..errors import ConfigError
-
-            raise ConfigError(
-                f"workers={workers!r} is not a valid value; accepted: an "
-                "integer, 'serial', or 'oracle'"
-            ) from None
-    return max(1, workers)
+__all__ = ["AscendCore", "RunResult"]
 
 
 @dataclass
@@ -147,8 +69,7 @@ class AscendCore:
         self.costs = CostModel(config)
 
     def run(self, program: Program, functional: bool = True,
-            validate: bool = True,
-            workers: Optional[Union[int, str]] = None) -> RunResult:
+            validate: bool = True) -> RunResult:
         """Execute a program; returns timing (and mutates GM if functional).
 
         Args:
@@ -157,37 +78,16 @@ class AscendCore:
                 for full-network performance studies where numerics are
                 irrelevant and weights would not fit in simulation memory.
             validate: run static program validation first.
-            workers: functional thread count (default: the
-                ``REPRO_FUNC_WORKERS`` environment variable, serial when
-                unset).  Values below 2 select the serial oracle.
         """
         if validate:
             program.validate(self.config)
         trace = schedule(program, self.costs)
         if functional:
-            self._replay(trace, resolve_workers(workers))
+            for instr in trace.functional_instructions():
+                self._execute(instr)
         return RunResult(trace=trace, config=self.config)
 
     # -- functional replay ----------------------------------------------------
-
-    def _replay(self, trace: ExecutionTrace, workers: int) -> None:
-        if workers > 1 and trace.n_functional() < functional_min_tiles():
-            workers = 1  # pool overhead beats the win on small kernels
-        if workers <= 1:
-            for instr in trace.functional_instructions():
-                self._execute(instr)
-            return
-        waves = trace.wavefronts()
-        execute = self._execute
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for wave in waves:
-                if len(wave) < _MIN_PARALLEL_WAVE:
-                    for instr in wave:
-                        execute(instr)
-                else:
-                    # list() drains the iterator so the first worker
-                    # exception propagates rather than being dropped.
-                    list(pool.map(execute, wave))
 
     def _execute(self, instr: Instruction) -> None:
         if isinstance(instr, CubeMatmul):

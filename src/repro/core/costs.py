@@ -115,28 +115,6 @@ class CostModel:
 
     # -- dispatch -------------------------------------------------------------
 
-    def cost_table(self, instrs) -> list:
-        """Per-instruction costs for a whole program in one pass.
-
-        Compiled tile loops repeat a handful of distinct instruction
-        objects thousands of times (flags are interned by the lowerer;
-        repeated GEMMs share sub-program objects), so costs are memoized
-        per instruction *object* — each distinct object is priced once.
-        """
-        memo: dict = {}
-        memo_get = memo.get
-        cost = self.cost
-        table = []
-        append = table.append
-        for instr in instrs:
-            key = id(instr)
-            c = memo_get(key)
-            if c is None:
-                c = cost(instr)
-                memo[key] = c
-            append(c)
-        return table
-
     def cost_columns(self, arena) -> np.ndarray:
         """Per-row cycle costs for a whole arena, fully vectorized.
 

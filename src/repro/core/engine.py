@@ -4,51 +4,42 @@ Figure 3 semantics: the PSQ dispatches instructions *in program order* into
 per-pipe in-order queues; pipes run concurrently; a ``wait_flag`` stalls
 its pipe until the matching ``set_flag`` retires on the producer pipe.
 
-Two schedulers implement these semantics:
+Every program drains through one columnar drain, :func:`_drain_arena`,
+over ``program.arena`` (object-built programs grow their arena on first
+access, inexact rows included).  Pipes retire in program order, so the
+j-th wait on a flag channel always pairs with the channel's j-th set: the
+pairing is computed once, vectorized (:func:`_match_waits`), and the
+drain picks one of two walks over it:
 
-* :func:`schedule_single_pass` (the default) — a dependency-driven O(N)
-  pass.  Each pipe keeps a cursor into its queue; a pipe drains until it
-  stalls on an empty flag channel, registers itself as the channel's
-  waiter, and is re-queued the moment the producing ``set_flag`` retires.
-  Flag channels are FIFOs keyed by a packed int (pipes hash as ints),
-  and instruction costs are looked up once per distinct instruction
-  object via :meth:`CostModel.cost_table`.
-* :func:`schedule_fixpoint` — the original rescan-to-fixpoint loop, kept
-  as the reference oracle.  ``tests/core/test_engine_equivalence.py``
-  asserts both produce bit-identical traces.
+* the **flat drain** — when every wait pairs with an earlier set,
+  program order is a topological order of the dependence DAG and one
+  program-order pass evaluates the end-time recurrence; concat-repeated
+  regions extrapolate their proven steady state instead of re-walking
+  identical blocks;
+* the **general queue drain** — per-pipe cursors woken by retiring sets,
+  for forward-matching waits, deadlocks and injected sync faults.
 
-Both orderings are work-conserving over the same in-order queues and
-single-producer/single-consumer FIFO channels, so start/end times are
-schedule-order independent — the traces they produce are identical.
+Both walks evaluate the same per-row recurrence, so start/end times are
+independent of which one ran (``tests/core/oracle.py`` keeps the
+rescan-to-fixpoint scheduler the suites compare against).
 
 A program whose waits can never be satisfied raises
-:class:`~repro.errors.DeadlockError` — the same programs hang real
-silicon, so surfacing them loudly is a feature.  Set ``REPRO_SCHEDULER=
-fixpoint`` to force the legacy scheduler globally.
+:class:`~repro.errors.DeadlockError` with a structured
+:class:`~repro.reliability.deadlock.DeadlockReport` — the same programs
+hang real silicon, so surfacing them loudly is a feature.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config.env import env_choice
 from ..errors import DeadlockError
 from ..isa.arena import _COLUMN_NAMES as _ARENA_COLUMNS
-from ..isa.channels import pack_channel
-from ..isa.instructions import (
-    OPCODE_OF,
-    CopyInstr,
-    DecompressInstr,
-    Img2ColInstr,
-    Instruction,
-    SetFlag,
-    TransposeInstr,
-    WaitFlag,
-)
+from ..isa.arena import MOVE_OPS
+from ..isa.instructions import OP_SET, OP_WAIT, OPCODE_OF, Instruction
 from ..isa.memref import MemSpace
 from ..isa.pipes import Pipe
 from ..isa.program import Program
@@ -56,13 +47,11 @@ from ..profiling.session import active_session
 from ..reliability.deadlock import PipeStall, build_report
 from ..reliability.injector import active_injector
 from .costs import CostModel
-from .trace import ExecutionTrace, TraceEvent, TraceSummary
+from .trace import ExecutionTrace, TraceSummary
 
 __all__ = [
     "schedule",
-    "schedule_single_pass",
     "schedule_summary",
-    "schedule_fixpoint",
     "engine_stats",
     "reset_engine_stats",
 ]
@@ -87,31 +76,14 @@ def reset_engine_stats() -> None:
 # but modeling it keeps pathological fine-grained programs honest.
 _DISPATCH_PER_CYCLE = 4
 
-_Channel = Tuple[Pipe, Pipe, int]
-
 _N_PIPES = len(Pipe)
 
 
-def schedule(program: Program, costs: CostModel,
-             algorithm: Optional[str] = None) -> ExecutionTrace:
-    """Compute start/end cycles for every instruction in ``program``.
-
-    ``algorithm`` selects the scheduler: ``"single-pass"`` (default) or
-    ``"fixpoint"`` (the legacy reference oracle).  The ``REPRO_SCHEDULER``
-    environment variable overrides the default when no explicit argument
-    is given.
-    """
-    if algorithm is None:
-        # Env-sourced values go through the shared parser, which raises a
-        # ConfigError naming the variable on invalid input.
-        algorithm = env_choice("REPRO_SCHEDULER", "single-pass",
-                               ("single-pass", "fast", "fixpoint", "legacy"))
-    if algorithm in ("fixpoint", "legacy"):
-        trace = schedule_fixpoint(program, costs)
-    elif algorithm in ("single-pass", "fast"):
-        trace = schedule_single_pass(program, costs)
-    else:
-        raise ValueError(f"unknown scheduler algorithm {algorithm!r}")
+def schedule(program: Program, costs: CostModel) -> ExecutionTrace:
+    """Compute start/end cycles for every instruction in ``program``."""
+    starts, ends, pipe_col, _ = _drain_arena(program.arena, costs)
+    # The trace's event view still needs the instruction objects.
+    trace = _columnar_trace(program.instructions, starts, ends, pipe_col)
     # Profiling is a pure observer: with no active session this is one
     # None check; with one, the finished trace is read, never mutated —
     # cycles are byte-identical either way (pinned by tests/profiling).
@@ -121,172 +93,13 @@ def schedule(program: Program, costs: CostModel,
     return trace
 
 
-# The packed (src_pipe, dst_pipe, event_id) form shared with the
-# compiler and the arena (see the channel table in repro.isa.channels).
-_pack_channel = pack_channel
-
 _KIND_NAME = {op: cls.__name__ for cls, op in OPCODE_OF.items()}
-
-
-def _raise_deadlock(stalls: List[PipeStall], injected: bool) -> None:
-    """Watchdog exit: build the wait-for-graph report and raise it.
-
-    All three schedulers funnel their stalled-pipe facts through here, so
-    the guilty channel is named identically regardless of which drain
-    detected the deadlock.
-    """
-    report = build_report(stalls, injected=injected)
-    raise DeadlockError(report.describe(), report=report)
-
-
-def _sync_injected(inj) -> bool:
-    """Whether the active campaign has already perturbed a flag event."""
-    return inj is not None and (
-        inj.counters["sync_dropped"] or inj.counters["sync_duplicated"]
-        or inj.counters["sync_reordered"])
-
-
-def _drain(instrs: List[Instruction], costs: CostModel
-           ) -> Tuple[List[int], List[int], List[Pipe], List[int]]:
-    """Core single-pass drain; returns (starts, ends, pipe_of, cost_of)."""
-    n = len(instrs)
-
-    # One prepass computes everything the drain loop needs as flat lists:
-    # per-pipe in-order queues, each instruction's pipe and cost, and —
-    # for flags — the packed channel int (+1, so 0 means "not a
-    # wait/set").  Compiled tile loops repeat a handful of distinct
-    # instruction objects thousands of times (flags are interned by the
-    # lowerer; repeated GEMMs share sub-program objects), so the whole
-    # record is memoized per instruction *object*: one ``id()`` and one
-    # dict probe per occurrence, with pipe lookup, cost dispatch and
-    # channel packing paid once per distinct object.
-    queues: List[List[int]] = [[] for _ in range(_N_PIPES)]
-    pipe_of: List[Pipe] = [Pipe.S] * n
-    cost_of = [0] * n
-    wait_chan = [0] * n
-    set_chan = [0] * n
-    memo: Dict[int, tuple] = {}
-    memo_get = memo.get
-    cost = costs.cost
-    for i, instr in enumerate(instrs):
-        key = id(instr)
-        rec = memo_get(key)
-        if rec is None:
-            cls = type(instr)
-            if cls is WaitFlag:
-                chan = 1 + _pack_channel(instr.src_pipe, instr.dst_pipe,
-                                         instr.event_id)
-                rec = (instr.pipe, cost(instr), chan, 0)
-            elif cls is SetFlag:
-                chan = 1 + _pack_channel(instr.src_pipe, instr.dst_pipe,
-                                         instr.event_id)
-                rec = (instr.pipe, cost(instr), 0, chan)
-            else:
-                rec = (instr.pipe, cost(instr), 0, 0)
-            memo[key] = rec
-        p, c, wc, sc = rec
-        pipe_of[i] = p
-        cost_of[i] = c
-        wait_chan[i] = wc
-        set_chan[i] = sc
-        queues[p].append(i)
-
-    # RAS hooks: both are no-ops (one None check) without an active plan.
-    inj = active_injector()
-    if inj is not None and inj.has_stall_faults():
-        cost_of = inj.scale_costs(
-            np.asarray(cost_of, np.int64),
-            np.asarray([int(p) for p in pipe_of], np.int8)).tolist()
-    sync_faults = inj is not None and inj.has_sync_faults()
-
-    cursors = [0] * _N_PIPES
-    pipe_time = [0] * _N_PIPES
-    # Completed set_flag times waiting to be consumed, FIFO per channel.
-    flags: Dict[int, Deque[int]] = {}
-    # channel -> pipe currently stalled on it (one consumer per channel).
-    waiters: Dict[int, int] = {}
-    runnable: Deque[int] = deque(p for p in range(_N_PIPES) if queues[p])
-    starts = [0] * n
-    ends = [0] * n
-    done = 0
-
-    while runnable:
-        pipe = runnable.popleft()
-        queue = queues[pipe]
-        cur = cursors[pipe]
-        now = pipe_time[pipe]
-        qlen = len(queue)
-        while cur < qlen:
-            index = queue[cur]
-            dispatch_ready = index // _DISPATCH_PER_CYCLE
-            start = now if now > dispatch_ready else dispatch_ready
-            channel = wait_chan[index]
-            if channel:
-                pending = flags.get(channel)
-                if not pending:
-                    waiters[channel] = pipe  # stalled: producer not ready
-                    break
-                signalled = pending.popleft()
-                if signalled > start:
-                    start = signalled
-            end = start + cost_of[index]
-            channel = set_chan[index]
-            if channel:
-                action = inj.sync_action(channel - 1) if sync_faults else None
-                if action == "drop":
-                    pass  # the flag write is lost: consumer keeps stalling
-                else:
-                    pending_sets = flags.setdefault(channel, deque())
-                    if action == "reorder":
-                        pending_sets.appendleft(end)
-                    else:
-                        pending_sets.append(end)
-                        if action == "dup":
-                            pending_sets.append(end)
-                    woken = waiters.pop(channel, None)
-                    if woken is not None:
-                        runnable.append(woken)
-            now = end
-            starts[index] = start
-            ends[index] = end
-            cur += 1
-            done += 1
-        cursors[pipe] = cur
-        pipe_time[pipe] = now
-
-    if done < n:
-        # Watchdog: rebuild the wait-for graph from the stalled heads and
-        # the sets still pending in the un-executed suffix of each queue.
-        pending: Dict[int, int] = {}  # packed channel -> earliest set index
-        for p in range(_N_PIPES):
-            for i in queues[p][cursors[p]:]:
-                sc = set_chan[i]
-                if sc and (sc - 1) not in pending:
-                    pending[sc - 1] = i
-        stalls = []
-        for p in range(_N_PIPES):
-            if cursors[p] < len(queues[p]):
-                i = queues[p][cursors[p]]
-                kind = type(instrs[i]).__name__
-                wc = wait_chan[i]
-                if wc:
-                    producer = pending.get(wc - 1)
-                    stalls.append(PipeStall(
-                        pipe=str(Pipe(p)), index=i, kind=kind,
-                        channel=wc - 1, producer_index=producer,
-                        never_set=producer is None))
-                else:
-                    stalls.append(PipeStall(pipe=str(Pipe(p)), index=i,
-                                            kind=kind))
-        _raise_deadlock(stalls, _sync_injected(inj))
-
-    return starts, ends, pipe_of, cost_of
 
 
 def _match_waits(arena) -> np.ndarray:
     """Static wait -> set pairing, computed vectorized.
 
-    The runtime FIFO rendezvous in :func:`_drain` admits a *static*
+    A runtime FIFO rendezvous per flag channel admits a *static*
     matching: every wait of a channel executes on the channel's dst pipe
     and every set on its src pipe, and pipes retire in program order — so
     the j-th program-order wait on a channel always pops the end time of
@@ -295,8 +108,6 @@ def _match_waits(arena) -> np.ndarray:
     and -2 for waits whose set never arrives (they stall forever, which
     the drain reports as the same deadlock the dynamic rendezvous hits).
     """
-    from ..isa.instructions import OP_SET, OP_WAIT
-
     packed = arena.packed_channels()
     kind = arena.kind
     set_idx = np.nonzero(kind == OP_SET)[0]
@@ -485,32 +296,30 @@ def _run_repeat_region(rstart: int, B: int, R: int, run, ends, pipe_l,
         j += 1
 
 
-def _drain_arena(arena, costs: CostModel,
-                 cost_col: Optional[np.ndarray] = None
+def _drain_arena(arena, costs: CostModel
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Arena-native twin of :func:`_drain`.
+    """The timing engine's one drain: (starts, ends) for every arena row.
 
-    The prepass reads the precomputed columns directly — per-pipe queues
-    from one ``nonzero`` per pipe, costs from
+    The prepass reads the precomputed columns directly — costs from
     :meth:`CostModel.cost_columns`, flag pairing from :func:`_match_waits`
-    — so no instruction objects and no per-row Python dispatch exist
-    between the compiler and the drain loop.  The static matching also
-    strips every dict/deque operation out of the loop: a wait reads its
-    producer's end time straight out of ``ends`` (−1 = not yet retired),
-    and a retiring instruction wakes at most one registered waiter via a
-    flat array.  Each pipe's queue is pre-zipped into (row, cost, match)
-    tuples so the hot loop unpacks one small-list entry instead of
-    indexing three program-length columns.  Produces bit-identical
-    schedules to :func:`_drain` (asserted by tests against both it and
-    the fixpoint oracle).
+    — so no per-row Python dispatch exists between the compiler and the
+    drain loop.  The flat program-order walk runs whenever every wait
+    pairs backward; otherwise the general queue drain below schedules
+    stalls and reports deadlocks.  The static matching strips every
+    dict/deque operation out of its loop: a wait reads its producer's end
+    time straight out of ``ends`` (−1 = not yet retired), and a retiring
+    instruction wakes at most one registered waiter via a flat array.
+    Each pipe's queue is pre-zipped into (row, cost, match) tuples so the
+    hot loop unpacks one small-list entry instead of indexing three
+    program-length columns.
 
-    Returns (starts, ends, pipe column, cost column); the caller may pass
-    a precomputed ``cost_col`` to reuse it for busy-cycle aggregation.
+    Returns (starts, ends, pipe column, cost column); the cost column is
+    the one actually charged (stall faults scale it), for busy-cycle
+    aggregation.
     """
     n = arena.n
     pipe_col = arena.pipe
-    if cost_col is None:
-        cost_col = costs.cost_columns(arena)
+    cost_col = costs.cost_columns(arena)
     match_col = _match_waits(arena)
 
     # RAS hooks (no-ops without an active plan): stall faults scale the
@@ -518,7 +327,6 @@ def _drain_arena(arena, costs: CostModel,
     # dropped set becomes the never-set marker its consumer stalls on).
     inj = active_injector()
     if inj is not None:
-        from ..isa.instructions import OP_SET
         if inj.has_stall_faults():
             cost_col = inj.scale_costs(cost_col, pipe_col)
         if inj.has_sync_faults():
@@ -606,50 +414,36 @@ def _drain_arena(arena, costs: CostModel,
                 else:
                     stalls.append(PipeStall(pipe=str(Pipe(p)), index=row,
                                             kind=kind))
-        _raise_deadlock(stalls, _sync_injected(inj))
+        injected = inj is not None and any(
+            inj.counters[k] for k in
+            ("sync_dropped", "sync_duplicated", "sync_reordered"))
+        report = build_report(stalls, injected=injected)
+        raise DeadlockError(report.describe(), report=report)
 
-    # schedule_single_pass reuses ends as the trace end column.
+    # schedule reuses ends as the trace end column.
     return (np.asarray(starts, np.int64), np.asarray(ends, np.int64),
             pipe_col, cost_col)
 
 
-def _columnar_trace(instrs: List[Instruction], starts: List[int],
-                    ends: List[int], pipe_of: List[Pipe]) -> ExecutionTrace:
+def _columnar_trace(instrs: List[Instruction], starts: np.ndarray,
+                    ends: np.ndarray, pipe_col: np.ndarray) -> ExecutionTrace:
     """Sort scheduler output by (start, end, index) and build the trace.
 
     Emits straight into the columnar arena — no per-event Python objects
     are created (``TraceEvent`` is only ever materialized lazily from the
     trace's ``events`` view).
     """
-    n = len(instrs)
-    start_col = np.asarray(starts, np.int64)
-    end_col = np.asarray(ends, np.int64)
-    index_col = np.arange(n, dtype=np.int64)
     # lexsort's last key is primary: (start, end, index), matching the
     # legacy deterministic event order.
-    order = np.lexsort((index_col, end_col, start_col))
+    order = np.lexsort((np.arange(len(instrs)), ends, starts))
     return ExecutionTrace.from_columns(
         instrs=[instrs[i] for i in order],
-        index=index_col[order],
-        pipe=np.asarray(pipe_of, np.int8)[order],
-        start=start_col[order],
-        end=end_col[order],
+        index=order,
+        pipe=pipe_col[order],
+        start=starts[order],
+        end=ends[order],
     )
 
-
-def schedule_single_pass(program: Program, costs: CostModel) -> ExecutionTrace:
-    """Dependency-driven single-pass scheduler (O(instructions + stalls))."""
-    if isinstance(program, Program) and program._arena is not None:
-        starts, ends, pipe_of, _ = _drain_arena(program._arena, costs)
-        # The trace's event view still needs the instruction objects.
-        return _columnar_trace(program.instructions, starts, ends, pipe_of)
-    instrs = (program.instructions if isinstance(program, Program)
-              else list(program))
-    starts, ends, pipe_of, _ = _drain(instrs, costs)
-    return _columnar_trace(instrs, starts, ends, pipe_of)
-
-
-_MOVE_TYPES = (CopyInstr, Img2ColInstr, TransposeInstr, DecompressInstr)
 
 # Summary results memoized by column *identity*: the compiler's memo
 # hands structurally identical layers retagged views over the very same
@@ -672,155 +466,51 @@ def schedule_summary(program: Program, costs: CostModel) -> TraceSummary:
     The compile path (``GraphEngine.compile_workload``) consumes nothing
     but aggregate statistics, so this fast path skips materializing the
     per-instruction ``TraceEvent`` list and the final deterministic sort
-    — the two dominant costs of :func:`schedule_single_pass` after the
-    drain loop itself.  Equal to ``schedule(program, costs).summary()``
-    by construction (asserted in tests/core/test_engine_equivalence.py).
+    — the two dominant costs of :func:`schedule` after the drain loop
+    itself.  Equal to ``schedule(program, costs).summary()`` by
+    construction (asserted in tests/core/test_engine_equivalence.py).
     """
-    if isinstance(program, Program) and program._arena is not None:
-        arena = program._arena
-        memo_ok = active_injector() is None
-        key = (id(arena.kind), id(costs))
-        if memo_ok:
-            hit = _SUMMARY_MEMO.get(key)
-            if (hit is not None and hit[1] is costs
-                    and all(getattr(hit[0], c) is getattr(arena, c)
-                            for c in _SUMMARY_COLS)):
-                _ENGINE_STATS["summary_memo_hits"] += 1
-                return _observed_summary(hit[2], program)
-        # The drain returns the cost column it actually used (identical to
-        # cost_columns' unless stall faults were injected).
-        _, ends, _, cost_col = _drain_arena(arena, costs)
-        # int64 sums are exact through float64 weights (values < 2^53).
-        busy = np.bincount(arena.pipe, weights=cost_col,
-                           minlength=_N_PIPES).astype(np.int64)
-        from ..isa.arena import MOVE_OPS
-        mv = np.isin(arena.kind, MOVE_OPS)
-        nb = arena.nbytes
-        src_sp = arena.r_space[:, 1]
-        dst_sp = arena.r_space[:, 0]
-        L1, GM = int(MemSpace.L1), int(MemSpace.GM)
-        l1_read = int(nb[mv & (src_sp == L1), 1].sum())
-        gm_read = int(nb[mv & (src_sp == GM), 0].sum())
-        l1_write = int(nb[mv & (dst_sp == L1), 0].sum())
-        gm_write = int(nb[mv & (dst_sp == GM), 1].sum())
-        summary = TraceSummary(
-            total_cycles=int(ends.max()) if len(ends) else 0,
-            busy_by_pipe=tuple(int(b) for b in busy),
-            l1_read_bytes=l1_read,
-            l1_write_bytes=l1_write,
-            gm_read_bytes=gm_read,
-            gm_write_bytes=gm_write,
-        )
-        if memo_ok:
-            _SUMMARY_MEMO[key] = (arena, costs, summary)
-            while len(_SUMMARY_MEMO) > _SUMMARY_MEMO_CAP:
-                _SUMMARY_MEMO.pop(next(iter(_SUMMARY_MEMO)))
-        return _observed_summary(summary, program)
-    instrs = (program.instructions if isinstance(program, Program)
-              else list(program))
-    _, ends, pipe_of, cost_of = _drain(instrs, costs)
-
-    busy = [0] * _N_PIPES
-    for p, c in zip(pipe_of, cost_of):
-        busy[p] += c
-
-    l1_read = l1_write = gm_read = gm_write = 0
-    L1, GM = MemSpace.L1, MemSpace.GM
-    for instr in instrs:
-        if isinstance(instr, _MOVE_TYPES):
-            src, dst = instr.src, instr.dst
-            if src.space is L1:
-                l1_read += src.nbytes
-            elif src.space is GM:
-                gm_read += dst.nbytes
-            if dst.space is L1:
-                l1_write += dst.nbytes
-            elif dst.space is GM:
-                gm_write += src.nbytes
-    return _observed_summary(TraceSummary(
-        total_cycles=max(ends, default=0),
-        busy_by_pipe=tuple(busy),
-        l1_read_bytes=l1_read,
-        l1_write_bytes=l1_write,
-        gm_read_bytes=gm_read,
-        gm_write_bytes=gm_write,
-    ), program)
+    arena = program.arena
+    memo_ok = active_injector() is None
+    key = (id(arena.kind), id(costs))
+    if memo_ok:
+        hit = _SUMMARY_MEMO.get(key)
+        if (hit is not None and hit[1] is costs
+                and all(getattr(hit[0], c) is getattr(arena, c)
+                        for c in _SUMMARY_COLS)):
+            _ENGINE_STATS["summary_memo_hits"] += 1
+            return _observed_summary(hit[2], program)
+    # The drain returns the cost column it actually used (identical to
+    # cost_columns' unless stall faults were injected).
+    _, ends, _, cost_col = _drain_arena(arena, costs)
+    # int64 sums are exact through float64 weights (values < 2^53).
+    busy = np.bincount(arena.pipe, weights=cost_col,
+                       minlength=_N_PIPES).astype(np.int64)
+    mv = np.isin(arena.kind, MOVE_OPS)
+    nb = arena.nbytes
+    src_sp = arena.r_space[:, 1]
+    dst_sp = arena.r_space[:, 0]
+    L1, GM = int(MemSpace.L1), int(MemSpace.GM)
+    summary = TraceSummary(
+        total_cycles=int(ends.max()) if len(ends) else 0,
+        busy_by_pipe=tuple(int(b) for b in busy),
+        l1_read_bytes=int(nb[mv & (src_sp == L1), 1].sum()),
+        l1_write_bytes=int(nb[mv & (dst_sp == L1), 0].sum()),
+        gm_read_bytes=int(nb[mv & (src_sp == GM), 0].sum()),
+        gm_write_bytes=int(nb[mv & (dst_sp == GM), 1].sum()),
+    )
+    if memo_ok:
+        _SUMMARY_MEMO[key] = (arena, costs, summary)
+        while len(_SUMMARY_MEMO) > _SUMMARY_MEMO_CAP:
+            _SUMMARY_MEMO.pop(next(iter(_SUMMARY_MEMO)))
+    return _observed_summary(summary, program)
 
 
 def _observed_summary(summary: TraceSummary, program) -> TraceSummary:
-    """Report a fast-path summary to the active profiling session (if
-    any) — both summary drains funnel through here, so profiled compile
+    """Report a summary to the active profiling session (if any) — memo
+    hits and fresh drains both funnel through here, so profiled compile
     runs see the same aggregates the caller does."""
     session = active_session()
     if session is not None:
-        session.observe_summary(
-            summary, label=getattr(program, "name", ""))
+        session.observe_summary(summary, label=program.name)
     return summary
-
-
-def schedule_fixpoint(program: Program, costs: CostModel) -> ExecutionTrace:
-    """The original rescan-to-fixpoint scheduler (reference oracle)."""
-    queues: Dict[Pipe, Deque[Tuple[int, Instruction]]] = {p: deque() for p in Pipe}
-    for index, instr in enumerate(program):
-        queues[instr.pipe].append((index, instr))
-
-    pipe_time: Dict[Pipe, int] = {p: 0 for p in Pipe}
-    # Completed set_flag times waiting to be consumed, FIFO per channel.
-    flags: Dict[_Channel, Deque[int]] = {}
-    events: List[TraceEvent] = []
-
-    remaining = len(program)
-    while remaining:
-        progress = False
-        for pipe in Pipe:
-            queue = queues[pipe]
-            while queue:
-                index, instr = queue[0]
-                dispatch_ready = index // _DISPATCH_PER_CYCLE
-                start = max(pipe_time[pipe], dispatch_ready)
-                if isinstance(instr, WaitFlag):
-                    channel = (instr.src_pipe, instr.dst_pipe, instr.event_id)
-                    pending = flags.get(channel)
-                    if not pending:
-                        break  # stalled: producer has not signalled yet
-                    start = max(start, pending.popleft())
-                end = start + costs.cost(instr)
-                if isinstance(instr, SetFlag):
-                    channel = (instr.src_pipe, instr.dst_pipe, instr.event_id)
-                    flags.setdefault(channel, deque()).append(end)
-                pipe_time[pipe] = end
-                events.append(TraceEvent(index, instr, pipe, start, end))
-                queue.popleft()
-                remaining -= 1
-                progress = True
-        if not progress:
-            # Watchdog: same wait-for-graph diagnosis as the fast drains.
-            pending: Dict[int, int] = {}
-            for queue in queues.values():
-                for i, instr in queue:
-                    if isinstance(instr, SetFlag):
-                        ch = _pack_channel(instr.src_pipe, instr.dst_pipe,
-                                           instr.event_id)
-                        if ch not in pending or i < pending[ch]:
-                            pending[ch] = i
-            stalls = []
-            for pipe, queue in queues.items():
-                if not queue:
-                    continue
-                i, instr = queue[0]
-                kind = type(instr).__name__
-                if isinstance(instr, WaitFlag):
-                    ch = _pack_channel(instr.src_pipe, instr.dst_pipe,
-                                       instr.event_id)
-                    producer = pending.get(ch)
-                    stalls.append(PipeStall(
-                        pipe=str(pipe), index=i, kind=kind, channel=ch,
-                        producer_index=producer,
-                        never_set=producer is None))
-                else:
-                    stalls.append(PipeStall(pipe=str(pipe), index=i,
-                                            kind=kind))
-            _raise_deadlock(stalls, _sync_injected(active_injector()))
-
-    events.sort(key=lambda e: (e.start, e.end, e.index))
-    return ExecutionTrace(events=events)

@@ -4,13 +4,13 @@ The analysis harness consumes traces to reproduce the paper's per-layer
 figures: cube/vector busy-cycle ratios (Figures 4-8) and L1 bandwidth
 profiles (Figure 9).
 
-Storage is *columnar*: one growable arena of parallel numpy arrays
-(program index, pipe, start, end, interned tag id, move route and byte
-counts) instead of a Python list of event objects.  Every aggregate
-query — ``total_cycles``, ``busy_cycles``, ``span``, L1/GM traffic,
-per-tag breakdowns — is a masked reduction over those columns, and the
-schedulers emit into the arena directly (:meth:`ExecutionTrace.
-from_columns`), so no per-event Python objects exist on the hot path.
+Storage is *columnar*: parallel numpy arrays (program index, pipe,
+start, end, interned tag id, move route and byte counts) instead of a
+Python list of event objects.  Every aggregate query — ``total_cycles``,
+``busy_cycles``, ``span``, L1/GM traffic, per-tag breakdowns — is a
+masked reduction over those columns, and the scheduler emits the columns
+directly (:meth:`ExecutionTrace.from_columns`, the one construction
+path), so no per-event Python objects exist on the hot path.
 :class:`TraceEvent` survives as a lazy *view*: ``trace.events`` is a
 sequence that materializes events on demand for consumers that want the
 row-oriented picture (functional replay debugging, tests, examples).
@@ -197,51 +197,22 @@ class _EventsView(Sequence):
 class ExecutionTrace:
     """All events of one program run, with aggregate queries.
 
-    Internally a columnar arena; ``events`` is a lazy row view kept for
+    Internally a set of columns; ``events`` is a lazy row view kept for
     API compatibility.  Aggregates are masked numpy reductions.
     """
 
     __slots__ = ("_n", "_instrs", "_index", "_pipe", "_start", "_end",
                  "_tag_id", "_kind", "_src_space", "_dst_space",
                  "_src_nbytes", "_dst_nbytes", "_tag_names", "_tag_ids",
-                 "_meta_memo", "_flag_cols")
+                 "_flag_cols")
 
-    _INITIAL_CAPACITY = 64
-
-    def __init__(self, events: Optional[Iterable[TraceEvent]] = None) -> None:
-        self._n = 0
-        self._instrs: List[Instruction] = []
-        self._tag_names: List[str] = [""]
-        self._tag_ids: Dict[str, int] = {"": 0}
-        self._meta_memo: Dict[int, tuple] = {}
-        self._flag_cols: Optional[tuple] = None
-        self._allocate(self._INITIAL_CAPACITY)
-        if events:
-            self.extend(events)
-
-    def _allocate(self, capacity: int) -> None:
-        self._index = np.empty(capacity, np.int64)
-        self._pipe = np.empty(capacity, np.int8)
-        self._start = np.empty(capacity, np.int64)
-        self._end = np.empty(capacity, np.int64)
-        self._tag_id = np.empty(capacity, np.int32)
-        self._kind = np.empty(capacity, np.int8)
-        self._src_space = np.empty(capacity, np.int8)
-        self._dst_space = np.empty(capacity, np.int8)
-        self._src_nbytes = np.empty(capacity, np.int64)
-        self._dst_nbytes = np.empty(capacity, np.int64)
-
-    def _grow(self) -> None:
-        capacity = max(self._INITIAL_CAPACITY, 2 * len(self._index))
-        old = {name: getattr(self, name) for name in (
-            "_index", "_pipe", "_start", "_end", "_tag_id", "_kind",
-            "_src_space", "_dst_space", "_src_nbytes", "_dst_nbytes")}
-        self._allocate(capacity)
-        n = self._n
-        for name, column in old.items():
-            getattr(self, name)[:n] = column[:n]
-
-    # -- construction ---------------------------------------------------------
+    def __init__(self, events: Iterable[TraceEvent] = ()) -> None:
+        """A trace of ``events`` in the given order (tests, examples);
+        the scheduler builds traces through :meth:`from_columns`."""
+        events = list(events)
+        self._assign([e.instr for e in events], [e.index for e in events],
+                      [int(e.pipe) for e in events],
+                      [e.start for e in events], [e.end for e in events])
 
     @classmethod
     def from_columns(cls, instrs: List[Instruction], index, pipe, start, end
@@ -253,102 +224,50 @@ class ExecutionTrace:
         hot path: no :class:`TraceEvent` objects are created.
         """
         trace = cls.__new__(cls)
-        n = len(instrs)
-        trace._n = n
-        trace._instrs = instrs
-        trace._tag_names = [""]
-        trace._tag_ids = {"": 0}
-        trace._meta_memo = {}
-        trace._flag_cols = None
-        trace._index = np.asarray(index, np.int64)
-        trace._pipe = np.asarray(pipe, np.int8)
-        trace._start = np.asarray(start, np.int64)
-        trace._end = np.asarray(end, np.int64)
-        trace._fill_meta_columns()
+        trace._assign(instrs, index, pipe, start, end)
         return trace
 
-    def _fill_meta_columns(self) -> None:
-        """Derive tag/kind/traffic columns from the instruction list."""
-        memo = self._meta_memo
-        memo_get = memo.get
-        meta_of = self._meta_of
-        tags: List[int] = []
-        kinds: List[int] = []
-        src_spaces: List[int] = []
-        dst_spaces: List[int] = []
-        src_nbytes: List[int] = []
-        dst_nbytes: List[int] = []
-        for instr in self._instrs:
-            key = id(instr)
-            rec = memo_get(key)
-            if rec is None:
-                rec = meta_of(instr)
-                memo[key] = rec
-            kinds.append(rec[0])
-            tags.append(rec[1])
-            src_spaces.append(rec[2])
-            dst_spaces.append(rec[3])
-            src_nbytes.append(rec[4])
-            dst_nbytes.append(rec[5])
-        self._tag_id = np.asarray(tags, np.int32)
-        self._kind = np.asarray(kinds, np.int8)
-        self._src_space = np.asarray(src_spaces, np.int8)
-        self._dst_space = np.asarray(dst_spaces, np.int8)
-        self._src_nbytes = np.asarray(src_nbytes, np.int64)
-        self._dst_nbytes = np.asarray(dst_nbytes, np.int64)
+    def _assign(self, instrs: List[Instruction], index, pipe, start, end
+                ) -> None:
+        """Store the columns and derive tag/kind/traffic ones from
+        ``instrs``.
 
-    def _intern(self, tag: str) -> int:
-        tag_id = self._tag_ids.get(tag)
-        if tag_id is None:
-            tag_id = len(self._tag_names)
-            self._tag_ids[tag] = tag_id
-            self._tag_names.append(tag)
-        return tag_id
-
-    def _meta_of(self, instr: Instruction) -> tuple:
-        """(kind, tag id, src space, dst space, src bytes, dst bytes).
-
-        Memoized per instruction *object* by the callers: compiled tile
-        loops repeat a handful of distinct instruction objects thousands
-        of times, and the arena holds a reference to every memoized
-        instruction, so ``id()`` keys cannot alias.
+        Compiled tile loops repeat a handful of distinct instruction
+        objects thousands of times, so each distinct object (keyed by
+        ``id``; the list pins every object alive) is described once and
+        its row broadcast by one fancy-index.  Tags are interned in
+        first-appearance order.
         """
-        kind = _KIND_OF_TYPE.get(type(instr), KIND_NONE)
-        tag_id = self._intern(instr.tag)
-        if kind in _MOVE_KINDS:
-            return (kind, tag_id, int(instr.src.space), int(instr.dst.space),
-                    instr.src.nbytes, instr.dst.nbytes)
-        return (kind, tag_id, -1, -1, 0, 0)
-
-    def append(self, event: TraceEvent) -> None:
-        """Append one event to the arena (legacy row-oriented path)."""
-        i = self._n
-        if i >= len(self._index):
-            self._grow()
-        instr = event.instr
-        memo = self._meta_memo
-        key = id(instr)
-        rec = memo.get(key)
-        if rec is None:
-            rec = self._meta_of(instr)
-            memo[key] = rec
-        self._instrs.append(instr)
-        self._index[i] = event.index
-        self._pipe[i] = int(event.pipe)
-        self._start[i] = event.start
-        self._end[i] = event.end
-        self._kind[i] = rec[0]
-        self._tag_id[i] = rec[1]
-        self._src_space[i] = rec[2]
-        self._dst_space[i] = rec[3]
-        self._src_nbytes[i] = rec[4]
-        self._dst_nbytes[i] = rec[5]
-        self._n = i + 1
-        self._flag_cols = None  # derived flag columns are stale
-
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        for event in events:
-            self.append(event)
+        self._n = len(instrs)
+        self._instrs = instrs
+        self._flag_cols = None
+        self._index = np.asarray(index, np.int64)
+        self._pipe = np.asarray(pipe, np.int8)
+        self._start = np.asarray(start, np.int64)
+        self._end = np.asarray(end, np.int64)
+        tag_ids: Dict[str, int] = {"": 0}
+        distinct = dict(zip(map(id, instrs), instrs))
+        slot = {key: i for i, key in enumerate(distinct)}
+        table = np.zeros((6, len(distinct)), np.int64)
+        for i, instr in enumerate(distinct.values()):
+            kind = _KIND_OF_TYPE.get(type(instr), KIND_NONE)
+            tag_id = tag_ids.setdefault(instr.tag, len(tag_ids))
+            if kind in _MOVE_KINDS:
+                table[:, i] = (kind, tag_id, instr.src.space,
+                               instr.dst.space, instr.src.nbytes,
+                               instr.dst.nbytes)
+            else:
+                table[:, i] = (kind, tag_id, -1, -1, 0, 0)
+        cols = table[:, np.array([slot[key] for key in map(id, instrs)],
+                                 np.intp)]
+        self._tag_ids = tag_ids
+        self._tag_names = list(tag_ids)
+        self._kind = cols[0].astype(np.int8)
+        self._tag_id = cols[1].astype(np.int32)
+        self._src_space = cols[2].astype(np.int8)
+        self._dst_space = cols[3].astype(np.int8)
+        self._src_nbytes = cols[4]
+        self._dst_nbytes = cols[5]
 
     # -- row view -------------------------------------------------------------
 
@@ -375,7 +294,7 @@ class ExecutionTrace:
     def total_cycles(self) -> int:
         if self._n == 0:
             return 0
-        return int(self._end[:self._n].max())
+        return int(self._end.max())
 
     def busy_cycles(self, pipe: Pipe, tag: Optional[str] = None) -> int:
         """Sum of occupied cycles on a pipe (optionally for one tag).
@@ -383,16 +302,13 @@ class ExecutionTrace:
         Flag/barrier bookkeeping (1-cycle events with no payload) is
         included; it is negligible against real work.
         """
-        n = self._n
-        if n == 0:
-            return 0
-        mask = self._pipe[:n] == int(pipe)
+        mask = self._pipe == int(pipe)
         if tag is not None:
             tag_id = self._tag_ids.get(tag)
             if tag_id is None:
                 return 0
-            mask &= self._tag_id[:n] == tag_id
-        return int((self._end[:n][mask] - self._start[:n][mask]).sum())
+            mask &= self._tag_id == tag_id
+        return int((self._end[mask] - self._start[mask]).sum())
 
     def utilization(self, pipe: Pipe) -> float:
         total = self.total_cycles
@@ -410,15 +326,14 @@ class ExecutionTrace:
 
     def span(self, tag: str) -> Tuple[int, int]:
         """(first start, last end) over events carrying ``tag``."""
-        n = self._n
         tag_id = self._tag_ids.get(tag)
-        if n == 0 or tag_id is None:
+        if tag_id is None:
             return (0, 0)
-        mask = self._tag_id[:n] == tag_id
-        if not mask.any():  # interned via append of a foreign-trace event
+        mask = self._tag_id == tag_id
+        if not mask.any():  # the empty tag when every event is tagged
             return (0, 0)
-        return (int(self._start[:n][mask].min()),
-                int(self._end[:n][mask].max()))
+        return (int(self._start[mask].min()),
+                int(self._end[mask].max()))
 
     def summary(self) -> "TraceSummary":
         """Makespan, per-pipe busy cycles and L1/GM traffic, vectorized.
@@ -426,30 +341,29 @@ class ExecutionTrace:
         Equivalent to ``total_cycles`` + six ``busy_cycles`` calls +
         ``l1_traffic_bytes`` + ``gm_traffic_bytes`` over the event list.
         """
-        n = self._n
-        cycles = self._end[:n] - self._start[:n]
-        pipes = self._pipe[:n]
+        cycles = self._end - self._start
+        pipes = self._pipe
         busy = tuple(int(cycles[pipes == p].sum()) for p in range(len(Pipe)))
-        src_space = self._src_space[:n]
-        dst_space = self._dst_space[:n]
+        src_space = self._src_space
+        dst_space = self._dst_space
         return TraceSummary(
             total_cycles=self.total_cycles,
             busy_by_pipe=busy,
             l1_read_bytes=int(
-                self._src_nbytes[:n][src_space == int(MemSpace.L1)].sum()),
+                self._src_nbytes[src_space == int(MemSpace.L1)].sum()),
             l1_write_bytes=int(
-                self._dst_nbytes[:n][dst_space == int(MemSpace.L1)].sum()),
+                self._dst_nbytes[dst_space == int(MemSpace.L1)].sum()),
             gm_read_bytes=int(
-                self._dst_nbytes[:n][src_space == int(MemSpace.GM)].sum()),
+                self._dst_nbytes[src_space == int(MemSpace.GM)].sum()),
             gm_write_bytes=int(
-                self._src_nbytes[:n][dst_space == int(MemSpace.GM)].sum()),
+                self._src_nbytes[dst_space == int(MemSpace.GM)].sum()),
         )
 
     # -- bandwidth accounting -------------------------------------------------
 
     _TAG_ABSENT = object()  # sentinel: tag filter given but never seen
 
-    def _tag_mask(self, tag: Optional[str], n: int):
+    def _tag_mask(self, tag: Optional[str]):
         """Boolean mask for ``tag``; None means no filter; ``_TAG_ABSENT``
         when the tag was never interned (every masked sum is 0)."""
         if tag is None:
@@ -457,7 +371,7 @@ class ExecutionTrace:
         tag_id = self._tag_ids.get(tag)
         if tag_id is None:
             return ExecutionTrace._TAG_ABSENT
-        return self._tag_id[:n] == tag_id
+        return self._tag_id == tag_id
 
     def l1_traffic_bytes(self, tag: Optional[str] = None) -> Tuple[int, int]:
         """(bytes read from L1, bytes written to L1) by data movement.
@@ -466,47 +380,44 @@ class ExecutionTrace:
         (MTE2) and UB -> L1 write-backs (MTE3).  This is the quantity
         Figure 9 profiles.
         """
-        n = self._n
-        selector = self._tag_mask(tag, n)
+        selector = self._tag_mask(tag)
         if selector is ExecutionTrace._TAG_ABSENT:
             return (0, 0)
         l1 = int(MemSpace.L1)
-        read_mask = self._src_space[:n] == l1
-        write_mask = self._dst_space[:n] == l1
+        read_mask = self._src_space == l1
+        write_mask = self._dst_space == l1
         if selector is not None:
             read_mask &= selector
             write_mask &= selector
-        return (int(self._src_nbytes[:n][read_mask].sum()),
-                int(self._dst_nbytes[:n][write_mask].sum()))
+        return (int(self._src_nbytes[read_mask].sum()),
+                int(self._dst_nbytes[write_mask].sum()))
 
     def moved_bytes(self, src: MemSpace, dst: MemSpace,
                     tag: Optional[str] = None) -> int:
         """Bytes moved along one (src, dst) space pair."""
-        n = self._n
-        selector = self._tag_mask(tag, n)
+        selector = self._tag_mask(tag)
         if selector is ExecutionTrace._TAG_ABSENT:
             return 0
-        mask = (self._src_space[:n] == int(src)) \
-            & (self._dst_space[:n] == int(dst))
+        mask = (self._src_space == int(src)) \
+            & (self._dst_space == int(dst))
         if selector is not None:
             mask &= selector
         column = self._src_nbytes if src is not MemSpace.GM else self._dst_nbytes
-        return int(column[:n][mask].sum())
+        return int(column[mask].sum())
 
     def gm_traffic_bytes(self, tag: Optional[str] = None) -> Tuple[int, int]:
         """(bytes read from GM, bytes written to GM) — BIU/LLC traffic."""
-        n = self._n
-        selector = self._tag_mask(tag, n)
+        selector = self._tag_mask(tag)
         if selector is ExecutionTrace._TAG_ABSENT:
             return (0, 0)
         gm = int(MemSpace.GM)
-        read_mask = self._src_space[:n] == gm
-        write_mask = self._dst_space[:n] == gm
+        read_mask = self._src_space == gm
+        write_mask = self._dst_space == gm
         if selector is not None:
             read_mask &= selector
             write_mask &= selector
-        return (int(self._dst_nbytes[:n][read_mask].sum()),
-                int(self._src_nbytes[:n][write_mask].sum()))
+        return (int(self._dst_nbytes[read_mask].sum()),
+                int(self._src_nbytes[write_mask].sum()))
 
     def traffic_by_tag(self) -> Dict[str, Tuple[int, int, int, int]]:
         """Per-tag ``(l1_read, l1_write, gm_read, gm_write)`` bytes.
@@ -516,29 +427,26 @@ class ExecutionTrace:
         so summing any column over the returned dict equals the matching
         :meth:`summary` total.  (``tags()`` deliberately excludes the
         empty tag; per-tag consumers that dropped the untagged bucket
-        used to under-report traffic against the single-pass summary —
+        used to under-report traffic against the one-pass summary —
         the equivalence is now pinned by tests.)
 
         Buckets are keyed by tag name in first-appearance order; only
         tags that actually carry events appear.
         """
-        n = self._n
-        if n == 0:
-            return {}
-        tag_ids = self._tag_id[:n]
+        tag_ids = self._tag_id
         n_tags = len(self._tag_names)
         sums = np.zeros((4, n_tags), np.int64)
         l1 = int(MemSpace.L1)
         gm = int(MemSpace.GM)
-        src_space = self._src_space[:n]
-        dst_space = self._dst_space[:n]
+        src_space = self._src_space
+        dst_space = self._dst_space
         for row, (space_col, byte_col) in enumerate((
                 (src_space == l1, self._src_nbytes),   # read from L1
                 (dst_space == l1, self._dst_nbytes),   # written to L1
                 (src_space == gm, self._dst_nbytes),   # read from GM
                 (dst_space == gm, self._src_nbytes))):  # written to GM
             mask = space_col
-            np.add.at(sums[row], tag_ids[mask], byte_col[:n][mask])
+            np.add.at(sums[row], tag_ids[mask], byte_col[mask])
         distinct, first = np.unique(tag_ids, return_index=True)
         names = self._tag_names
         return {
@@ -557,7 +465,7 @@ class ExecutionTrace:
         caches the result.  ``packed`` holds the
         :func:`~repro.isa.channels.pack_channel` id for flag events and
         -1 elsewhere.  Consumed by the profiling layer (wait histograms,
-        Perfetto flow events); appending events invalidates the cache.
+        Perfetto flow events).
         """
         if self._flag_cols is not None:
             return self._flag_cols
@@ -589,14 +497,11 @@ class ExecutionTrace:
         return self._flag_cols
 
     def per_tag_busy(self, pipe: Pipe) -> Dict[str, int]:
-        n = self._n
-        if n == 0:
-            return {}
-        mask = self._pipe[:n] == int(pipe)
-        tag_ids = self._tag_id[:n][mask]
+        mask = self._pipe == int(pipe)
+        tag_ids = self._tag_id[mask]
         if tag_ids.size == 0:
             return {}
-        cycles = (self._end[:n] - self._start[:n])[mask]
+        cycles = (self._end - self._start)[mask]
         sums = np.zeros(len(self._tag_names), np.int64)
         np.add.at(sums, tag_ids, cycles)
         # Report tags in first-occurrence order among this pipe's events.
@@ -610,55 +515,55 @@ class ExecutionTrace:
 
     # -- columnar access ------------------------------------------------------
     #
-    # Trimmed views of the arena for vectorized consumers (gantt binning,
+    # The trace's columns for vectorized consumers (gantt binning,
     # benchmarks).  Treat them as read-only: they alias trace storage.
 
     @property
     def indices(self) -> np.ndarray:
         """Program (issue) order per event."""
-        return self._index[:self._n]
+        return self._index
 
     @property
     def starts(self) -> np.ndarray:
-        return self._start[:self._n]
+        return self._start
 
     @property
     def ends(self) -> np.ndarray:
-        return self._end[:self._n]
+        return self._end
 
     @property
     def pipes(self) -> np.ndarray:
-        return self._pipe[:self._n]
+        return self._pipe
 
     @property
     def kinds(self) -> np.ndarray:
         """Instruction-class codes (the module-level ``KIND_*`` constants)."""
-        return self._kind[:self._n]
+        return self._kind
 
     @property
     def src_spaces(self) -> np.ndarray:
         """Source :class:`~repro.isa.memref.MemSpace` per event (-1: no move)."""
-        return self._src_space[:self._n]
+        return self._src_space
 
     @property
     def dst_spaces(self) -> np.ndarray:
         """Destination memory space per event (-1 for non-moves)."""
-        return self._dst_space[:self._n]
+        return self._dst_space
 
     @property
     def src_bytes(self) -> np.ndarray:
         """Bytes read from the source space per event (0 for non-moves)."""
-        return self._src_nbytes[:self._n]
+        return self._src_nbytes
 
     @property
     def dst_bytes(self) -> np.ndarray:
         """Bytes written to the destination space per event (0 for non-moves)."""
-        return self._dst_nbytes[:self._n]
+        return self._dst_nbytes
 
     @property
     def tag_ids(self) -> np.ndarray:
         """Interned tag id per event (see :attr:`tag_table`)."""
-        return self._tag_id[:self._n]
+        return self._tag_id
 
     @property
     def tag_table(self) -> Tuple[str, ...]:
@@ -673,51 +578,6 @@ class ExecutionTrace:
         Flags, barriers and scalar bookkeeping carry no state outside the
         schedule, so functional replay skips them.
         """
-        n = self._n
-        kinds = self._kind[:n]
         instrs = self._instrs
         return [instrs[i]
-                for i in np.nonzero(np.isin(kinds, FUNCTIONAL_KINDS))[0]]
-
-    def n_functional(self) -> int:
-        """Count of functional instructions, without materializing them."""
-        return int(np.isin(self._kind[:self._n], FUNCTIONAL_KINDS).sum())
-
-    def wavefronts(self) -> List[List[Instruction]]:
-        """Group functional instructions into dependence-free waves.
-
-        Events are stored sorted by start time, and any dependence chain
-        (same-pipe program order or a set_flag -> wait_flag edge) forces
-        the consumer to start at or after the producer's end.  Walking
-        events in start order, an event whose start lies strictly before
-        the minimum end of the current wave therefore overlaps every
-        event in it — no dependence edge can exist between them — so it
-        joins the wave; otherwise the wave is sealed and a new one
-        begins.  Waves execute in order with a barrier between them,
-        preserving every producer -> consumer edge.
-        """
-        n = self._n
-        if n == 0:
-            return []
-        keep = np.nonzero(np.isin(self._kind[:n], FUNCTIONAL_KINDS))[0]
-        if keep.size == 0:
-            return []
-        starts = self._start[:n][keep].tolist()
-        ends = self._end[:n][keep].tolist()
-        instrs = self._instrs
-        waves: List[List[Instruction]] = []
-        wave: List[Instruction] = [instrs[keep[0]]]
-        wave_min_end = ends[0]
-        for pos in range(1, keep.size):
-            start = starts[pos]
-            instr = instrs[keep[pos]]
-            if start < wave_min_end:
-                wave.append(instr)
-                if ends[pos] < wave_min_end:
-                    wave_min_end = ends[pos]
-            else:
-                waves.append(wave)
-                wave = [instr]
-                wave_min_end = ends[pos]
-        waves.append(wave)
-        return waves
+                for i in np.nonzero(np.isin(self._kind, FUNCTIONAL_KINDS))[0]]

@@ -407,7 +407,6 @@ def _cmd_chaos_smoke(args: argparse.Namespace) -> int:
                      "content_key": frontier_key,
                      "matches_brute_force": not failures},
         "gates": failures,
-        "elapsed_seconds": round(elapsed, 2),
     }
     out = _results_dir() / "chaos_smoke.json"
     out.parent.mkdir(parents=True, exist_ok=True)

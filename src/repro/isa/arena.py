@@ -191,7 +191,7 @@ class InstructionArena:
         is_flag = (self.kind == OP_SET) | (self.kind == OP_WAIT)
         return np.where(is_flag, packed, -1)
 
-    # -- construction from objects (oracle paths, exotic programs) ------------
+    # -- construction from objects (builders, frontends, exotic programs) -----
 
     @classmethod
     def from_instructions(cls, instrs: Sequence[Instruction]

@@ -11,7 +11,7 @@ detection/recovery into the rest of the simulator:
   (:mod:`~repro.reliability.ecc`, hooked into ``memory/buffer.py``):
   single-bit corrected, double-bit detected and raised structurally;
 * **synchronization** — dropped/duplicated/reordered flag ``set`` events
-  and pipe stalls (hooked into both engine drains), diagnosed by the
+  and pipe stalls (hooked into the engine drain), diagnosed by the
   wait-for-graph watchdog (:mod:`~repro.reliability.deadlock`) that
   names the guilty channel instead of an opaque deadlock string;
 * **cluster** — MTBF-driven chip failures with checkpoint/restart

@@ -14,10 +14,9 @@ channels and produces a structured :class:`DeadlockReport` that names
   is itself stalled (crossed waits), with both the consuming wait index
   and the emitting pending-set index per edge.
 
-All three schedulers (object drain, arena drain, fixpoint oracle) feed
-the same facts through :func:`build_report`, so the guilty channel is
-named identically regardless of which scheduler hit the deadlock —
-asserted by ``tests/core/test_deadlock_report.py``.
+The engine drain and the fixpoint oracle the tests keep feed the same
+facts through :func:`build_report`, so the guilty channel is named
+identically by both — asserted by ``tests/core/test_deadlock_report.py``.
 """
 
 from __future__ import annotations

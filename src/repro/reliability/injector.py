@@ -1,8 +1,8 @@
 """The deterministic fault injector and its process-global registration.
 
 One :class:`FaultInjector` owns a seeded ``numpy`` generator and a set of
-counters; every RAS hook in the stack (scratchpad reads, both engine
-drains, the compile cache, arena lowering, the cluster model) asks the
+counters; every RAS hook in the stack (scratchpad reads, the engine
+drain, the compile cache, arena lowering, the cluster model) asks the
 *active* injector whether to perturb the operation at hand.  With no
 plan installed and ``REPRO_FAULTS`` unset, :func:`active_injector`
 returns ``None`` from one dict probe — the hooks then fall through to
@@ -88,10 +88,10 @@ class FaultInjector:
 
     def perturb_matches(self, match: np.ndarray, packed: np.ndarray,
                         set_rows: np.ndarray) -> np.ndarray:
-        """Arena-path twin of :meth:`sync_action`.
+        """Apply :meth:`sync_action` to every set row of a drain.
 
-        The arena drain resolves waits through a *static* wait->set
-        matching, so sync faults perturb the match column up front: a
+        The drain resolves waits through a *static* wait->set matching,
+        so sync faults perturb the match column up front: a
         dropped set makes its matched wait stall forever (-2, the
         never-set marker); a reorder swaps the producers of adjacent
         waits on the same channel; a duplicate is timing-neutral under

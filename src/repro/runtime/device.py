@@ -84,14 +84,10 @@ class Device:
 
     # -- execution -------------------------------------------------------------------
 
-    def run_program(self, program, functional: bool = True, workers=None):
-        """Execute a program on the device core, accumulating device time.
-
-        ``workers`` selects the functional thread count (default: the
-        ``REPRO_FUNC_WORKERS`` environment variable; serial when unset).
-        """
+    def run_program(self, program, functional: bool = True):
+        """Execute a program on the device core, accumulating device time."""
         result = self.core.run(program, functional=functional,
-                               validate=False, workers=workers)
+                               validate=False)
         self.total_cycles += result.cycles
         return result
 

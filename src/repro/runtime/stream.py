@@ -45,8 +45,7 @@ class Stream:
         return self._cursor
 
     def launch(self, program, functional: bool = True,
-               wait_for: Optional[List[Event]] = None,
-               workers=None) -> None:
+               wait_for: Optional[List[Event]] = None) -> None:
         """Enqueue a program; it starts after the stream's prior work and
         all ``wait_for`` events."""
         start = self._cursor + self.launch_overhead_cycles
@@ -57,8 +56,7 @@ class Stream:
                     f"{event.name!r}"
                 )
             start = max(start, event.cycles)
-        result = self.device.run_program(program, functional=functional,
-                                         workers=workers)
+        result = self.device.run_program(program, functional=functional)
         self._cursor = start + result.cycles
         self._log.append(f"{program.name}@{start}+{result.cycles}")
 

@@ -214,7 +214,6 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         "goodput_ratio": (cont_goodput / stat_goodput
                           if stat_goodput else None),
         "gates": failures,
-        "elapsed_seconds": round(elapsed, 2),
     }
     out = _results_dir() / "serving_smoke.json"
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -6,12 +6,10 @@ from repro.analysis import render_gantt
 from repro.compiler import lower_gemm
 from repro.config import ASCEND_MAX
 from repro.core import CostModel, ExecutionTrace, TraceEvent
-from repro.core.engine import (
-    schedule,
-    schedule_fixpoint,
-    schedule_single_pass,
-)
+from repro.core.engine import schedule
 from repro.isa import Pipe, Program, ScalarInstr
+
+from tests.core.oracle import schedule_fixpoint
 
 
 @pytest.fixture(scope="module")
@@ -103,15 +101,15 @@ class TestGanttBinning:
         assert _row(art, Pipe.V) == "     VVVVV"
 
     def test_identical_across_all_three_schedulers(self):
-        """Object single-pass, arena single-pass and the fixpoint oracle
-        paint the same picture."""
+        """The drain over the lowered arena, the drain over an
+        object-built copy, and the fixpoint oracle paint the same
+        picture."""
         costs = CostModel(ASCEND_MAX)
         source = lower_gemm(128, 128, 128, ASCEND_MAX, tag="g")
         as_objects = Program(list(source), name=source.name)
-        as_arena = Program.from_arena(as_objects.arena, name=source.name)
         renders = {
-            render_gantt(schedule_single_pass(as_objects, costs), width=64),
-            render_gantt(schedule_single_pass(as_arena, costs), width=64),
+            render_gantt(schedule(source, costs), width=64),
+            render_gantt(schedule(as_objects, costs), width=64),
             render_gantt(schedule_fixpoint(as_objects, costs), width=64),
         }
         assert len(renders) == 1

@@ -28,6 +28,8 @@ from repro.isa.arena import InstructionArena
 from repro.isa.instructions import VectorOpcode
 from repro.models.zoo import build_model
 
+from tests.core.oracle import schedule_fixpoint
+
 
 @contextmanager
 def _mode(mode):
@@ -201,8 +203,8 @@ class TestCostColumns:
 
 
 class TestSchedulerEquivalence:
-    """The arena drain produces the same trace as the object drain and
-    the fixpoint oracle, over programs lowered either way."""
+    """The drain produces the same trace over programs lowered either
+    way, and both match the fixpoint oracle."""
 
     def _programs(self):
         work = OpWorkload(
@@ -221,7 +223,7 @@ class TestSchedulerEquivalence:
         costs = CostModel(ASCEND_MAX)
         t_obj = schedule(p_obj, costs)
         t_ar = schedule(p_ar, costs)
-        t_fix = schedule(p_obj, costs, algorithm="fixpoint")
+        t_fix = schedule_fixpoint(p_obj, costs)
         for a, b in ((t_obj, t_ar), (t_obj, t_fix)):
             assert len(a.events) == len(b.events)
             for ea, eb in zip(a.events, b.events):

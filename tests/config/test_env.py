@@ -1,16 +1,15 @@
 """Strict ``REPRO_*`` environment parsing.
 
 The regression these pin: ``REPRO_SWEEP_WORKERS=4x`` used to fall back
-to serial silently (``REPRO_FUNC_WORKERS`` likewise); a mistyped knob
-must raise :class:`~repro.errors.ConfigError` naming the variable, not
-quietly change behavior.
+to serial silently; a mistyped knob must raise
+:class:`~repro.errors.ConfigError` naming the variable, not quietly
+change behavior.
 """
 
 import pytest
 
 from repro.bench.runner import sweep_workers
 from repro.config.env import env_choice, env_flag, env_float, env_int
-from repro.core.core import resolve_workers
 from repro.errors import ConfigError
 
 _VAR = "REPRO_TEST_KNOB"
@@ -96,23 +95,6 @@ class TestEnvFlagAndChoice:
 
 class TestWorkerKnobsIntegration:
     """The audited call sites fail loudly end to end."""
-
-    def test_func_workers_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUNC_WORKERS", "4x")
-        with pytest.raises(ConfigError, match="REPRO_FUNC_WORKERS"):
-            resolve_workers(None)
-
-    def test_func_workers_valid_forms(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUNC_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        monkeypatch.setenv("REPRO_FUNC_WORKERS", "oracle")
-        assert resolve_workers(None) == 1
-        assert resolve_workers("serial") == 1
-        assert resolve_workers(4) == 4
-
-    def test_explicit_worker_string_garbage(self):
-        with pytest.raises(ConfigError, match="workers"):
-            resolve_workers("bogus")
 
     def test_sweep_workers_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "4x")

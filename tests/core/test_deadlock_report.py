@@ -1,10 +1,10 @@
-"""Deadlock diagnostics: all three schedulers name the same guilty channel.
+"""Deadlock diagnostics: the drain and the oracle name the same channel.
 
-The watchdog in each drain (object single-pass, columnar arena,
-fixpoint oracle) funnels its stalled-pipe facts through one
-``build_report``; these tests pin the contract that the resulting
+The engine drain's watchdog and the fixpoint oracle's each funnel their
+stalled-pipe facts through one ``build_report``; these tests pin the
+contract that the resulting
 :class:`~repro.reliability.deadlock.DeadlockReport` identifies the same
-channel regardless of which scheduler hit the wall.
+channel whichever scheduler hit the wall.
 """
 
 import pytest
@@ -17,15 +17,17 @@ from repro.isa import Pipe, Program, ScalarInstr, SetFlag, WaitFlag
 from repro.isa.channels import pack_channel
 from repro.reliability.deadlock import DeadlockReport, channel_label
 
+from .oracle import schedule_fixpoint
+
 
 @pytest.fixture
 def costs():
     return CostModel(ASCEND_MAX)
 
 
-def _report_from(program, costs, algorithm):
+def _report_from(scheduler, program, costs):
     with pytest.raises(DeadlockError) as exc:
-        schedule(program, costs, algorithm=algorithm)
+        scheduler(program, costs)
     report = exc.value.report
     assert isinstance(report, DeadlockReport)
     # The message is the report's own rendering, so grepping logs and
@@ -36,14 +38,11 @@ def _report_from(program, costs, algorithm):
 
 
 def _reports_all_schedulers(instrs, costs):
-    """Run the program through object, arena, and fixpoint drains."""
-    object_prog = Program(list(instrs))
-    arena_prog = Program.from_arena(Program(list(instrs)).arena)
-    assert arena_prog._arena is not None  # really takes the arena drain
+    """Run the program through the engine drain and the fixpoint oracle."""
     return {
-        "object": _report_from(object_prog, costs, "single-pass"),
-        "arena": _report_from(arena_prog, costs, "single-pass"),
-        "fixpoint": _report_from(Program(list(instrs)), costs, "fixpoint"),
+        "drain": _report_from(schedule, Program(list(instrs)), costs),
+        "oracle": _report_from(schedule_fixpoint, Program(list(instrs)),
+                               costs),
     }
 
 
@@ -75,7 +74,7 @@ class TestGuiltyChannelAgreement:
             channel_label(pack_channel(Pipe.V, Pipe.M, 0)),
             channel_label(pack_channel(Pipe.M, Pipe.V, 1)),
         }
-        baseline = reports["object"].guilty_channel_names
+        baseline = reports["drain"].guilty_channel_names
         assert set(baseline) == expected
         for name, report in reports.items():
             assert report.guilty_channel_names == baseline, name
@@ -102,7 +101,7 @@ class TestGuiltyChannelAgreement:
         ]
         reports = _reports_all_schedulers(instrs, costs)
         expected = channel_label(pack_channel(Pipe.V, Pipe.M, 2))
-        baseline = reports["object"].guilty_channel_names
+        baseline = reports["drain"].guilty_channel_names
         assert baseline == (expected,)
         for name, report in reports.items():
             assert report.guilty_channel_names == baseline, name

@@ -1,6 +1,6 @@
 """The flat program-order drain must be bit-identical to the queue drain.
 
-The columnar scheduler now has a fast path (`_flat_drain_arena`) that
+The engine drain has a fast path (`_flat_drain_arena`) that
 evaluates the end-time recurrence in one program-order pass whenever
 every wait matches a strictly earlier set (match[i] < i, none
 unmatched), plus a steady-state extrapolation over concat-repeat blocks.
@@ -21,8 +21,7 @@ from repro.core.costs import CostModel
 from repro.core.engine import (
     engine_stats,
     reset_engine_stats,
-    schedule_fixpoint,
-    schedule_single_pass,
+    schedule,
     schedule_summary,
 )
 from repro.dtypes import FP16
@@ -30,18 +29,19 @@ from repro.graph.workload import GemmWork, OpWorkload
 from repro.isa import Pipe, Program, ScalarInstr, SetFlag, WaitFlag
 from repro.isa.arena import InstructionArena
 
+from .oracle import schedule_fixpoint
 from .test_engine_equivalence import _random_flagged_program
 
 _COSTS = CostModel(ASCEND_MAX)
 
 
 def _arena_program(instrs) -> Program:
-    """Force the columnar scheduling path for an instruction list."""
+    """An arena-first program (no object list of its own) for ``instrs``."""
     return Program.from_arena(InstructionArena.from_instructions(instrs))
 
 
 def _assert_traces_identical(program, oracle_program=None):
-    trace = schedule_single_pass(program, _COSTS)
+    trace = schedule(program, _COSTS)
     ref = schedule_fixpoint(oracle_program or program, _COSTS)
     assert len(trace.events) == len(ref.events)
     assert np.array_equal(trace.starts, ref.starts)
@@ -121,7 +121,7 @@ class TestRepeatExtrapolation:
 
     def test_summary_equals_trace_summary(self):
         program = lower_workload(self._repeated_workload(8), ASCEND_MAX)
-        trace = schedule_single_pass(program, _COSTS)
+        trace = schedule(program, _COSTS)
         assert schedule_summary(program, _COSTS) == trace.summary()
 
 
@@ -151,8 +151,8 @@ class TestRepeatMetadata:
         assert other.tags == ["", "beta"]
         assert arena.retagged(arena.tags[-1]) is arena  # no-op fast path
         # Retagging changes labels only — the schedule is identical.
-        t1 = schedule_single_pass(program, _COSTS)
-        t2 = schedule_single_pass(Program.from_arena(other), _COSTS)
+        t1 = schedule(program, _COSTS)
+        t2 = schedule(Program.from_arena(other), _COSTS)
         assert np.array_equal(t1.starts, t2.starts)
         assert np.array_equal(t1.ends, t2.ends)
 
@@ -170,7 +170,7 @@ class TestDeadlockStillDetected:
             ref = schedule_fixpoint(program, _COSTS)
         except DeadlockError:
             with pytest.raises(DeadlockError):
-                schedule_single_pass(arena_prog, _COSTS)
+                schedule(arena_prog, _COSTS)
         else:
-            trace = schedule_single_pass(arena_prog, _COSTS)
+            trace = schedule(arena_prog, _COSTS)
             assert np.array_equal(trace.ends, ref.ends)

@@ -1,6 +1,6 @@
 """Columnar trace aggregates must be bit-identical to a list walk.
 
-The trace arena stores parallel numpy columns and answers every query
+The trace stores parallel numpy columns and answers every query
 with masked reductions; these tests pin each aggregate against a pure-
 Python reference that walks ``trace.events`` the way the original
 row-oriented implementation did, over randomized flagged programs and
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.config import ASCEND_MAX
 from repro.core.costs import CostModel
-from repro.core.engine import schedule_single_pass
+from repro.core.engine import schedule
 from repro.core.trace import ExecutionTrace, TraceEvent, _MOVE_TYPES
 from repro.dtypes import FP16, FP32
 from repro.isa import (
@@ -191,7 +191,7 @@ class TestAggregatesBitIdentical:
     def test_scheduled_program_aggregates(self, seed, n):
         rng = np.random.default_rng(seed)
         program = _random_flagged_program(rng, n, allow_deadlock=False)
-        trace = schedule_single_pass(program, _COSTS)
+        trace = schedule(program, _COSTS)
         _assert_all_aggregates_match(trace)
 
     @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(0, 120))
@@ -217,27 +217,15 @@ class TestArenaConstruction:
     @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(1, 50))
     @settings(max_examples=30, deadline=None)
     def test_append_path_equals_columnar_path(self, seed, n):
-        """A trace rebuilt event-by-event through the growable arena is
+        """A trace rebuilt from its own event list by the constructor is
         indistinguishable from the scheduler's column-built one."""
         rng = np.random.default_rng(seed)
         program = _random_flagged_program(rng, n, allow_deadlock=False)
-        columnar = schedule_single_pass(program, _COSTS)
+        columnar = schedule(program, _COSTS)
         rebuilt = ExecutionTrace(events=list(columnar.events))
         assert rebuilt.events == columnar.events
         assert rebuilt.summary() == columnar.summary()
         assert rebuilt.tags() == columnar.tags()
-
-    def test_arena_growth_preserves_prefix(self):
-        """Appending past the initial capacity doubles the arena without
-        disturbing earlier events."""
-        rng = np.random.default_rng(7)
-        events = _random_events(rng, 5 * ExecutionTrace._INITIAL_CAPACITY)
-        trace = ExecutionTrace()
-        for i, event in enumerate(events):
-            trace.append(event)
-            assert trace.events[0] == events[0]
-            assert trace.events[i] == event
-        assert list(trace.events) == events
 
 
 class TestMemoryFootprint:
@@ -257,10 +245,10 @@ class TestMemoryFootprint:
         """10k events over 3 distinct tags store 3 strings, not 10k."""
         instrs = [ScalarInstr(op="nop", cycles=1, tag=f"layer{i % 3}")
                   for i in range(3)]
-        trace = ExecutionTrace()
-        for i in range(10_000):
-            trace.append(TraceEvent(index=i, instr=instrs[i % 3], pipe=Pipe.S,
-                                    start=i, end=i + 1))
+        trace = ExecutionTrace(
+            TraceEvent(index=i, instr=instrs[i % 3], pipe=Pipe.S,
+                       start=i, end=i + 1)
+            for i in range(10_000))
         assert trace.tags() == ["layer0", "layer1", "layer2"]
         assert len(trace._tag_names) == 4  # "" + 3 interned tags
         assert trace._tag_id[:len(trace)].dtype == np.int32
@@ -287,8 +275,8 @@ class TestEventsView:
         other = ExecutionTrace(events=list(trace.events))
         assert trace.events == other.events
         assert trace.events == list(trace.events)
-        other.append(trace.events[0])
-        assert trace.events != other.events
+        longer = ExecutionTrace(list(trace.events) + [trace.events[0]])
+        assert trace.events != longer.events
 
     def test_materialized_events_are_typed(self):
         trace = self._trace()

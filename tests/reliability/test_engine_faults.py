@@ -1,4 +1,8 @@
-"""Sync and stall faults through the timing engine (both drains)."""
+"""Sync and stall faults through the timing engine's drain.
+
+Programs built from objects and programs built arena-first take the same
+drain, so both get the static wait->set fault semantics.
+"""
 
 import pytest
 
@@ -19,6 +23,8 @@ from repro.isa import (
 )
 from repro.reliability import FaultPlan, StallFault, fault_scope, \
     parse_fault_spec
+
+from tests.core.oracle import schedule_fixpoint
 
 pytestmark = pytest.mark.faults
 
@@ -47,24 +53,25 @@ def _synced_instrs():
 
 
 def _variants():
-    """(label, program, algorithm) for the object and arena drains."""
+    """(label, program, scheduler): object-built and arena-first programs
+    through the drain, plus the fixpoint oracle."""
     return [
-        ("object", Program(_synced_instrs()), "single-pass"),
+        ("object", Program(_synced_instrs()), schedule),
         ("arena", Program.from_arena(Program(_synced_instrs()).arena),
-         "single-pass"),
-        ("fixpoint", Program(_synced_instrs()), "fixpoint"),
+         schedule),
+        ("fixpoint", Program(_synced_instrs()), schedule_fixpoint),
     ]
 
 
 class TestSyncDrop:
     def test_dropped_set_becomes_structured_deadlock(self, costs):
         plan = parse_fault_spec("seed=1;sync:action=drop,p=1")
-        for label, prog, algorithm in _variants():
+        for label, prog, scheduler in _variants():
             if label == "fixpoint":
-                continue  # the oracle has no retire loop to perturb
+                continue  # the oracle models no faults
             with fault_scope(plan) as inj:
                 with pytest.raises(DeadlockError) as exc:
-                    schedule(prog, costs, algorithm=algorithm)
+                    scheduler(prog, costs)
                 report = exc.value.report
                 assert report is not None, label
                 assert report.injected, label
@@ -72,8 +79,8 @@ class TestSyncDrop:
                 assert inj.counters["sync_dropped"] >= 1, label
 
     def test_clean_run_without_plan(self, costs):
-        for label, prog, algorithm in _variants():
-            trace = schedule(prog, costs, algorithm=algorithm)
+        for label, prog, scheduler in _variants():
+            trace = scheduler(prog, costs)
             assert trace.total_cycles > 0, label
 
 
@@ -82,15 +89,17 @@ class TestSyncDupReorder:
     def test_never_an_unstructured_crash(self, costs, action):
         plan = parse_fault_spec(f"seed=3;sync:action={action},p=1")
         counter = {"dup": "sync_duplicated", "reorder": "sync_reordered"}
-        for label, prog, algorithm in _variants():
+        clean = schedule(Program(_synced_instrs()), costs).total_cycles
+        for label, prog, scheduler in _variants():
             if label == "fixpoint":
                 continue
             with fault_scope(plan) as inj:
                 # One producer, one consumer: dup leaves a harmless extra
                 # flag; reorder has nothing to swap with.  Either way the
-                # schedule completes and the event is accounted for.
-                trace = schedule(prog, costs, algorithm=algorithm)
-                assert trace.total_cycles > 0, label
+                # schedule completes, unchanged, and the event is
+                # accounted for.
+                trace = scheduler(prog, costs)
+                assert trace.total_cycles == clean, label
                 assert inj.counters[counter[action]] >= 1, label
 
     def test_reorder_across_two_flags_still_schedules(self, costs):
@@ -105,12 +114,10 @@ class TestSyncDupReorder:
             _mm(),
         ]
         plan = parse_fault_spec("seed=3;sync:action=reorder,p=1")
-        for prog, algorithm in [
-            (Program(list(instrs)), "single-pass"),
-            (Program.from_arena(Program(list(instrs)).arena), "single-pass"),
-        ]:
+        for prog in [Program(list(instrs)),
+                     Program.from_arena(Program(list(instrs)).arena)]:
             with fault_scope(plan):
-                trace = schedule(prog, costs, algorithm=algorithm)
+                trace = schedule(prog, costs)
                 assert trace.total_cycles > 0
 
 

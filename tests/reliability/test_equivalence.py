@@ -20,6 +20,8 @@ from repro.isa import MemSpace, Program, Region
 from repro.reliability import FaultPlan, clear_plan, fault_scope, \
     install_plan
 
+from tests.core.oracle import schedule_fixpoint
+
 pytestmark = pytest.mark.faults
 
 _M, _K, _N = 96, 64, 48
@@ -69,9 +71,9 @@ def test_schedulers_unaffected_by_noop_plan():
     prog = lower_gemm(_M, _K, _N, ASCEND_MAX)
     costs = CostModel(ASCEND_MAX)
     expected = {
-        alg: schedule(prog, costs, algorithm=alg).total_cycles
-        for alg in ("single-pass", "fixpoint")
+        scheduler: scheduler(prog, costs).total_cycles
+        for scheduler in (schedule, schedule_fixpoint)
     }
     with fault_scope(FaultPlan(seed=7)):
-        for alg, cycles in expected.items():
-            assert schedule(prog, costs, algorithm=alg).total_cycles == cycles
+        for scheduler, cycles in expected.items():
+            assert scheduler(prog, costs).total_cycles == cycles
