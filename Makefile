@@ -9,19 +9,23 @@ test:
 	$(PY) -m pytest -x -q
 
 # Fault-injection smoke: the seeded RAS campaigns (ECC, sync, stall,
-# cache, arena, checkpoint) plus the faults-off byte-identity gate.
+# cache, checkpoint) plus the faults-off byte-identity gate.
 test-faults:
 	$(PY) -m pytest -q -m faults
 
-# Equivalence gates: columnar trace aggregates vs the legacy event walk,
-# and the engine drain (flat, queue and extrapolated paths; every ISA
+# Equivalence gates: columnar trace aggregates vs the legacy event walk;
+# the engine drain (flat, queue and extrapolated paths; every ISA
 # class, deadlocks, lowered programs) vs the fixpoint oracle in
-# tests/core/oracle.py.
+# tests/core/oracle.py; and arena lowering (dense, sparse and
+# weight-stationary GEMMs, vector streams, workloads, memo hits) vs
+# the per-object emitters in tests/compiler/lowering_oracle.py.
 test-equiv:
 	$(PY) -m pytest -q tests/core/test_trace_columnar.py \
 		tests/core/test_engine_equivalence.py \
 		tests/core/test_engine_fast_drain.py \
-		tests/core/test_deadlock_report.py
+		tests/core/test_deadlock_report.py \
+		tests/compiler/test_lowering_arena.py \
+		tests/compiler/test_lowering_memo.py
 
 bench:
 	$(PY) -m pytest benchmarks/ -q

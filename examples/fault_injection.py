@@ -9,7 +9,6 @@ Walks every fault model in ``repro.reliability`` on a small workload:
   that names the guilty channel instead of an opaque hang;
 * pipe stall faults stretching the schedule through the cost model;
 * compile-cache bit-rot quarantined and recompiled around;
-* arena-lowering failures degrading gracefully to the object path;
 * MTBF-driven chip failures bending the cluster time-to-train curve.
 
 Everything is seeded and deterministic: re-running this script injects
@@ -21,8 +20,7 @@ Run:  python examples/fault_injection.py
 import numpy as np
 
 from repro.compiler import cache, lower_gemm
-from repro.compiler.lowering import GemmLayout, lowering_stats, \
-    reset_lowering_stats
+from repro.compiler.lowering import GemmLayout
 from repro.config import ASCEND_MAX
 from repro.core import AscendCore, CostModel
 from repro.core.engine import schedule
@@ -107,16 +105,6 @@ def demo_cache(tmp: str) -> None:
     del os.environ["REPRO_CACHE_DIR"]
 
 
-def demo_arena() -> None:
-    print("\n[ARENA] lowering failures degrade to the object path")
-    reset_lowering_stats()
-    with fault_scope(parse_fault_spec("seed=5;arena:p=1")):
-        prog = lower_gemm(64, 64, 64, ASCEND_MAX)
-    cycles = schedule(prog, CostModel(ASCEND_MAX)).total_cycles
-    print(f"  {lowering_stats()['arena_fallbacks']} fallback(s); the "
-          f"object-path program still schedules ({cycles:,} cycles)")
-
-
 def demo_cluster() -> None:
     print("\n[CLUSTER] MTBF-driven failures bend the time-to-train curve")
     for chips in (256, 1024, 2048):
@@ -136,7 +124,6 @@ def main() -> None:
     demo_stall()
     with tempfile.TemporaryDirectory() as tmp:
         demo_cache(tmp)
-    demo_arena()
     demo_cluster()
     print("\nEvery injected fault was corrected, detected with a "
           "structured report, or recovered — never an unstructured crash.")

@@ -1,27 +1,26 @@
-"""Vectorized lowering: emit whole programs as columnar arenas.
+"""GEMM and vector lowering, emitted as columnar instruction arenas.
 
-The object lowerer in :mod:`repro.compiler.lowering` walks the tile grid
-in nested Python loops, constructing one frozen dataclass per
-instruction — the dominant cost of a cold compile.  This module produces
-the *same instruction stream* (asserted instruction-for-instruction
-against the object oracle in tests/compiler/test_lowering_arena.py)
+Every program :mod:`repro.compiler.lowering` returns is built here,
 without creating a single instruction object: every row's global
 position is computed with cumulative-sum index arithmetic over the tile
-grid, and the columns are filled by broadcast scatter stores.
+grid, and the columns are filled by broadcast scatter stores.  The
+per-object emitters in tests/compiler/lowering_oracle.py walk the same
+schedules in nested loops; tests/compiler/test_lowering_arena.py pins
+the two together instruction for instruction.
 
-How positions are derived: the emission order of ``lower_gemm`` is a
-fixed row pattern per feed / stage / tile, where only a handful of rows
-are conditional (pipeline-fill waits exist only once the corresponding
-double-buffer index reaches 2, and the L0C-reuse wait only on the first
-matmul of a tile).  Encoding each conditional as a 0/1 column makes
+How positions are derived: each schedule is a fixed row pattern per
+feed / stage / tile, where only a handful of rows are conditional
+(pipeline-fill waits exist only once the corresponding double-buffer
+index reaches 2, the L0C-reuse wait only on the first matmul of a tile,
+and under weight-stationary residency the B moves only on a column's
+first tile).  Encoding each conditional as a 0/1 column makes
 rows-per-feed, rows-per-stage and rows-per-tile plain integer columns;
 exclusive cumulative sums of those give every block's start row, and
 each role's rows land at ``block_start + fixed offset + conditional
-offsets``.  The kernel-end drain (``_Emitter.finish``) appends the
-unmatched release waits in the same string-sorted channel order the
-object path uses.
+offsets``.  The kernel end appends one wait for every release set no
+later row consumes, in string-sorted channel order.
 
-Integer exactness: the object path computes byte offsets as
+Integer exactness: the oracle computes byte offsets as
 ``int(count * dtype.bytes)`` — float multiplication then truncation.
 For every supported dtype ``bytes`` is ``bits / 8`` with bits in
 {4, 8, 16, 32}, so the product is an exact dyadic rational and the
@@ -37,11 +36,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..config.core_configs import CoreConfig
-from ..dtypes import DType, accumulator_for
+from ..dtypes import INT8, DType, accumulator_for
 from ..errors import IsaError
 from ..graph.workload import VectorWork
 from ..isa.arena import DTYPE_ID, InstructionArena
 from ..isa.channels import (
+    EV_B_RESIDENT_FREE,
     EV_L0C_TILE_FREE,
     EV_L0C_TILE_READY,
     EV_L0_FEED_FREE,
@@ -57,6 +57,7 @@ from ..isa.channels import (
 from ..isa.instructions import (
     OP_COPY,
     OP_CUBE,
+    OP_DECOMP,
     OP_SET,
     OP_VECTOR,
     OP_WAIT,
@@ -65,12 +66,14 @@ from ..isa.instructions import (
 from ..isa.memref import MemSpace
 from ..isa.pipes import Pipe
 from ..isa.program import Program
+from ..memory.zvc import zvc_compressed_nbytes
 from .tiling import Tiling
 
 __all__ = ["lower_gemm_arena", "lower_vector_arena"]
 
 _I64 = np.int64
 _VOP_ID = {op: i for i, op in enumerate(VectorOpcode)}
+_INT8_ID = DTYPE_ID[INT8.name]  # compressed ZVC byte streams
 
 # Pipe / space ints used in scatter stores.
 _M, _V = int(Pipe.M), int(Pipe.V)
@@ -114,6 +117,12 @@ def _vector(a: InstructionArena, pos, vop: VectorOpcode,
         a.scalar[pos] = float(scalar)
 
 
+def _zvc_bytes(elems: np.ndarray, density: float, dtype: DType) -> np.ndarray:
+    """Compressed B bytes per region: ``max(1, int(zvc size))``."""
+    nbytes = zvc_compressed_nbytes(elems, density, dtype.bytes)
+    return np.maximum(1, nbytes.astype(_I64))
+
+
 def lower_gemm_arena(
     m: int,
     k: int,
@@ -126,17 +135,21 @@ def lower_gemm_arena(
     post_ops: Sequence,
     layout,
     a_bytes_scale: float,
+    weight_density: Optional[float],
+    resident: bool,
 ) -> Program:
-    """Columnar twin of the default ``lower_gemm`` schedule.
+    """The ``lower_gemm`` schedule as one columnar arena.
 
-    Callers guarantee ``weight_density is None`` and no weight-stationary
-    residency (those exotic variants stay on the object emitter).
+    ``weight_density`` selects the ZVC sparse path (performance-only);
+    ``resident`` the weight-stationary schedule, whose B strip the caller
+    has checked fits L0B.  The two never combine.
     """
     acc = accumulator_for(dtype)
     functional = layout is not None
+    sparse = weight_density is not None
     bits, out_bits, acc_bits = dtype.bits, out_dtype.bits, acc.bits
-    # The L1 -> L0A feed copy is always pitched, so the object emitter
-    # rejects sub-byte dtypes at Region construction; match it eagerly.
+    # The L1 -> L0A feed copy is always pitched, and Region construction
+    # rejects pitched sub-byte regions; fail the same way, eagerly.
     if bits % 8 or (functional and out_bits % 8):
         raise IsaError("pitched regions require byte-aligned dtypes")
     dt = DTYPE_ID[dtype.name]
@@ -178,9 +191,13 @@ def lower_gemm_arena(
     NS = T * K              # L1 stages
     NF = T * Ft             # L0 feeds
 
+    # Tiles walk row-major; the weight-stationary schedule walks them
+    # column-major, so one column's B strip serves all its tiles.
     tau_t = np.arange(T, dtype=_I64)
-    om_t = tau_t // tiles_n
-    on_t = tau_t % tiles_n
+    if resident:
+        om_t, on_t = tau_t % tiles_m, tau_t // tiles_m
+    else:
+        om_t, on_t = tau_t // tiles_n, tau_t % tiles_n
     rm_t = np.where(om_t == tiles_m - 1, rm_last, tm)
     rn_t = np.where(on_t == tiles_n - 1, rn_last, tn)
 
@@ -192,6 +209,7 @@ def lower_gemm_arena(
 
     phi = np.arange(NF, dtype=_I64)
     tau_f = phi // Ft
+    feed_in_tile = phi % Ft
     ok_f = np.tile(np.asarray(ok_pat, _I64), T)
     ik_f = np.tile(np.asarray(ik_pat, _I64), T)
     rk_f = np.tile(np.asarray(rk_pat, _I64), T)
@@ -205,37 +223,53 @@ def lower_gemm_arena(
     # a tile's first matmul).
     w1_s = (sigma >= 2).astype(_I64)            # wait MTE1->MTE2 ev1
     w3_f = (phi >= 2).astype(_I64)              # wait M->MTE1 ev3
-    first_f = (phi % Ft) == 0                   # first matmul of a tile
+    first_f = feed_in_tile == 0                 # first matmul of a tile
     w5_f = (first_f & (tau_f >= 2)).astype(_I64)  # wait V->M ev5
     w7_t = (tau_t >= 2).astype(_I64)            # wait MTE3->V ev7
 
     P = len(post_ops)
     has_bias = 1 if (functional and layout.bias_offset is not None) else 0
 
+    # B moves GM -> L1 -> L0B for every tile, except under residency:
+    # only for a column's first tile, with an EV_B_RESIDENT_FREE wait
+    # before each later column and a set after every column.
+    if resident:
+        b_t = (om_t == 0).astype(_I64)
+        b_s, b_f = b_t[tau_s], b_t[tau_f]
+        lead_t = b_t * (on_t > 0)
+        trail_t = (om_t == tiles_m - 1).astype(_I64)
+    else:
+        b_s = b_f = 1
+
     # Rows per feed / stage / tile, then every block's start row.
-    rpf = 6 + w3_f + w5_f
+    rpf = 5 + b_f + w3_f + w5_f
     feed_rows_s = np.bincount(sigma_f, weights=rpf,
                               minlength=NS).astype(_I64)
-    rps = 5 + w1_s + feed_rows_s
+    rps = 4 + b_s + w1_s + feed_rows_s
     stage_rows_t = np.bincount(tau_s, weights=rps, minlength=T).astype(_I64)
     rpe = 8 + w7_t + has_bias + P
     rpt = stage_rows_t + rpe
+    if resident:
+        rpt += lead_t + trail_t
 
     pre = has_bias  # the one-off bias preload copy at row 0
     tile_start = pre + np.cumsum(rpt) - rpt
+    body_t = tile_start + lead_t if resident else tile_start
     excl_s = np.cumsum(rps) - rps
-    stage_start = tile_start[tau_s] + excl_s - excl_s[tau_s * K]
+    stage_start = body_t[tau_s] + excl_s - excl_s[tau_s * K]
     F_per_stage = np.tile(np.asarray(F_of, _I64), T)
     stage_first_feed = np.cumsum(F_per_stage) - F_per_stage
     excl_f = np.cumsum(rpf) - rpf
-    feed_start = (stage_start[sigma_f] + 4 + w1_s[sigma_f]
+    feed_start = ((stage_start + 3 + b_s + w1_s)[sigma_f]
                   + excl_f - excl_f[stage_first_feed[sigma_f]])
-    ep = tile_start + stage_rows_t  # epilogue start per tile
+    ep = body_t + stage_rows_t  # epilogue start per tile
 
-    # Kernel-end drain: unmatched release sets, in the object emitter's
-    # string-sorted channel order (M->MTE1 ev3, MTE1->MTE2 ev1,
-    # MTE3->V ev7, V->M ev5).
+    # Kernel-end drain: unmatched release sets, in the oracle's
+    # string-sorted channel order (M->MTE1 ev3 then ev9, MTE1->MTE2 ev1,
+    # MTE3->V ev7, V->M ev5).  Under residency the last column's
+    # retirement set is the one unmatched ev9.
     drains = ([(_M, _MTE1, EV_L0_FEED_FREE)] * min(2, NF)
+              + [(_M, _MTE1, EV_B_RESIDENT_FREE)] * resident
               + [(_MTE1, _MTE2, EV_L1_STAGE_FREE)] * min(2, NS)
               + [(_MTE3, _V, EV_UB_TILE_FREE)] * min(2, T)
               + [(_V, _M, EV_L0C_TILE_FREE)] * min(2, T))
@@ -250,6 +284,14 @@ def lower_gemm_arena(
         _copy(arena, 0, _MTE2)
         _region(arena, 0, 0, _UB, ub_bias_off, 1, n, odt)
         _region(arena, 0, 1, _GM, layout.bias_offset, 1, n, odt)
+    if resident:
+        _flags(arena, tile_start[lead_t == 1], OP_WAIT, _M, _MTE1,
+               EV_B_RESIDENT_FREE)
+        _flags(arena, (ep + rpe)[trail_t == 1], OP_SET, _M, _MTE1,
+               EV_B_RESIDENT_FREE)
+        b_stages, b_feeds = np.flatnonzero(b_s), np.flatnonzero(b_f)
+    else:
+        b_stages = b_feeds = slice(None)
 
     # ---- MTE2: stage A strip and B panel into L1 (one block per stage) ----
     slot_s = sigma % 2
@@ -270,46 +312,67 @@ def lower_gemm_arena(
         a_d0 = np.where(om_t[tau_s] == tiles_m - 1, a_rows_last, a_rows_full)
         _region(arena, pos, 0, _L1, slot_s * a_stage_b, a_d0, rk_stage_s, dt)
         _region(arena, pos, 1, _GM, 0, a_d0, rk_stage_s, dt)
-    pos = pos + 1
-    _copy(arena, pos, _MTE2)
-    _region(arena, pos, 0, _L1, l1_b_base + slot_s * b_stage_b,
-            rk_stage_s, rn_s, dt)
-    if functional:
-        b_gm_off = (layout.b_offset
-                    + (ok_s * k_stage * n + on_t[tau_s] * tn) * bits // 8)
-        _region(arena, pos, 1, _GM, b_gm_off, rk_stage_s, rn_s, dt,
-                pitch=n * bits // 8)
+    b_pos = (pos + 1)[b_stages]
+    _copy(arena, b_pos, _MTE2)
+    b_l1_off = (l1_b_base + slot_s * b_stage_b)[b_stages]
+    if sparse:
+        comp = _zvc_bytes(rk_stage_s * rn_s, weight_density, dtype)
+        _region(arena, b_pos, 0, _L1, b_l1_off, comp, 0, _INT8_ID)
+        _region(arena, b_pos, 1, _GM, 0, comp, 0, _INT8_ID)
     else:
-        _region(arena, pos, 1, _GM, 0, rk_stage_s, rn_s, dt)
-    _flags(arena, pos + 1, OP_SET, _MTE2, _MTE1, EV_L1_STAGE_READY)
-    _flags(arena, pos + 2, OP_WAIT, _MTE2, _MTE1, EV_L1_STAGE_READY)
+        rk_b, rn_b = rk_stage_s[b_stages], rn_s[b_stages]
+        _region(arena, b_pos, 0, _L1, b_l1_off, rk_b, rn_b, dt)
+        if functional:
+            b_gm_off = (layout.b_offset
+                        + (ok_s * k_stage * n + on_t[tau_s] * tn) * bits // 8)
+            _region(arena, b_pos, 1, _GM, b_gm_off[b_stages], rk_b, rn_b,
+                    dt, pitch=n * bits // 8)
+        else:
+            _region(arena, b_pos, 1, _GM, 0, rk_b, rn_b, dt)
+    _flags(arena, pos + 1 + b_s, OP_SET, _MTE2, _MTE1, EV_L1_STAGE_READY)
+    _flags(arena, pos + 2 + b_s, OP_WAIT, _MTE2, _MTE1, EV_L1_STAGE_READY)
     _flags(arena, stage_start + rps - 1, OP_SET, _MTE1, _MTE2, EV_L1_STAGE_FREE)
 
     # ---- MTE1 + cube: feed L0 tiles and fire matmuls (per feed) ----
+    # L0B is double buffered per feed, except under residency, where a
+    # tile's B feeds each keep their own slot for the whole column.
+    # Resident B moves ahead of the A feed; otherwise A goes first.
     fslot = phi % 2
     slot_f = sigma_f % 2
+    l0b_off = (feed_in_tile if resident else fslot) * b_feed_b
     _flags(arena, feed_start[w3_f == 1], OP_WAIT, _M, _MTE1, EV_L0_FEED_FREE)
     pos = feed_start + w3_f
-    _copy(arena, pos, _MTE1)
-    _region(arena, pos, 0, _L0A, fslot * a_feed_b, rm_f, rk_f, dt)
-    _region(arena, pos, 1, _L1, slot_f * a_stage_b + ik_f * tk * bits // 8,
+    if resident:
+        a_pos, b_pos = pos + b_f, pos[b_feeds]
+    else:
+        a_pos, b_pos = pos, pos + 1
+    _copy(arena, a_pos, _MTE1)
+    _region(arena, a_pos, 0, _L0A, fslot * a_feed_b, rm_f, rk_f, dt)
+    _region(arena, a_pos, 1, _L1, slot_f * a_stage_b + ik_f * tk * bits // 8,
             rm_f, rk_f, dt, pitch=rk_stage_f * bits // 8)
-    pos = pos + 1
-    _copy(arena, pos, _MTE1)
-    _region(arena, pos, 0, _L0B, fslot * b_feed_b, rk_f, rn_f, dt)
-    _region(arena, pos, 1, _L1,
-            l1_b_base + slot_f * b_stage_b + ik_f * tk * rn_f * bits // 8,
-            rk_f, rn_f, dt)
-    _flags(arena, pos + 1, OP_SET, _MTE1, _M, EV_L0_FEED_READY)
-    _flags(arena, pos + 2, OP_WAIT, _MTE1, _M, EV_L0_FEED_READY)
-    _flags(arena, (pos + 3)[w5_f == 1], OP_WAIT, _V, _M, EV_L0C_TILE_FREE)
-    pos = pos + 3 + w5_f
+    rk_b, rn_b = rk_f[b_feeds], rn_f[b_feeds]
+    _region(arena, b_pos, 0, _L0B, l0b_off[b_feeds], rk_b, rn_b, dt)
+    if sparse:
+        arena.kind[b_pos] = OP_DECOMP
+        arena.pipe[b_pos] = _MTE1
+        _region(arena, b_pos, 1, _L1, l1_b_base + slot_f * b_stage_b,
+                _zvc_bytes(rk_f * rn_f, weight_density, dtype), 0, _INT8_ID)
+    else:
+        _copy(arena, b_pos, _MTE1)
+        b_src_off = (l1_b_base + slot_f * b_stage_b
+                     + ik_f * tk * rn_f * bits // 8)
+        _region(arena, b_pos, 1, _L1, b_src_off[b_feeds], rk_b, rn_b, dt)
+    pos = pos + 1 + b_f
+    _flags(arena, pos, OP_SET, _MTE1, _M, EV_L0_FEED_READY)
+    _flags(arena, pos + 1, OP_WAIT, _MTE1, _M, EV_L0_FEED_READY)
+    _flags(arena, (pos + 2)[w5_f == 1], OP_WAIT, _V, _M, EV_L0C_TILE_FREE)
+    pos = pos + 2 + w5_f
     arena.kind[pos] = OP_CUBE
     arena.pipe[pos] = _M
     arena.accumulate[pos] = (~first_f).astype(np.int8)
     _region(arena, pos, 0, _L0C, (tau_f % 2) * c_tile_b, rm_f, rn_f, adt)
     _region(arena, pos, 1, _L0A, fslot * a_feed_b, rm_f, rk_f, dt)
-    _region(arena, pos, 2, _L0B, fslot * b_feed_b, rk_f, rn_f, dt)
+    _region(arena, pos, 2, _L0B, l0b_off, rk_f, rn_f, dt)
     _flags(arena, pos + 1, OP_SET, _M, _MTE1, EV_L0_FEED_FREE)
 
     # ---- vector epilogue + MTE3 store (per tile) ----
@@ -357,7 +420,7 @@ def lower_gemm_arena(
 
 def lower_vector_arena(work: VectorWork, config: CoreConfig, tag: str,
                        load_input: bool, store_output: bool) -> Program:
-    """Columnar twin of ``lower_vector_work``."""
+    """The ``lower_vector_work`` stream as one columnar arena."""
     bits = work.dtype.bits
     dt = DTYPE_ID[work.dtype.name]
     chunk_elems = max(1, int(config.ub_bytes / (2 * work.dtype.bytes)))

@@ -215,8 +215,7 @@ def _workload_canonical(work: Any) -> Any:
     return canon
 
 
-def content_key(config: Any, work: Any, a_bytes_scale: float = 1.0,
-                weight_density: Optional[float] = None) -> str:
+def content_key(config: Any, work: Any, a_bytes_scale: float = 1.0) -> str:
     """sha256 over (schema, core design point, workload structure,
     lowering knobs).  The workload's name is deliberately excluded — see
     :func:`_workload_canonical`."""
@@ -226,7 +225,6 @@ def content_key(config: Any, work: Any, a_bytes_scale: float = 1.0,
             "config": _canonical(config),
             "workload": _workload_canonical(work),
             "a_bytes_scale": a_bytes_scale,
-            "weight_density": weight_density,
         },
         sort_keys=True, separators=(",", ":"),
     )

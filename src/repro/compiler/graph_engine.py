@@ -152,9 +152,7 @@ class GraphEngine:
     # -- layer compilation ----------------------------------------------------
 
     def compile_workload(self, work: OpWorkload, name: Optional[str] = None,
-                         a_bytes_scale: float = 1.0,
-                         weight_density: Optional[float] = None
-                         ) -> CompiledLayer:
+                         a_bytes_scale: float = 1.0) -> CompiledLayer:
         """Lower + schedule one workload, with two-tier caching.
 
         Tier 1 is the process-global in-memory cache; tier 2 the
@@ -163,8 +161,7 @@ class GraphEngine:
         key, so a layer compiled in one process is a disk hit in the
         next.
         """
-        key = cache.content_key(self.config, work, a_bytes_scale,
-                                weight_density)
+        key = cache.content_key(self.config, work, a_bytes_scale)
         # Active stall/sync fault campaigns suspend every stats tier:
         # cached clean schedules would mask the injected faults, and
         # faulted schedules must never be served to clean runs.
@@ -191,9 +188,8 @@ class GraphEngine:
                     arena, name=f"{work.name}_{self.config.name}")
         if program is None:
             program = lower_workload(work, self.config,
-                                     a_bytes_scale_for_gemms=a_bytes_scale,
-                                     weight_density=weight_density)
-            if cache.program_cache_enabled() and program._arena is not None:
+                                     a_bytes_scale_for_gemms=a_bytes_scale)
+            if cache.program_cache_enabled():
                 cache.store_arena(key, program._arena)
         summary = schedule_summary(program, self.costs)
         layer = CompiledLayer(
@@ -300,7 +296,7 @@ class GraphEngine:
             seen: Dict[str, Tuple[OpWorkload, float]] = {}
             for group, work in pairs:
                 scale = scales.get(group, 1.0)
-                key = cache.content_key(self.config, work, scale, None)
+                key = cache.content_key(self.config, work, scale)
                 if key in seen or self._cache.get(key) is not None:
                     continue
                 seen[key] = (work, scale)

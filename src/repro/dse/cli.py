@@ -395,6 +395,9 @@ def _cmd_chaos_smoke(args: argparse.Namespace) -> int:
             "budget failed to absorb the campaign")
 
     elapsed = time.perf_counter() - start
+    # How many innocent pool-mates a kill preempts depends on host
+    # timing, so it is printed with the wall time, not pinned.
+    preempted = counts.pop("preempted")
     artifact = {
         "schema": 1,
         "chaos_spec": CHAOS_SMOKE_SPEC,
@@ -417,7 +420,8 @@ def _cmd_chaos_smoke(args: argparse.Namespace) -> int:
         for failure in failures:
             print(f"[chaos-smoke] FAIL: {failure}", file=sys.stderr)
         return 1
-    print(f"[chaos-smoke] OK in {elapsed:.1f}s — exact frontier recovered "
+    print(f"[chaos-smoke] OK in {elapsed:.1f}s ({preempted} pool-mate(s) "
+          f"preempted) — exact frontier recovered "
           f"through {counts['worker_deaths']} kill(s), "
           f"{counts['timeouts']} timeout(s), "
           f"{counts['corrupt_payloads']} corrupted payload(s)")

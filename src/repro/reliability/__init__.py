@@ -32,7 +32,6 @@ from .checkpoint import (
 )
 from .deadlock import DeadlockReport, PipeStall, build_report, channel_label
 from .faults import (
-    ArenaFault,
     CacheFault,
     ChipFault,
     FaultPlan,
@@ -68,7 +67,6 @@ __all__ = [
     "StallFault",
     "ChipFault",
     "CacheFault",
-    "ArenaFault",
     "parse_fault_spec",
     "FaultInjector",
     "install_plan",

@@ -14,7 +14,7 @@ Spec grammar (semicolon-separated clauses; the first may set the seed)::
 
     REPRO_FAULTS="seed=42;membit:space=UB,p=1e-4,bits=1"
     REPRO_FAULTS="sync:action=drop,p=0.05"
-    REPRO_FAULTS="stall:pipe=MTE2,factor=4,p=0.1;cache:p=1;arena:p=1"
+    REPRO_FAULTS="stall:pipe=MTE2,factor=4,p=0.1;cache:p=1"
     REPRO_FAULTS="chip:mtbf_hours=1000"
 
 Each clause is ``kind:key=value,key=value``.  Kinds:
@@ -30,7 +30,6 @@ stall      pipe slowdowns: ``pipe`` name or ``*``, ``factor`` cost
            multiplier (2.0), ``p`` per instruction (0.0)
 chip       cluster chip failures: ``mtbf_hours`` per chip (25000)
 cache      compile-cache corruption: ``p`` per stored artifact (0.0)
-arena      arena-lowering validation failure: ``p`` per lowering (0.0)
 =========  ==================================================================
 
 Everything is off when ``REPRO_FAULTS`` is unset and no plan is
@@ -55,7 +54,6 @@ __all__ = [
     "StallFault",
     "ChipFault",
     "CacheFault",
-    "ArenaFault",
     "FaultPlan",
     "parse_fault_spec",
     "SYNC_ACTIONS",
@@ -123,13 +121,6 @@ class CacheFault:
 
 
 @dataclass(frozen=True)
-class ArenaFault:
-    """Arena lowering fails validation, forcing the object-path fallback."""
-
-    probability: float = 0.0  # per lowering call
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """One seeded fault-injection campaign across all subsystems."""
 
@@ -139,7 +130,6 @@ class FaultPlan:
     stall: Tuple[StallFault, ...] = field(default_factory=tuple)
     chip: Optional[ChipFault] = None
     cache: Optional[CacheFault] = None
-    arena: Optional[ArenaFault] = None
 
     def is_noop(self) -> bool:
         """Whether this plan can never fire (all probabilities zero)."""
@@ -149,7 +139,6 @@ class FaultPlan:
             and all(f.probability == 0 for f in self.stall)
             and self.chip is None
             and (self.cache is None or self.cache.probability == 0)
-            and (self.arena is None or self.arena.probability == 0)
         )
 
 
@@ -160,7 +149,7 @@ def _bad(spec: str, why: str) -> ConfigError:
     return ConfigError(
         f"{_ENV}={spec!r}: {why}; accepted: semicolon-separated clauses "
         f"'seed=N' or 'kind:key=value,...' with kind in "
-        f"membit/sync/stall/chip/cache/arena"
+        f"membit/sync/stall/chip/cache"
     )
 
 
@@ -195,7 +184,7 @@ def parse_fault_spec(spec: str) -> FaultPlan:
     """Parse a ``REPRO_FAULTS`` spec string into a :class:`FaultPlan`."""
     seed = 0
     memory, sync, stall = [], [], []
-    chip = cache = arena = None
+    chip = cache = None
     for clause in spec.split(";"):
         clause = clause.strip()
         if not clause:
@@ -251,13 +240,10 @@ def parse_fault_spec(spec: str) -> FaultPlan:
         elif kind == "cache":
             cache = CacheFault(probability=_pop_float(
                 spec, params, "p", 0.0, hi=1.0))
-        elif kind == "arena":
-            arena = ArenaFault(probability=_pop_float(
-                spec, params, "p", 0.0, hi=1.0))
         else:
             raise _bad(spec, f"unknown fault kind {kind!r}")
         if params:
             raise _bad(spec, f"unknown {kind} parameter(s) "
                              f"{sorted(params)!r}")
     return FaultPlan(seed=seed, memory=tuple(memory), sync=tuple(sync),
-                     stall=tuple(stall), chip=chip, cache=cache, arena=arena)
+                     stall=tuple(stall), chip=chip, cache=cache)

@@ -2,8 +2,8 @@
 
 One :class:`FaultInjector` owns a seeded ``numpy`` generator and a set of
 counters; every RAS hook in the stack (scratchpad reads, the engine
-drain, the compile cache, arena lowering, the cluster model) asks the
-*active* injector whether to perturb the operation at hand.  With no
+drain, the compile cache, the cluster model) asks the *active* injector
+whether to perturb the operation at hand.  With no
 plan installed and ``REPRO_FAULTS`` unset, :func:`active_injector`
 returns ``None`` from one dict probe — the hooks then fall through to
 the exact pre-existing code paths, keeping cycles, traces, and
@@ -58,7 +58,6 @@ class FaultInjector:
             "sync_reordered": 0,
             "stall_injected": 0,    # instructions slowed down
             "cache_corrupted": 0,   # artifacts garbled after store
-            "arena_failed": 0,      # lowering calls forced to fall back
         }
 
     # -- memory (scratchpad bit flips, filtered by the SECDED model) -----------
@@ -152,15 +151,6 @@ class FaultInjector:
             return False
         if self.rng.random() < fault.probability:
             self.counters["cache_corrupted"] += 1
-            return True
-        return False
-
-    def should_fail_arena(self) -> bool:
-        fault = self.plan.arena
-        if fault is None or fault.probability <= 0:
-            return False
-        if self.rng.random() < fault.probability:
-            self.counters["arena_failed"] += 1
             return True
         return False
 

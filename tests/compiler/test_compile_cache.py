@@ -50,7 +50,6 @@ class TestContentKey:
                            input_bytes=8192, output_bytes=8192)
         assert key != cache.content_key(ASCEND, other)
         assert key != cache.content_key(ASCEND, _WORK, a_bytes_scale=0.5)
-        assert key != cache.content_key(ASCEND, _WORK, weight_density=0.4)
 
     def test_name_does_not_affect_key(self):
         renamed = OpWorkload(name="other", gemms=_WORK.gemms,

@@ -119,7 +119,7 @@ class TestParallelEquivalence:
         engine.compile_graph_parallel(Graph("one"),
                                       workloads=[("layer_0", work)],
                                       max_workers=2)
-        key = cache.content_key(config, work, 1.0, None)
+        key = cache.content_key(config, work, 1.0)
         arena = cache.load_arena(key)
         assert arena is not None, "worker did not persist the program"
         from repro.isa.program import Program

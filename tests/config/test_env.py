@@ -42,13 +42,6 @@ class TestEnvInt:
         monkeypatch.setenv(_VAR, "2")
         assert env_int(_VAR, minimum=2) == 2
 
-    def test_special_strings(self, monkeypatch):
-        monkeypatch.setenv(_VAR, "Serial")
-        assert env_int(_VAR, special={"serial": 1}) == 1
-        monkeypatch.setenv(_VAR, "turbo")
-        with pytest.raises(ConfigError, match="serial"):
-            env_int(_VAR, special={"serial": 1})
-
 
 class TestEnvFloat:
     def test_accepted_forms(self, monkeypatch):

@@ -1,14 +1,10 @@
-"""Compiler-tier RAS: cache corruption/quarantine and arena fallback."""
+"""Compiler-tier RAS: cache corruption/quarantine and the timing-fault
+cache bypass."""
 
 import numpy as np
 import pytest
 
 from repro.compiler import cache
-from repro.compiler.lowering import lower_gemm, lowering_stats, \
-    reset_lowering_stats
-from repro.config import ASCEND_MAX
-from repro.core import CostModel
-from repro.core.engine import schedule
 from repro.reliability import fault_scope, parse_fault_spec
 
 pytestmark = pytest.mark.faults
@@ -46,33 +42,6 @@ class TestCacheQuarantine:
         # A clean store under the same key works again afterwards.
         cache.store("cafef00d", {"payload": 3})
         assert cache.load("cafef00d")["payload"] == 3
-
-
-class TestArenaFallback:
-    def test_injected_arena_failure_falls_back_to_objects(self):
-        reset_lowering_stats()
-        plan = parse_fault_spec("seed=1;arena:p=1")
-        with fault_scope(plan) as inj:
-            prog = lower_gemm(64, 64, 64, ASCEND_MAX, tag="ras")
-            assert inj.counters["arena_failed"] >= 1
-        assert lowering_stats()["arena_fallbacks"] >= 1
-        # The fallback program is a real, schedulable program.
-        trace = schedule(prog, CostModel(ASCEND_MAX))
-        assert trace.total_cycles > 0
-
-    def test_fallback_program_matches_arena_schedule(self):
-        reset_lowering_stats()
-        clean = lower_gemm(64, 64, 64, ASCEND_MAX, tag="ras")
-        costs = CostModel(ASCEND_MAX)
-        clean_cycles = schedule(clean, costs).total_cycles
-        with fault_scope(parse_fault_spec("seed=1;arena:p=1")):
-            degraded = lower_gemm(64, 64, 64, ASCEND_MAX, tag="ras")
-        assert schedule(degraded, costs).total_cycles == clean_cycles
-
-    def test_no_fallbacks_counted_without_plan(self):
-        reset_lowering_stats()
-        lower_gemm(32, 32, 32, ASCEND_MAX, tag="clean")
-        assert lowering_stats()["arena_fallbacks"] == 0
 
 
 class TestTimingCacheBypass:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.reliability import (
-    ArenaFault,
     FaultInjector,
     FaultPlan,
     MemBitFault,
@@ -25,7 +24,7 @@ class TestSpecParsing:
         plan = parse_fault_spec(
             "seed=42;membit:space=UB,p=1e-4,bits=2,ecc=1;"
             "sync:action=reorder,p=0.05;stall:pipe=MTE2,factor=4,p=0.1;"
-            "chip:mtbf_hours=1000;cache:p=1;arena:p=0.5")
+            "chip:mtbf_hours=1000;cache:p=1")
         assert plan.seed == 42
         assert plan.memory == (MemBitFault(space="UB", probability=1e-4,
                                            bits=2, ecc=True),)
@@ -34,7 +33,6 @@ class TestSpecParsing:
                                          probability=0.1),)
         assert plan.chip.mtbf_hours == 1000
         assert plan.cache.probability == 1.0
-        assert plan.arena == ArenaFault(probability=0.5)
         assert not plan.is_noop()
 
     def test_defaults(self):
@@ -57,6 +55,13 @@ class TestSpecParsing:
     def test_bad_specs_raise_config_error_naming_variable(self, spec):
         with pytest.raises(ConfigError, match="REPRO_FAULTS"):
             parse_fault_spec(spec)
+
+    def test_removed_arena_kind_rejected(self):
+        # Lowering has one emitter and no fallback left to exercise.
+        with pytest.raises(ConfigError,
+                           match="unknown fault kind 'arena'") as err:
+            parse_fault_spec("arena:p=1")
+        assert "membit/sync/stall/chip/cache" in str(err.value)
 
     def test_env_sourced_plan(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "seed=7;stall:p=0.5")
