@@ -16,16 +16,19 @@ test-faults:
 # Equivalence gates: columnar trace aggregates vs the legacy event walk;
 # the engine drain (flat, queue and extrapolated paths; every ISA
 # class, deadlocks, lowered programs) vs the fixpoint oracle in
-# tests/core/oracle.py; and arena lowering (dense, sparse and
+# tests/core/oracle.py; arena lowering (dense, sparse and
 # weight-stationary GEMMs, vector streams, workloads, memo hits) vs
-# the per-object emitters in tests/compiler/lowering_oracle.py.
+# the per-object emitters in tests/compiler/lowering_oracle.py; and the
+# event-driven serving loop vs the per-step loop in
+# tests/serving/oracle.py.
 test-equiv:
 	$(PY) -m pytest -q tests/core/test_trace_columnar.py \
 		tests/core/test_engine_equivalence.py \
 		tests/core/test_engine_fast_drain.py \
 		tests/core/test_deadlock_report.py \
 		tests/compiler/test_lowering_arena.py \
-		tests/compiler/test_lowering_memo.py
+		tests/compiler/test_lowering_memo.py \
+		tests/serving/test_scheduler_equivalence.py
 
 bench:
 	$(PY) -m pytest benchmarks/ -q
@@ -46,7 +49,8 @@ profile-smoke:
 		--manifest $${TMPDIR:-/tmp}/repro_profile_smoke.manifest.json
 
 # Predictor smoke: fixed-seed micro-train of the learned cycle
-# predictor plus one validated 200-candidate triage sweep; fails unless
+# predictor plus one validated 200-candidate triage sweep, on a private
+# empty compile cache so both timed legs start cold; fails unless
 # held-out MAPE <= 15%, the triage tier is >= 10x faster end-to-end
 # than simulate-everything, and the true top-5 designs all land in the
 # simulated shortlist.

@@ -11,8 +11,10 @@ window) through the ordinary event-engine path.
 ``predicted_vs_simulated`` gating report: per-candidate relative error,
 whether the true top-5 designs were all in the shortlist, and the
 measured end-to-end speedup of triage over simulate-everything.  Both
-legs run cold — the in-memory compile memo tiers are cleared between
-them — so the speedup is honest rather than a cache artifact.
+legs start with cold in-memory compile memo tiers (they are cleared
+between them); the persistent compile cache is whatever
+``REPRO_CACHE_DIR`` holds, so a speedup meant to compare cold legs
+needs an empty one (``make predict-smoke`` uses a private one).
 
 The predictor never produces a published number: every figure a triaged
 sweep reports for a *kept* candidate is the event engine's own cycle

@@ -120,6 +120,9 @@ class KvLedger:
         self.arbiter = qos_arbiter_for(tenants, capacity.total_bytes)
         self.reserved: Dict[str, int] = {t.name: 0 for t in tenants}
         self.resident: Dict[str, int] = {t.name: 0 for t in tenants}
+        # Running sums of the two dicts, so no update re-sums them.
+        self.total_reserved = 0
+        self.total_resident = 0
         self.peak_reserved = 0
         self.peak_resident = 0
         # Conservation counters (requests, not bytes).
@@ -143,7 +146,7 @@ class KvLedger:
         unused part of every *other* tenant's guaranteed floor."""
         if name not in self.reserved:
             raise SchedulingError(f"unknown tenant {name!r}")
-        free = self.capacity.total_bytes - sum(self.reserved.values())
+        free = self.capacity.total_bytes - self.total_reserved
         held_floors = sum(
             max(0, self._floor_bytes(other) - used)
             for other, used in self.reserved.items() if other != name
@@ -169,9 +172,9 @@ class KvLedger:
         if nbytes > self._available_to(name):
             return False
         self.reserved[name] += nbytes
+        self.total_reserved += nbytes
         self.admitted += 1
-        self.peak_reserved = max(self.peak_reserved,
-                                 sum(self.reserved.values()))
+        self.peak_reserved = max(self.peak_reserved, self.total_reserved)
         self._check()
         return True
 
@@ -181,12 +184,12 @@ class KvLedger:
     def grow(self, name: str, nbytes: int) -> None:
         """Materialize ``nbytes`` of actual KV inside a reservation."""
         self.resident[name] += nbytes
+        self.total_resident += nbytes
         if self.resident[name] > self.reserved[name]:
             raise SchedulingError(
                 f"{name}: resident {self.resident[name]} B exceeds "
                 f"reservation {self.reserved[name]} B")
-        self.peak_resident = max(self.peak_resident,
-                                 sum(self.resident.values()))
+        self.peak_resident = max(self.peak_resident, self.total_resident)
         self._check()
 
     def release(self, name: str, reserved_bytes: int,
@@ -201,26 +204,26 @@ class KvLedger:
                 f"{self.resident.get(name, 0)} B resident")
         self.reserved[name] -= reserved_bytes
         self.resident[name] -= resident_bytes
+        self.total_reserved -= reserved_bytes
+        self.total_resident -= resident_bytes
         self.released += 1
         self._check()
 
     # -- invariants -----------------------------------------------------------
 
     def _check(self) -> None:
-        total_reserved = sum(self.reserved.values())
-        total_resident = sum(self.resident.values())
-        if total_resident > total_reserved:
+        if self.total_resident > self.total_reserved:
             raise SchedulingError(
-                f"KV ledger: resident {total_resident} B exceeds reserved "
-                f"{total_reserved} B")
-        if total_reserved > self.capacity.total_bytes:
+                f"KV ledger: resident {self.total_resident} B exceeds "
+                f"reserved {self.total_reserved} B")
+        if self.total_reserved > self.capacity.total_bytes:
             raise SchedulingError(
-                f"KV ledger: reserved {total_reserved} B exceeds capacity "
-                f"{self.capacity.total_bytes} B")
+                f"KV ledger: reserved {self.total_reserved} B exceeds "
+                f"capacity {self.capacity.total_bytes} B")
 
     @property
     def in_flight(self) -> int:
         return self.admitted - self.released
 
     def utilization(self) -> float:
-        return sum(self.reserved.values()) / self.capacity.total_bytes
+        return self.total_reserved / self.capacity.total_bytes

@@ -15,6 +15,41 @@ Two batching disciplines over the *same* offered trace:
   width — finished requests pad the batch, which is exactly the goodput
   loss continuous batching removes.
 
+The loop is event-driven.  Most engine steps are uneventful: every
+running request decodes one more token at the same (batch, context)
+bucket.  When admission changed nothing and every running request is
+decoding, :meth:`_Campaign._advance` works out how many steps come
+before the next event and runs them in one go.  The next event is the
+first of:
+
+* a request finishing;
+* the longest context leaving its decode bucket;
+* in continuous mode with a free batch slot, the step at whose end the
+  next arrival has landed.
+
+Nothing else can change an admission outcome between events.  The queue
+changes only on an arrival, reserved KV bytes only on an admission or a
+release, and free slots only on an admission or a finish; the QoS
+arbitration is a pure function of the queue; a static batch admits only
+when it is empty.  Resident KV only grows between events, so the ledger
+checked at the end of a run of steps has held at every step in it.
+Eventful steps (a prefill joining, a finish, an admission, a bucket
+change) run one at a time through :meth:`_Campaign._step`, so finish
+order, ledger peaks and every report field match a step-by-step run
+(``tests/serving/oracle.py`` is that run; the equivalence suite
+compares the two).
+
+A cost model (:class:`~repro.serving.stepcost.StepCostModel`, or a
+duck-typed stand-in) provides:
+
+* ``prefill_cycles(tokens)``: cycles of one prefill step;
+* ``decode_cycles(batch, max_context, steps=1)``: cycles of one decode
+  step, charging ``steps`` of them to the bucket (0 prices only);
+* ``decode_bucket_end(max_context)``: the longest context priced the
+  same as ``max_context``, or ``None`` if every longer one is;
+* optionally ``invocations()`` and ``aggregate_counters(since)`` for the
+  report's bucket counts and campaign counters.
+
 The simulator is a pure function of (trace, spec, cost model): integer
 cycle arithmetic end to end, tenants iterated in sorted order, no
 wall-clock — two runs of the same campaign produce byte-identical
@@ -226,14 +261,14 @@ class _Campaign:
         # round budgets alone — force the head-of-line feasible request
         # through the ledger (which still enforces floors/ceilings).
         if not self.running and self.pending:
-            for st in list(self.pending):
+            for i, st in enumerate(self.pending):
                 tenant = st.request.tenant
                 need = st.request.kv_bytes(self.bpt)
                 if self.ledger.try_reserve(tenant, need):
                     st.admitted_cycles = self.clock
                     st.kv_reserved_bytes = need
                     self.running.append(st)
-                    self.pending.remove(st)
+                    del self.pending[i]
                     break
 
     # -- the engine loop ------------------------------------------------------
@@ -242,14 +277,7 @@ class _Campaign:
         arrivals = self.trace
         cursor = 0
         offered = len(arrivals)
-        guard = 0
         while len(self.finished) + len(self.rejected) < offered:
-            guard += 1
-            if guard > 100 * offered + 1000:
-                raise SchedulingError(
-                    "serving simulation failed to make progress "
-                    f"({len(self.finished)} done, {len(self.rejected)} "
-                    f"rejected of {offered})")
             while (cursor < offered
                    and arrivals[cursor].arrival_cycles <= self.clock):
                 self.pending.append(RequestState(arrivals[cursor]))
@@ -258,14 +286,75 @@ class _Campaign:
                 # Idle: jump to the next arrival.
                 self.clock = max(self.clock, arrivals[cursor].arrival_cycles)
                 continue
+            queued = len(self.pending)
             if self.mode == "continuous" or not self.running:
                 self._admit()
                 if self.mode == "static":
                     self.static_width = len(self.running)
+            quiet = len(self.pending) == queued
             if not self.running:
+                if quiet:
+                    # Nothing runs, nothing was admitted or rejected and
+                    # the clock stands still: every later trip repeats
+                    # this one.
+                    raise SchedulingError(
+                        "serving simulation failed to make progress "
+                        f"({len(self.finished)} done, {len(self.rejected)} "
+                        f"rejected of {offered})")
                 # Everything pending was rejected this round; loop.
                 continue
+            if quiet:
+                self._advance(arrivals[cursor].arrival_cycles
+                              if cursor < offered else None)
             self._step()
+
+    def _width(self, decoding: int) -> int:
+        """The batch a decode step of ``decoding`` requests is priced at."""
+        if self.mode == "static":
+            return max(self.static_width, decoding)
+        return decoding
+
+    def _advance(self, next_arrival: Optional[int]) -> None:
+        """Run the uneventful decode steps before the next event at once.
+
+        Called before :meth:`_step` when admission changed nothing; it
+        stops one step short of a finish, at the last step of the
+        current context bucket, and, in continuous mode with a free
+        slot, one step short of the step at whose end ``next_arrival``
+        has landed.  The next :meth:`_step` is then the eventful one.
+        """
+        running = self.running
+        if not all(st.prefilled for st in running):
+            return
+        steps = min(st.request.decode_tokens - st.decoded
+                    for st in running) - 1
+        if steps <= 0:
+            return
+        context = max(st.context_tokens for st in running)
+        end = self.cost.decode_bucket_end(context)
+        if end is not None:
+            steps = min(steps, end - context + 1)
+        width = self._width(len(running))
+        step_cycles = self.cost.decode_cycles(width, context, steps=0)
+        if step_cycles <= 0:
+            raise SchedulingError("engine step priced at zero cycles")
+        if (self.mode == "continuous" and next_arrival is not None
+                and len(running) < self.max_batch):
+            steps = min(steps, (next_arrival - self.clock - 1) // step_cycles)
+        if steps <= 0:
+            return
+        self.cost.decode_cycles(width, context, steps=steps)
+        first_token = self.clock + step_cycles
+        self.clock += steps * step_cycles
+        self.iterations += steps
+        self.decode_steps += steps
+        grown = steps * self.bpt
+        for st in running:
+            if st.decoded == 0:
+                st.first_token_cycles = first_token
+            st.decoded += steps
+            st.kv_resident_bytes += grown
+            self.ledger.grow(st.request.tenant, grown)
 
     def _step(self) -> None:
         self.iterations += 1
@@ -277,11 +366,9 @@ class _Campaign:
             step_cycles += self.cost.prefill_cycles(total_tokens)
             self.prefill_steps += 1
         if decoding:
-            width = (self.static_width if self.mode == "static"
-                     else len(decoding))
             max_context = max(st.context_tokens for st in decoding)
-            step_cycles += self.cost.decode_cycles(max(width, len(decoding)),
-                                                   max_context)
+            step_cycles += self.cost.decode_cycles(
+                self._width(len(decoding)), max_context)
             self.decode_steps += 1
         if step_cycles <= 0:
             raise SchedulingError("engine step priced at zero cycles")
@@ -291,11 +378,7 @@ class _Campaign:
             grown = st.request.prefill_tokens * self.bpt
             st.kv_resident_bytes += grown
             self.ledger.grow(st.request.tenant, grown)
-        still_running: List[RequestState] = []
-        for st in self.running:
-            if st in prefilling:
-                still_running.append(st)
-                continue
+        for st in decoding:
             st.decoded += 1
             st.kv_resident_bytes += self.bpt
             self.ledger.grow(st.request.tenant, self.bpt)
@@ -306,9 +389,7 @@ class _Campaign:
                 self.ledger.release(st.request.tenant, st.kv_reserved_bytes,
                                     st.kv_resident_bytes)
                 self.finished.append(st)
-            else:
-                still_running.append(st)
-        self.running = still_running
+        self.running = [st for st in self.running if st.finish_cycles is None]
         if self.mode == "static" and not self.running:
             self.static_width = 0
 

@@ -114,23 +114,42 @@ class StepCostModel:
             cycles += self._priced("prefill", 1, bucket)
         return cycles
 
-    def decode_cycles(self, batch: int, max_context: int) -> int:
-        """Cycles for one token across a ``batch`` of decoding requests."""
+    def decode_cycles(self, batch: int, max_context: int,
+                      steps: int = 1) -> int:
+        """Cycles for one token across a ``batch`` of decoding requests.
+
+        ``steps`` is how many such steps to charge to the bucket's
+        invocation count: the serving loop charges a run of identical
+        decode steps in one call, and 0 prices without charging.
+        """
         if batch < 1:
             raise ConfigError(f"decode batch of {batch}")
+        if steps < 0:
+            raise ConfigError(f"charging {steps} decode steps")
         b = bucket_pow2(batch, self.MIN_BATCH_BUCKET)
-        c = bucket_pow2(max(1, max_context), self.MIN_TOKEN_BUCKET,
-                        self.model.max_context)
-        return self._priced("decode", b, c)
+        return self._priced("decode", b, self._context_bucket(max_context),
+                            steps)
 
-    def _priced(self, phase: str, batch: int, tokens: int) -> int:
+    def decode_bucket_end(self, max_context: int) -> Optional[int]:
+        """The longest context priced in the same decode bucket as
+        ``max_context``, or ``None`` from the capped bucket on, which
+        every longer context shares."""
+        bucket = self._context_bucket(max_context)
+        return None if bucket == self.model.max_context else bucket
+
+    def _context_bucket(self, context: int) -> int:
+        return bucket_pow2(max(1, context), self.MIN_TOKEN_BUCKET,
+                           self.model.max_context)
+
+    def _priced(self, phase: str, batch: int, tokens: int,
+                steps: int = 1) -> int:
         key = (phase, batch, tokens)
         hit = self._memo.get(key)
         if hit is None:
             hit = self._compile(phase, batch, tokens)
             self._memo[key] = hit
             self._counts[key] = 0
-        self._counts[key] += 1
+        self._counts[key] += steps
         return hit[0]
 
     def _compile(self, phase: str, batch: int,

@@ -126,7 +126,8 @@ class TestLedgerProperties:
     @settings(max_examples=120, deadline=None)
     def test_reserved_never_exceeds_capacity(self, ops):
         """Under any interleaving, the invariant chain holds:
-        resident <= reserved <= capacity, and the conservation counter
+        resident <= reserved <= capacity, the running totals equal the
+        per-tenant sums, and the conservation counter
         admitted - released == live reservations."""
         capacity = _capacity(1000)
         ledger = KvLedger(capacity, (A, B))
@@ -147,6 +148,10 @@ class TestLedgerProperties:
                 ledger.release(tenant, reserved, grown)
             total_reserved = sum(ledger.reserved.values())
             total_resident = sum(ledger.resident.values())
+            assert ledger.total_reserved == total_reserved
+            assert ledger.total_resident == total_resident
+            for name in ("a", "b"):
+                assert ledger.resident[name] <= ledger.reserved[name]
             assert total_resident <= total_reserved
             assert total_reserved <= capacity.total_bytes
             assert ledger.peak_reserved <= capacity.total_bytes

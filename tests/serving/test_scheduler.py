@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from repro.config.core_configs import core_config_by_name
 from repro.config.soc_configs import soc_config_by_name
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SchedulingError
 from repro.models.gpt import GPT_TINY
-from repro.serving import Request, ServeSpec, TenantSpec, simulate_serving
+from repro.serving import (KvLedger, Request, ServeSpec, TenantSpec,
+                           simulate_serving)
 
 CORE = core_config_by_name("ascend-mini")
 SOC = soc_config_by_name("ascend-310")
@@ -30,8 +31,11 @@ class StubCost:
     def prefill_cycles(self, tokens):
         return self.prefill_per_token * tokens
 
-    def decode_cycles(self, batch, max_context):
+    def decode_cycles(self, batch, max_context, steps=1):
         return self.decode_step
+
+    def decode_bucket_end(self, max_context):
+        return None   # one flat price: the bucket never ends
 
 
 def _spec(tenants, seed=7, policy="fcfs", max_batch=8, kv_fraction=0.0):
@@ -192,6 +196,24 @@ class TestRejection:
                             kv_ceiling=0.001)
         report = _run(_spec([capped], max_batch=4))
         assert report.tenants["capped"]["slo_attainment"] == 0.0
+
+
+class TestProgressGuard:
+    def test_long_generation_completes(self):
+        # One offered request, 1,200 decode steps: progress is not
+        # bounded by the number of requests.
+        long_gen = TenantSpec(name="long", rate_rps=1.0, requests=1,
+                              prefill_choices=(16,), decode_choices=(1200,))
+        report = _run(_spec([long_gen]))
+        assert report.aggregate["completed"] == 1
+        assert report.payload["steps"]["iterations"] == 1201
+
+    def test_refusing_ledger_raises(self, monkeypatch):
+        # Nothing is ever admitted: the loop would spin at one clock.
+        monkeypatch.setattr(KvLedger, "try_reserve",
+                            lambda self, name, nbytes: False)
+        with pytest.raises(SchedulingError, match="failed to make progress"):
+            _run(_spec(LOADED))
 
 
 class TestKvPressure:

@@ -59,6 +59,31 @@ class TestMemoization:
                 < cost.prefill_cycles(128))
 
 
+class TestDecodeRuns:
+    @pytest.mark.parametrize("context,end", [
+        (1, 16), (16, 16), (17, 32), (33, 64), (64, 64), (65, None),
+        (TINY.max_context, None), (500, None)])
+    def test_bucket_end(self, cost, context, end):
+        # TINY.max_context is 128: from context 65 on every decode step
+        # prices in the capped t128 bucket.
+        assert cost.decode_bucket_end(context) == end
+
+    def test_contexts_up_to_the_end_share_a_price(self, cost):
+        end = cost.decode_bucket_end(40)
+        assert (cost.decode_cycles(2, 40) == cost.decode_cycles(2, end)
+                != cost.decode_cycles(2, end + 1))
+
+    def test_steps_charge_invocations(self, cost):
+        one = cost.decode_cycles(8, 100)
+        before = cost.invocations()["decode_b8_t128"]
+        assert cost.decode_cycles(8, 100, steps=0) == one
+        assert cost.invocations()["decode_b8_t128"] == before
+        assert cost.decode_cycles(8, 100, steps=5) == one
+        assert cost.invocations()["decode_b8_t128"] == before + 5
+        with pytest.raises(ConfigError):
+            cost.decode_cycles(8, 100, steps=-1)
+
+
 class TestPrefillChunking:
     def test_tokens_beyond_max_context_chunk(self, cost):
         cap = TINY.max_context
