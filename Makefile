@@ -18,9 +18,10 @@ test-faults:
 # class, deadlocks, lowered programs) vs the fixpoint oracle in
 # tests/core/oracle.py; arena lowering (dense, sparse and
 # weight-stationary GEMMs, vector streams, workloads, memo hits) vs
-# the per-object emitters in tests/compiler/lowering_oracle.py; and the
-# event-driven serving loop vs the per-step loop in
-# tests/serving/oracle.py.
+# the per-object emitters in tests/compiler/lowering_oracle.py; the
+# one-pass tiling table vs the scalar search in
+# tests/compiler/tiling_oracle.py; and the event-driven serving loop vs
+# the per-step loop in tests/serving/oracle.py.
 test-equiv:
 	$(PY) -m pytest -q tests/core/test_trace_columnar.py \
 		tests/core/test_engine_equivalence.py \
@@ -28,6 +29,7 @@ test-equiv:
 		tests/core/test_deadlock_report.py \
 		tests/compiler/test_lowering_arena.py \
 		tests/compiler/test_lowering_memo.py \
+		tests/compiler/test_tiling_equivalence.py \
 		tests/serving/test_scheduler_equivalence.py
 
 bench:

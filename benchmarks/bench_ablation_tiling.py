@@ -6,11 +6,12 @@ searched tiling against (a) the naive native-cube tiling and (b) the
 worst legal tiling, on real layer shapes from the model zoo.
 """
 
+import numpy as np
+
 from repro.analysis import ascii_table
 from repro.bench import run_sweep
 from repro.compiler import lower_gemm
-from repro.compiler.tiling import (Tiling, choose_tiling, estimate_gemm_cycles,
-                                   legal_tilings)
+from repro.compiler.tiling import Tiling, choose_tiling, tiling_space
 from repro.config import ASCEND_MAX
 from repro.core.costs import CostModel
 from repro.core.engine import schedule
@@ -36,19 +37,16 @@ def _ablate_shape(job):
     name, m, k, n = job
     searched = _simulate(m, k, n, choose_tiling(m, k, n, ASCEND_MAX))
     naive = _simulate(m, k, n, Tiling(16, 16, 16, min(k, 16)))
-    # Worst legal candidate ranked analytically (simulating every
-    # candidate would dominate the suite's runtime).
-    candidates = legal_tilings(m, k, n, ASCEND_MAX)
-    worst_tiling = max(
-        candidates,
-        key=lambda t: estimate_gemm_cycles(m, k, n, t, ASCEND_MAX))
-    worst = _simulate(m, k, n, worst_tiling)
+    # Worst legal candidate ranked analytically, the first on ties
+    # (simulating every candidate would dominate the suite's runtime).
+    space = tiling_space(m, k, n, ASCEND_MAX)
+    worst = _simulate(m, k, n, space.tiling(int(np.argmax(space.cycles))))
     return name, searched, naive, worst
 
 
 def _warm_tiling_caches():
     """Run the tiling searches in the parent so every fork-spawned worker
-    inherits hot ``choose_tiling``/``estimate_gemm_cycles`` caches."""
+    inherits a hot ``choose_tiling`` memo."""
     for _, m, k, n in _SHAPES:
         choose_tiling(m, k, n, ASCEND_MAX)
 

@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..config.core_configs import CoreConfig
 from ..dtypes import DType, FP16
 from ..errors import CompileError
@@ -40,7 +42,7 @@ from ..isa.arena import InstructionArena
 from ..isa.instructions import VectorOpcode
 from ..isa.program import Program
 from .arena_lowering import lower_gemm_arena, lower_vector_arena
-from .tiling import Tiling, choose_tiling
+from .tiling import Tiling, choose_tiling, tiling_space
 
 __all__ = ["GemmLayout", "PostOp", "clear_lowering_memo", "lower_gemm",
            "lower_vector_work", "lower_workload", "lowering_stats",
@@ -181,18 +183,11 @@ def lower_gemm(
 
 def _residency_tiling(m: int, k: int, n: int, config: CoreConfig,
                       dtype: DType) -> Optional[Tiling]:
-    """Best tiling whose whole B K-strip fits L0B, or None."""
-    from .tiling import estimate_gemm_cycles, legal_tilings
-
-    compatible = [
-        t for t in legal_tilings(m, k, n, config, dtype)
-        if math.ceil(k / t.tk) * t.tk * t.tn * dtype.bytes
-        <= config.l0b_bytes
-    ]
-    if not compatible:
-        return None
-    return min(compatible,
-               key=lambda t: estimate_gemm_cycles(m, k, n, t, config, dtype))
+    """Best tiling whose whole B K-strip fits L0B, or None: the first
+    cheapest row of the tiling space under a B-strip mask."""
+    space = tiling_space(m, k, n, config, dtype)
+    return space.cheapest(np.ceil(k / space.tk) * space.tk * space.tn
+                          * dtype.bytes <= config.l0b_bytes)
 
 
 def lower_vector_work(work: VectorWork, config: CoreConfig, tag: str = "",

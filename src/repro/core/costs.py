@@ -107,6 +107,14 @@ class CostModel:
             self._cube_memo[key] = cycles
         return cycles
 
+    def cube_cycle_columns(self, m: np.ndarray, k: np.ndarray, n: np.ndarray,
+                           dtype) -> np.ndarray:
+        """:meth:`cube_cycles` over columns of (m, k, n) for one dtype:
+        the same float64 ceil divisions, row for row."""
+        m0, k0, n0 = self.cube_tile_shape(dtype)
+        tiles = np.ceil(m / m0) * np.ceil(k / k0) * np.ceil(n / n0)
+        return _CUBE_STARTUP + tiles.astype(np.int64)
+
     # -- vector ---------------------------------------------------------------
 
     def vector_cycles(self, elems: int, elem_bytes: float, passes: int = 1) -> int:
@@ -174,11 +182,9 @@ class CostModel:
             dts = arena.r_dtype[cb, 1]
             c = np.zeros(m.size, np.int64)
             for dti in np.unique(dts):
-                m0, k0, n0 = self.cube_tile_shape(DTYPE_TABLE[dti])
                 sel = dts == dti
-                tiles = (np.ceil(m[sel] / m0) * np.ceil(k[sel] / k0)
-                         * np.ceil(n[sel] / n0))
-                c[sel] = _CUBE_STARTUP + tiles.astype(np.int64)
+                c[sel] = self.cube_cycle_columns(m[sel], k[sel], n[sel],
+                                                 DTYPE_TABLE[dti])
             cost[cb] = c
 
         vec = kind == OP_VECTOR

@@ -1,12 +1,9 @@
 """Auto-tiling search tests."""
 
-import pytest
-
 from repro.compiler import choose_tiling, legal_tilings
-from repro.compiler.tiling import Tiling, estimate_gemm_cycles, _fits
-from repro.config import ASCEND_LITE, ASCEND_MAX, ASCEND_TINY
-from repro.dtypes import FP16, INT8, accumulator_for
-from repro.errors import CompileError
+from repro.compiler.tiling import estimate_gemm_cycles
+from repro.config import ASCEND_MAX, ASCEND_TINY
+from repro.dtypes import INT8
 
 
 class TestLegalTilings:
@@ -43,7 +40,7 @@ class TestChooseTiling:
         for other in legal_tilings(1024, 768, 768, ASCEND_MAX):
             other_cost = estimate_gemm_cycles(1024, 768, 768, other,
                                               ASCEND_MAX)
-            assert best_cost <= other_cost + 1e-9
+            assert best_cost <= other_cost
 
     def test_large_gemm_prefers_big_tiles(self):
         tiling = choose_tiling(4096, 4096, 4096, ASCEND_MAX)
