@@ -20,8 +20,10 @@ test-faults:
 # weight-stationary GEMMs, vector streams, workloads, memo hits) vs
 # the per-object emitters in tests/compiler/lowering_oracle.py; the
 # one-pass tiling table vs the scalar search in
-# tests/compiler/tiling_oracle.py; and the event-driven serving loop vs
-# the per-step loop in tests/serving/oracle.py.
+# tests/compiler/tiling_oracle.py; the event-driven serving loop vs
+# the per-step loop in tests/serving/oracle.py; and the one-pass cache
+# key encoder (layer, model and sweep-job keys) vs the dict-then-json
+# encoder in tests/compiler/key_oracle.py.
 test-equiv:
 	$(PY) -m pytest -q tests/core/test_trace_columnar.py \
 		tests/core/test_engine_equivalence.py \
@@ -30,6 +32,7 @@ test-equiv:
 		tests/compiler/test_lowering_arena.py \
 		tests/compiler/test_lowering_memo.py \
 		tests/compiler/test_tiling_equivalence.py \
+		tests/compiler/test_key_equivalence.py \
 		tests/serving/test_scheduler_equivalence.py
 
 bench:

@@ -233,15 +233,13 @@ def drain_failures() -> List[JobFailureReport]:
 def sweep_job_key(job: Any) -> str:
     """Content key of one job value (canonical-JSON sha256).
 
-    Uses the compile cache's canonicalizer, so dataclass jobs (DSE
+    Uses the compile cache's canonical encoder, so dataclass jobs (DSE
     candidates, predictor dataset entries) key by type + field values,
     stable across processes and runs.
     """
     from ..compiler import cache
 
-    blob = json.dumps(cache._canonical(job), sort_keys=True,
-                      separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(cache.canonical_json(job).encode()).hexdigest()
 
 
 def _run_key(worker_name: str, job_keys: Sequence[str]) -> str:

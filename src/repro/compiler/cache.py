@@ -18,6 +18,18 @@ model, lowering, or payload shape is a clean miss — bump
 ``SCHEMA_VERSION`` whenever compiled statistics can change.  Corrupt or
 unreadable entries are treated as misses, never errors: the cache must
 lose races gracefully when parallel sweep workers share a directory.
+
+Keys are sha256 digests of canonical JSON (:func:`canonical_json`),
+written in one pass over the inputs.  The bytes are fixed: they are
+what the first schema's dict form serialized with
+``json.dumps(sort_keys=True, separators=(",", ":"))`` wrote, which
+addresses every stored entry and sweep checkpoint, so a change to them
+is a schema change and bumps ``SCHEMA_VERSION``.  The encoder keeps one
+table across keys, the sorted field layout of each dataclass type; its
+memo of encoded objects lives for one key and is keyed by ``id()``,
+never by value (``1 == 1.0 == True`` encode differently).
+``tests/compiler/key_oracle.py`` keeps the dict form, and
+``tests/compiler/test_key_equivalence.py`` holds the encoder to it.
 """
 
 from __future__ import annotations
@@ -30,9 +42,14 @@ import os
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Iterator, MutableMapping, Optional
+from typing import (TYPE_CHECKING, Any, Dict, Iterator, MutableMapping,
+                    Optional, Tuple)
 
-__all__ = ["SCHEMA_VERSION", "enabled", "cache_dir", "content_key",
+if TYPE_CHECKING:
+    from ..graph.workload import OpWorkload
+
+__all__ = ["SCHEMA_VERSION", "enabled", "cache_dir", "canonical_json",
+           "content_key",
            "load", "store", "model_content_key", "load_model", "store_model",
            "quarantine_model",
            "note_memory_hit", "note_model_memory_hit", "stats", "reset_stats",
@@ -174,60 +191,125 @@ class LruCache(MutableMapping):
             return default
 
 
-def _canonical(obj: Any) -> Any:
-    """JSON-stable form of the hashed inputs.
+# -- canonical JSON ------------------------------------------------------------------
+#
+# Dataclasses encode as ``{type name: {field: value}}``, enums by name,
+# lists and tuples as arrays, dicts with ``str()`` keys, and anything
+# else not native to JSON (``np.dtype``) by ``str()``; objects sorted by
+# key, no whitespace, non-ASCII escaped.  Raw values a key adds beside
+# the canonical ones (scales, group names) encode as JSON encodes them.
 
-    Dataclasses become ``{type name: {field: value}}`` so renaming a type
-    or field invalidates; enums hash by name; anything else non-JSON
-    (e.g. ``np.dtype``) by ``str()``.
-    """
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, enum.Enum):
-        return obj.name
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = {
-            f.name: _canonical(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-        return {type(obj).__name__: fields}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(item) for item in obj]
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in sorted(obj.items())}
-    return str(obj)
+_ascii = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# Per dataclass type: ``{"<type name>":{`` and the fields sorted by
+# name, each with its encoded ``"<field>":`` prefix.  It depends on the
+# type alone, so it is the one piece of encoder state kept across keys.
+_LAYOUTS: Dict[type, Tuple[str, Tuple[Tuple[str, str], ...]]] = {}
+
+# Per key computation: id(obj) -> (obj, text).  Holding the object keeps
+# its id from being reused while the memo lives.  Never keyed by value:
+# 1 == 1.0 == True, and those encode differently.
+_Encoded = Dict[int, Tuple[Any, str]]
 
 
-def _workload_canonical(work: Any) -> Any:
-    """Canonical workload form with the top-level ``name`` dropped.
-
-    Compiled statistics depend only on a workload's *structure* (gemms,
-    vector work, byte counts) — never on what the layer is called: every
-    hit path reattaches the caller's name via ``GraphEngine._relabel``.
-    Hashing structure only dedupes identically-shaped layers (the 12/24
-    transformer blocks of BERT compile once, not per layer).
-    """
-    canon = _canonical(work)
-    if isinstance(canon, dict):
-        for fields in canon.values():
-            if isinstance(fields, dict):
-                fields.pop("name", None)
-    return canon
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
 
 
-def content_key(config: Any, work: Any, a_bytes_scale: float = 1.0) -> str:
+def _json_text(value: Any) -> str:
+    """A value JSON encodes as it is (not in canonical form)."""
+    cls = type(value)
+    if cls is str:
+        return _ascii(value)
+    if cls is float:
+        return _float_text(value)
+    if cls is int:
+        return str(value)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _encode(obj: Any, memo: _Encoded) -> str:
+    cls = type(obj)
+    if cls is str:
+        return _ascii(obj)
+    if cls is int:
+        return str(obj)
+    hit = memo.get(id(obj))
+    if hit is not None:
+        return hit[1]
+    if obj is None:
+        text = "null"
+    elif obj is True:
+        text = "true"
+    elif obj is False:
+        text = "false"
+    elif isinstance(obj, str):
+        text = _ascii(obj)
+    elif isinstance(obj, int):
+        text = int.__repr__(obj)
+    elif isinstance(obj, float):
+        text = _float_text(obj)
+    elif isinstance(obj, enum.Enum):
+        text = _encode(obj.name, memo)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        text = _dataclass_text(obj, memo)
+    elif isinstance(obj, (list, tuple)):
+        text = "[" + ",".join([_encode(item, memo) for item in obj]) + "]"
+    elif isinstance(obj, dict):
+        # As the dict form was built: items sorted by their raw keys,
+        # keys through str() (a later key wins a collision), then
+        # sorted as text.
+        items = {str(key): _encode(value, memo)
+                 for key, value in sorted(obj.items())}
+        text = "{" + ",".join([_ascii(key) + ":" + value
+                               for key, value in sorted(items.items())]) + "}"
+    else:
+        text = _ascii(str(obj))
+    memo[id(obj)] = (obj, text)
+    return text
+
+
+def _dataclass_text(obj: Any, memo: _Encoded,
+                    skip: Optional[str] = None) -> str:
+    cls = type(obj)
+    layout = _LAYOUTS.get(cls)
+    if layout is None:
+        names = sorted(f.name for f in dataclasses.fields(cls))
+        layout = _LAYOUTS[cls] = (
+            "{" + _ascii(cls.__name__) + ":{",
+            tuple((name, _ascii(name) + ":") for name in names))
+    head, fields = layout
+    return head + ",".join([prefix + _encode(getattr(obj, name), memo)
+                            for name, prefix in fields if name != skip]) + "}}"
+
+
+def canonical_json(obj: Any) -> str:
+    """The canonical JSON text of ``obj`` (see above), in one pass."""
+    return _encode(obj, {})
+
+
+def content_key(config: Any, work: "OpWorkload",
+                a_bytes_scale: float = 1.0) -> str:
     """sha256 over (schema, core design point, workload structure,
-    lowering knobs).  The workload's name is deliberately excluded — see
-    :func:`_workload_canonical`."""
-    blob = json.dumps(
-        {
-            "schema": SCHEMA_VERSION,
-            "config": _canonical(config),
-            "workload": _workload_canonical(work),
-            "a_bytes_scale": a_bytes_scale,
-        },
-        sort_keys=True, separators=(",", ":"),
-    )
+    lowering knobs).
+
+    The workload's ``name`` field is deliberately excluded: compiled
+    statistics depend only on a workload's *structure* (gemms, vector
+    work, byte counts) — never on what the layer is called; every hit
+    path reattaches the caller's name via ``GraphEngine._relabel``.
+    Hashing structure only dedupes identically-shaped layers (the 12/24
+    transformer blocks of BERT compile once, not per layer).  ``work``
+    must be a dataclass instance; anything else raises ``TypeError``.
+    """
+    memo: _Encoded = {}
+    config_text = _encode(config, memo)
+    work_text = _dataclass_text(work, memo, skip="name")
+    blob = ('{"a_bytes_scale":' + _json_text(a_bytes_scale)
+            + ',"config":' + config_text
+            + ',"schema":' + _json_text(SCHEMA_VERSION)
+            + ',"workload":' + work_text + "}")
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -316,21 +398,16 @@ def model_content_key(config: Any, pairs: Any,
     details that do not reach the compiler.
     """
     scales = scales or {}
-    blob = json.dumps(
-        {
-            "schema": SCHEMA_VERSION,
-            "config": _canonical(config),
-            "layers": [
-                {
-                    "group": group,
-                    "workload": _canonical(work),
-                    "a_bytes_scale": scales.get(group, 1.0),
-                }
-                for group, work in pairs
-            ],
-        },
-        sort_keys=True, separators=(",", ":"),
-    )
+    memo: _Encoded = {}
+    config_text = _encode(config, memo)
+    layers = []
+    for group, work in pairs:
+        work_text = _encode(work, memo)
+        layers.append('{"a_bytes_scale":' + _json_text(scales.get(group, 1.0))
+                      + ',"group":' + _json_text(group)
+                      + ',"workload":' + work_text + "}")
+    blob = ('{"config":' + config_text + ',"layers":[' + ",".join(layers)
+            + '],"schema":' + _json_text(SCHEMA_VERSION) + "}")
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

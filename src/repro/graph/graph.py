@@ -26,10 +26,11 @@ class Graph:
     nodes: List[Op] = field(default_factory=list)
     _tensors: Dict[str, TensorSpec] = field(default_factory=dict)
     _producers: Dict[str, str] = field(default_factory=dict)
+    _by_name: Dict[str, Op] = field(default_factory=dict)
 
     def add(self, op: Op) -> TensorSpec:
         """Append a node; inputs must already be produced in this graph."""
-        if any(n.name == op.name for n in self.nodes):
+        if op.name in self._by_name:
             raise GraphError(f"duplicate node name {op.name!r}")
         if not isinstance(op, Input):
             for tensor in op.inputs:
@@ -40,6 +41,7 @@ class Graph:
         if op.output.name in self._tensors:
             raise GraphError(f"tensor {op.output.name!r} produced twice")
         self.nodes.append(op)
+        self._by_name[op.name] = op
         self._tensors[op.output.name] = op.output
         self._producers[op.output.name] = op.name
         return op.output
@@ -53,10 +55,11 @@ class Graph:
         return len(self.nodes)
 
     def node(self, name: str) -> Op:
-        for op in self.nodes:
-            if op.name == name:
-                return op
-        raise GraphError(f"no node named {name!r} in graph {self.name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise GraphError(
+                f"no node named {name!r} in graph {self.name!r}") from None
 
     def tensor(self, name: str) -> TensorSpec:
         try:
@@ -87,26 +90,12 @@ class Graph:
         one point per network *layer*, each layer covering its matmul and
         the surrounding vector ops.
         """
-        order: List[str] = []
-        merged: Dict[str, OpWorkload] = {}
+        groups: Dict[str, List[OpWorkload]] = {}
         for op in self.nodes:
-            if isinstance(op, Input):
-                continue
-            group = op.group or op.name
-            work = op.workload()
-            if group in merged:
-                merged[group] = merged[group].merged(work, name=group)
-            else:
-                order.append(group)
-                merged[group] = OpWorkload(
-                    name=group,
-                    gemms=work.gemms,
-                    vector=work.vector,
-                    weight_bytes=work.weight_bytes,
-                    input_bytes=work.input_bytes,
-                    output_bytes=work.output_bytes,
-                )
-        return [(g, merged[g]) for g in order]
+            if not isinstance(op, Input):
+                groups.setdefault(op.group or op.name, []).append(op.workload())
+        return [(group, OpWorkload.fused(group, works))
+                for group, works in groups.items()]
 
     def total_macs(self) -> int:
         return sum(w.macs for _, w in self.workloads())
@@ -116,3 +105,4 @@ class Graph:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph({self.name!r}, {len(self.nodes)} nodes)"
+

@@ -15,7 +15,7 @@ profiles, and the Figure 9 bandwidth profile.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from ..dtypes import DType, FP16
 from ..errors import GraphError
@@ -98,13 +98,22 @@ class OpWorkload:
     def is_cube_heavy(self) -> bool:
         return self.macs > 0
 
-    def merged(self, other: "OpWorkload", name: str) -> "OpWorkload":
-        """Fuse two workloads (e.g. conv + folded BN + activation)."""
-        return OpWorkload(
-            name=name,
-            gemms=self.gemms + other.gemms,
-            vector=self.vector + other.vector,
-            weight_bytes=self.weight_bytes + other.weight_bytes,
-            input_bytes=self.input_bytes,
-            output_bytes=other.output_bytes or self.output_bytes,
-        )
+    @staticmethod
+    def fused(name: str, works: Sequence["OpWorkload"]) -> "OpWorkload":
+        """Fuse workloads in order (e.g. conv + folded BN + activation).
+
+        GEMM and vector work concatenate and weights add up; the input
+        is the first workload's, the output the last non-zero one's.
+        """
+        first = works[0]
+        gemms, vector = list(first.gemms), list(first.vector)
+        weight_bytes, output_bytes = first.weight_bytes, first.output_bytes
+        for work in works[1:]:
+            gemms += work.gemms
+            vector += work.vector
+            weight_bytes += work.weight_bytes
+            output_bytes = work.output_bytes or output_bytes
+        return OpWorkload(name=name, gemms=tuple(gemms), vector=tuple(vector),
+                          weight_bytes=weight_bytes,
+                          input_bytes=first.input_bytes,
+                          output_bytes=output_bytes)

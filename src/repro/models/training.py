@@ -74,10 +74,8 @@ def training_workloads(graph: Graph,
     """
     merged: List[Tuple[str, OpWorkload]] = []
     for group, fwd in graph.grouped_workloads():
-        total = fwd
-        bwd = backward_workload(fwd)
-        total = total.merged(bwd, name=group)
+        parts = [fwd, backward_workload(fwd)]
         if include_optimizer:
-            total = total.merged(optimizer_workload(fwd), name=group)
-        merged.append((group, total))
+            parts.append(optimizer_workload(fwd))
+        merged.append((group, OpWorkload.fused(group, parts)))
     return merged

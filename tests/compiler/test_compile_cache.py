@@ -4,11 +4,16 @@ import json
 
 import pytest
 
+from repro.bench import sweep_job_key
 from repro.compiler import GraphEngine
 from repro.compiler import cache
-from repro.config import ASCEND, ASCEND_MAX
+from repro.compiler.graph_engine import _im2col_scales
+from repro.config import ASCEND, ASCEND_MAX, core_config_by_name
+from repro.config.soc_configs import soc_config_by_name
 from repro.graph.workload import GemmWork, OpWorkload, VectorWork
 from repro.models import build_model
+from repro.models.gpt import GPT_TINY, build_gpt_decode
+from repro.serving.stepcost import StepCostModel
 
 
 @pytest.fixture()
@@ -70,6 +75,39 @@ class TestContentKey:
         assert cache.stats()["memory_hits"] == 1
         assert second.name == "other"  # relabeled, not the cached name
         assert second.cycles == first.cycles
+
+
+class TestPinnedKeys:
+    """The on-disk key format, pinned by literal digests.
+
+    Every stored entry and sweep checkpoint is addressed by these
+    digests.  An edit that changes one orphans the whole cache, so it
+    must come with a ``SCHEMA_VERSION`` bump (and new literals here).
+    """
+
+    def test_layer_key(self):
+        assert cache.content_key(ASCEND, _WORK) == (
+            "99fac9fb9e571a2801a3aadcac3bcd90e96c8f9fcd388bd096a010e5d5bef185")
+
+    def test_model_key_gesture_on_ascend_lite(self):
+        graph = build_model("gesture")
+        assert cache.model_content_key(
+            core_config_by_name("ascend-lite"), graph.grouped_workloads(),
+            _im2col_scales(graph)) == (
+            "93306185222d962398d0c6e973d7eb70f407473b4e9d4c4994f720159ae4f06c")
+
+    def test_model_key_gpt_tiny_decode_bucket(self):
+        """The serving design's decode_b16_t512 bucket on Ascend 310."""
+        core = soc_config_by_name("ascend-310").core_groups[0][0]
+        graph = build_gpt_decode(GPT_TINY, batch=16, context=512,
+                                 dtype=StepCostModel(GPT_TINY, core).dtype)
+        assert cache.model_content_key(
+            core, graph.grouped_workloads(), _im2col_scales(graph)) == (
+            "2c6c6161f453885faf2cf33a0993a61e5c10f86851c267c88d4b171670d6e7fc")
+
+    def test_sweep_job_key(self):
+        assert sweep_job_key(("gesture", {"batch": 2}, ASCEND)) == (
+            "3f56ad6d120a71fbbe6cf9b91ff5732c2c55c3255e7c8f1682fe2e04443b2343")
 
 
 class TestPersistentRoundTrip:

@@ -1,5 +1,7 @@
 """Graph IR tests: tensors, ops, DAG, builder, shape inference."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.dtypes import FP16, INT8, INT32
@@ -12,7 +14,54 @@ from repro.graph import (
     Input,
     TensorSpec,
 )
-from repro.graph.ops import Reshape
+from repro.graph.ops import Op, Reshape
+from repro.graph.workload import GemmWork, OpWorkload, VectorWork
+from repro.models import MODEL_BUILDERS, build_model, training_workloads
+from repro.models.training import backward_workload, optimizer_workload
+
+
+@dataclass(frozen=True)
+class _Fixed(Op):
+    """An op with a given workload."""
+
+    work: OpWorkload = None
+
+    def workload(self) -> OpWorkload:
+        return self.work
+
+
+def _merge(first, other, name):
+    """The pairwise fuse that grouped and training workloads were built
+    from, one call per op, before ``OpWorkload.fused``."""
+    return OpWorkload(
+        name=name,
+        gemms=first.gemms + other.gemms,
+        vector=first.vector + other.vector,
+        weight_bytes=first.weight_bytes + other.weight_bytes,
+        input_bytes=first.input_bytes,
+        output_bytes=other.output_bytes or first.output_bytes,
+    )
+
+
+def _merged_chain(graph):
+    """Grouped workloads as one pairwise :func:`_merge` per op fused
+    them before groups were accumulated once."""
+    order, merged = [], {}
+    for op in graph.nodes:
+        if isinstance(op, Input):
+            continue
+        group = op.group or op.name
+        work = op.workload()
+        if group in merged:
+            merged[group] = _merge(merged[group], work, group)
+        else:
+            order.append(group)
+            merged[group] = OpWorkload(
+                name=group, gemms=work.gemms, vector=work.vector,
+                weight_bytes=work.weight_bytes,
+                input_bytes=work.input_bytes,
+                output_bytes=work.output_bytes)
+    return [(g, merged[g]) for g in order]
 
 
 class TestTensorSpec:
@@ -128,8 +177,47 @@ class TestGraphStructure:
         b.activation(x, "relu", name="act")
         g = b.build()
         assert g.node("act").name == "act"
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="no node named 'missing'"):
             g.node("missing")
+
+    def test_node_lookup_finds_every_node(self):
+        g = build_model("resnet18")
+        assert all(g.node(op.name) is op for op in g)
+
+    def test_tensor_produced_twice_rejected(self):
+        g = Graph("t")
+        t = TensorSpec("a", (1,), FP16)
+        g.add(Input(name="n", inputs=(), output=t))
+        with pytest.raises(GraphError, match="produced twice"):
+            g.add(Input(name="m", inputs=(), output=t))
+
+    @pytest.mark.parametrize("fault", ["duplicate", "unknown tensor",
+                                       "produced twice"])
+    def test_rejected_add_changes_nothing(self, fault):
+        g = Graph("t")
+        a = TensorSpec("a", (4,), FP16)
+        g.add(Input(name="in", inputs=(), output=a))
+        g.add(Reshape(name="r", inputs=(a,),
+                      output=TensorSpec("b", (2, 2), FP16)))
+        state = lambda: (list(g.nodes), dict(g._tensors),  # noqa: E731
+                         dict(g._producers), dict(g._by_name))
+        before = state()
+        rejected = {
+            "duplicate": Reshape(name="r", inputs=(a,),
+                                 output=TensorSpec("c", (4,), FP16)),
+            "unknown tensor": Reshape(
+                name="s", inputs=(TensorSpec("ghost", (4,), FP16),),
+                output=TensorSpec("c", (4,), FP16)),
+            "produced twice": Reshape(name="s", inputs=(a,),
+                                      output=TensorSpec("b", (4,), FP16)),
+        }[fault]
+        with pytest.raises(GraphError, match=fault):
+            g.add(rejected)
+        assert state() == before
+        # The names the rejected op used are still free.
+        g.add(Reshape(name="s", inputs=(a,),
+                      output=TensorSpec("c", (4,), FP16)))
+        assert g.node("s").output.name == "c"
 
 
 class TestWorkloads:
@@ -171,6 +259,49 @@ class TestWorkloads:
         name, work = groups[0]
         assert name == "layer1"
         assert work.macs > 0 and work.vector_elem_passes > 0
+
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_grouped_workloads_match_merged_chain(self, model):
+        graph = build_model(model)
+        assert graph.grouped_workloads() == _merged_chain(graph)
+
+    @pytest.mark.parametrize("model", ["bert-base", "resnet50"])
+    @pytest.mark.parametrize("optimizer", [True, False])
+    def test_training_workloads_match_merged_chain(self, model, optimizer):
+        graph = build_model(model)
+        expected = []
+        for group, fwd in graph.grouped_workloads():
+            total = _merge(fwd, backward_workload(fwd), group)
+            if optimizer:
+                total = _merge(total, optimizer_workload(fwd), group)
+            expected.append((group, total))
+        assert training_workloads(graph, optimizer) == expected
+
+    def test_grouped_workloads_fuse_byte_fields(self):
+        """Weights add up, the input is the first op's, the output the
+        last non-zero one's."""
+        g = Graph("t")
+        x = TensorSpec("x", (4,), FP16)
+        g.add(Input(name="in", inputs=(), output=x))
+        works = [OpWorkload(name="w0", gemms=(GemmWork(2, 3, 4),),
+                            weight_bytes=5, input_bytes=7, output_bytes=11),
+                 OpWorkload(name="w1", vector=(VectorWork(6),),
+                            weight_bytes=13, input_bytes=17),
+                 OpWorkload(name="w2", gemms=(GemmWork(8, 9, 10),),
+                            vector=(VectorWork(3, 2),), output_bytes=19),
+                 OpWorkload(name="w3", input_bytes=23)]
+        for i, work in enumerate(works):
+            g.add(_Fixed(name=f"op{i}", inputs=(x,),
+                         output=TensorSpec(f"t{i}", (4,), FP16),
+                         group="g" if i != 2 else "", work=work))
+        grouped = g.grouped_workloads()
+        assert grouped == _merged_chain(g)
+        assert [name for name, _ in grouped] == ["g", "op2"]
+        fused = grouped[0][1]
+        assert (fused.weight_bytes, fused.input_bytes,
+                fused.output_bytes) == (18, 7, 11)
+        assert fused.gemms == works[0].gemms
+        assert fused.vector == works[1].vector
 
     def test_reshape_element_check(self):
         src = TensorSpec("a", (2, 8), FP16)
