@@ -21,9 +21,11 @@ test-faults:
 # the per-object emitters in tests/compiler/lowering_oracle.py; the
 # one-pass tiling table vs the scalar search in
 # tests/compiler/tiling_oracle.py; the event-driven serving loop vs
-# the per-step loop in tests/serving/oracle.py; and the one-pass cache
+# the per-step loop in tests/serving/oracle.py; the one-pass cache
 # key encoder (layer, model and sweep-job keys) vs the dict-then-json
-# encoder in tests/compiler/key_oracle.py.
+# encoder in tests/compiler/key_oracle.py; and the bulk request draws
+# of the traffic generator vs one numpy generator per request in
+# tests/serving/traffic_oracle.py.
 test-equiv:
 	$(PY) -m pytest -q tests/core/test_trace_columnar.py \
 		tests/core/test_engine_equivalence.py \
@@ -33,7 +35,8 @@ test-equiv:
 		tests/compiler/test_lowering_memo.py \
 		tests/compiler/test_tiling_equivalence.py \
 		tests/compiler/test_key_equivalence.py \
-		tests/serving/test_scheduler_equivalence.py
+		tests/serving/test_scheduler_equivalence.py \
+		tests/serving/test_traffic_equivalence.py
 
 bench:
 	$(PY) -m pytest benchmarks/ -q

@@ -12,9 +12,15 @@ measures exactly that, with both legs cold, and renders the
 Everything is fixed-seed: the training corpus, the candidate generator,
 and the model fit are deterministic, so the top-5 reproduction check is
 wall-clock independent (only the speedup line varies with machine load).
+Like ``make predict-smoke`` it runs on a private, empty persistent
+compile cache: on a filled ``REPRO_CACHE_DIR`` (a second run in the same
+checkout) the simulate-everything leg would be mostly disk hits.
 """
 
+import tempfile
+
 from repro.analysis import ascii_table
+from repro.config.env import env_scope
 from repro.perf.predictor.dataset import SMOKE_CORPUS
 from repro.perf.predictor.sweep import clear_memo_tiers, triage_design_sweep
 from repro.perf.predictor.train import train_predictor
@@ -25,13 +31,15 @@ _EPSILON = 0.05
 
 
 def _train_and_triage():
-    report = train_predictor(seed=0, corpus=SMOKE_CORPUS,
-                             variants_per_core=12, rounds=60)
-    clear_memo_tiers()
-    sweep = triage_design_sweep(
-        report.predictor, model="gesture", base_core="ascend-lite",
-        n_candidates=_CANDIDATES, top_k=_TOP_K, epsilon=_EPSILON,
-        seed=1, validate=True)
+    with tempfile.TemporaryDirectory(prefix="predictor-cache-") as cache:
+        with env_scope(REPRO_CACHE_DIR=cache):
+            report = train_predictor(seed=0, corpus=SMOKE_CORPUS,
+                                     variants_per_core=12, rounds=60)
+            clear_memo_tiers()
+            sweep = triage_design_sweep(
+                report.predictor, model="gesture", base_core="ascend-lite",
+                n_candidates=_CANDIDATES, top_k=_TOP_K, epsilon=_EPSILON,
+                seed=1, validate=True)
     return report, sweep
 
 

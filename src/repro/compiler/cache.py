@@ -10,14 +10,27 @@ repeats within one process).
 
 Layout: ``<cache dir>/v<SCHEMA_VERSION>/<sha256>.json``.  The cache dir
 comes from ``REPRO_CACHE_DIR`` (default ``.repro_cache/``); setting
-``REPRO_CACHE=0`` disables the persistent tier entirely.
+``REPRO_CACHE=0`` disables the persistent tier entirely.  Beside the
+layer entries the same directory holds whole-model entries
+(``model-<sha256>.json``, keyed by :func:`model_content_key`) and
+serving step-cost buckets (``bucket-<sha256>.json``, keyed by
+:func:`bucket_key`): one GPT prefill or decode graph's priced layers,
+keyed by the inputs its builder takes (model config, batch, tokens,
+dtype) and the design point rather than by the graph's content, so a
+hit needs neither a graph build nor a workload hash.
 
 Invalidation is versioned twice over: the schema version is part of both
 the directory name and the hashed content, so any change to the cost
 model, lowering, or payload shape is a clean miss — bump
-``SCHEMA_VERSION`` whenever compiled statistics can change.  Corrupt or
-unreadable entries are treated as misses, never errors: the cache must
-lose races gracefully when parallel sweep workers share a directory.
+``SCHEMA_VERSION`` whenever compiled statistics can change.  Bucket
+keys add one rule: they never see the graph, so a change that alters a
+GPT graph (``models/gpt.py``, an op's workload derivation, group
+fusion) must bump ``SCHEMA_VERSION`` too, or stale buckets keep serving
+the old graph's cost.  ``tests/serving/test_bucket_tier.py`` pins a
+digest of those graphs per schema version to catch it.
+Corrupt or unreadable entries are treated as misses, never errors: the
+cache must lose races gracefully when parallel sweep workers share a
+directory, and valid JSON of the wrong structure is quarantined.
 
 Keys are sha256 digests of canonical JSON (:func:`canonical_json`),
 written in one pass over the inputs.  The bytes are fixed: they are
@@ -42,24 +55,36 @@ import os
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Dict, Iterator, MutableMapping,
-                    Optional, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator,
+                    MutableMapping, Optional, Tuple)
 
 if TYPE_CHECKING:
     from ..graph.workload import OpWorkload
 
-__all__ = ["SCHEMA_VERSION", "enabled", "cache_dir", "canonical_json",
-           "content_key",
+__all__ = ["SCHEMA_VERSION", "LAYER_FIELDS", "enabled", "cache_dir",
+           "canonical_json", "content_key",
            "load", "store", "model_content_key", "load_model", "store_model",
-           "quarantine_model",
+           "quarantine_model", "bucket_key_prefix", "bucket_key",
+           "load_bucket", "store_bucket",
            "note_memory_hit", "note_model_memory_hit", "stats", "reset_stats",
            "snapshot", "merge_stats",
            "LruCache", "memory_max_entries", "program_cache_enabled",
            "store_arena", "load_arena", "quarantine_dir",
            "timing_stats_bypassed"]
 
-# Bump when lowering, the cost model, or the payload shape changes.
+# Bump when lowering, the cost model, or the payload shape changes, and
+# when a GPT graph changes (models/gpt.py, an op's workload derivation,
+# group fusion): step-cost bucket keys hash the builders' inputs, not
+# the graphs, so only this number retires their entries.
 SCHEMA_VERSION = 1
+
+# The statistics of one compiled layer, as every tier stores them
+# (name and workload identity aside).
+LAYER_FIELDS = (
+    "cycles", "cube_cycles", "vector_cycles", "mte1_cycles", "mte2_cycles",
+    "mte3_cycles", "l1_read_bytes", "l1_write_bytes", "gm_read_bytes",
+    "gm_write_bytes", "instr_count",
+)
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_ENABLE = "REPRO_CACHE"
@@ -71,7 +96,7 @@ _STATS = {"hits": 0, "misses": 0, "stores": 0, "errors": 0,
           "memory_hits": 0, "model_hits": 0, "model_stores": 0,
           "model_memory_hits": 0, "evictions": 0,
           "arena_hits": 0, "arena_stores": 0, "quarantined": 0,
-          "fault_bypasses": 0}
+          "fault_bypasses": 0, "bucket_hits": 0, "bucket_stores": 0}
 
 
 def timing_stats_bypassed() -> bool:
@@ -411,27 +436,47 @@ def model_content_key(config: Any, pairs: Any,
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _load_checked(name: str, well_formed: Callable[[Dict[str, Any]], bool],
+                  hits: str) -> Optional[Dict[str, Any]]:
+    """:func:`load` of entry ``name``, counted under ``hits``.
+
+    Corrupt JSON is quarantined by :func:`load`; a *structurally*
+    corrupt entry — valid JSON that ``well_formed`` rejects (a truncated
+    or hand-edited artifact) — is quarantined here, so it reports a
+    clean miss instead of re-poisoning every later load.
+    """
+    payload = load(name)
+    if payload is None:
+        return None
+    if not well_formed(payload):
+        _STATS["errors"] += 1
+        _quarantine(cache_dir() / f"{name}.json")
+        return None
+    _STATS[hits] += 1
+    return payload
+
+
+def _store_counted(name: str, payload: Dict[str, Any], stores: str) -> None:
+    before = _STATS["stores"]
+    store(name, payload)
+    if _STATS["stores"] > before:  # not disabled, not an I/O error
+        _STATS[stores] += 1
+
+
 def load_model(key: str) -> Optional[Dict[str, Any]]:
     """Whole-model payload for ``key`` (same miss semantics as
     :func:`load`; model entries live under a ``model-`` filename prefix
     in the same versioned directory).
 
-    Corrupt JSON is quarantined by :func:`load`; a *structurally*
-    corrupt entry — valid JSON whose ``layers`` field is not the list
-    :func:`store_model` writes (a truncated or hand-edited artifact) —
-    is quarantined here, so it reports a clean miss instead of
-    re-poisoning every later load.  Deeper per-layer validation lives in
-    the compiler, which calls :func:`quarantine_model` on rejection.
+    An entry whose ``layers`` field is not the list :func:`store_model`
+    writes is quarantined (see :func:`_load_checked`).  Deeper
+    per-layer validation lives in the compiler, which calls
+    :func:`quarantine_model` on rejection.
     """
-    payload = load(f"model-{key}")
-    if payload is None:
-        return None
-    if not isinstance(payload.get("layers"), list):
-        _STATS["errors"] += 1
-        _quarantine(cache_dir() / f"model-{key}.json")
-        return None
-    _STATS["model_hits"] += 1
-    return payload
+    return _load_checked(f"model-{key}",
+                         lambda payload: isinstance(payload.get("layers"),
+                                                    list),
+                         "model_hits")
 
 
 def quarantine_model(key: str) -> None:
@@ -450,10 +495,56 @@ def quarantine_model(key: str) -> None:
 
 def store_model(key: str, payload: Dict[str, Any]) -> None:
     """Persist a whole-model artifact (atomic, failure-tolerant)."""
-    before = _STATS["stores"]
-    store(f"model-{key}", payload)
-    if _STATS["stores"] > before:  # not disabled, not an I/O error
-        _STATS["model_stores"] += 1
+    _store_counted(f"model-{key}", payload, "model_stores")
+
+
+def bucket_key_prefix(model: Any, core: Any, dtype: Any) -> str:
+    """The part of every step-cost bucket key that one design point fixes.
+
+    Bucket keys hash the canonical JSON of ``{"core": core, "dtype":
+    dtype, "model": model, "schema": SCHEMA_VERSION, "step": [phase,
+    batch, tokens]}``; this is its text up to the step, which
+    :func:`bucket_key` completes.
+    """
+    memo: _Encoded = {}
+    return ('{"core":' + _encode(core, memo)
+            + ',"dtype":' + _encode(dtype, memo)
+            + ',"model":' + _encode(model, memo)
+            + ',"schema":' + _json_text(SCHEMA_VERSION) + ',"step":')
+
+
+def bucket_key(prefix: str, phase: str, batch: int, tokens: int) -> str:
+    """sha256 of one (phase, batch, tokens) bucket under ``prefix``
+    (a :func:`bucket_key_prefix`)."""
+    blob = prefix + canonical_json((phase, batch, tokens)) + "}"
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _bucket_well_formed(payload: Dict[str, Any]) -> bool:
+    layers = payload.get("layers")
+    return (type(payload.get("cycles")) is int
+            and isinstance(layers, list)
+            and all(isinstance(row, dict)
+                    and isinstance(row.get("name"), str)
+                    and all(type(row.get(field)) is int
+                            for field in LAYER_FIELDS)
+                    for row in layers))
+
+
+def load_bucket(key: str) -> Optional[Dict[str, Any]]:
+    """A step-cost bucket entry: ``cycles`` (the bucket's price) and
+    ``layers`` (each layer's ``name`` and :data:`LAYER_FIELDS`).
+
+    None on a miss; an entry of any other structure is quarantined
+    and reads as a miss.
+    """
+    return _load_checked(f"bucket-{key}", _bucket_well_formed,
+                         "bucket_hits")
+
+
+def store_bucket(key: str, payload: Dict[str, Any]) -> None:
+    """Persist a step-cost bucket entry (atomic, failure-tolerant)."""
+    _store_counted(f"bucket-{key}", payload, "bucket_stores")
 
 
 def note_memory_hit() -> None:

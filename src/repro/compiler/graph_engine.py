@@ -31,14 +31,6 @@ from .stream import Block, Stream, Task
 
 __all__ = ["CompiledLayer", "CompiledModel", "GraphEngine"]
 
-# The numeric fields a cached CompiledLayer round-trips through the
-# persistent cache (everything except name/workload identity).
-_PAYLOAD_FIELDS = (
-    "cycles", "cube_cycles", "vector_cycles", "mte1_cycles", "mte2_cycles",
-    "mte3_cycles", "l1_read_bytes", "l1_write_bytes", "gm_read_bytes",
-    "gm_write_bytes", "instr_count",
-)
-
 
 @dataclass(frozen=True)
 class CompiledLayer:
@@ -210,7 +202,7 @@ class GraphEngine:
         if stats_cached:
             self._cache[key] = layer
             cache.store(key, {f: getattr(layer, f)
-                              for f in _PAYLOAD_FIELDS})
+                              for f in cache.LAYER_FIELDS})
         return layer
 
     @staticmethod
@@ -219,7 +211,7 @@ class GraphEngine:
         """Cached statistics under this call's name/workload identity."""
         return CompiledLayer(
             name=name or work.name, workload=work,
-            **{f: getattr(layer, f) for f in _PAYLOAD_FIELDS},
+            **{f: getattr(layer, f) for f in cache.LAYER_FIELDS},
         )
 
     @staticmethod
@@ -227,7 +219,7 @@ class GraphEngine:
                       name: Optional[str]) -> CompiledLayer:
         return CompiledLayer(
             name=name or work.name, workload=work,
-            **{f: payload[f] for f in _PAYLOAD_FIELDS},
+            **{f: payload[f] for f in cache.LAYER_FIELDS},
         )
 
     # -- model compilation ----------------------------------------------------
@@ -365,7 +357,7 @@ class GraphEngine:
         GraphEngine._GLOBAL_MODEL_CACHE[key] = layers
         cache.store_model(key, {
             "layers": [
-                {field: getattr(layer, field) for field in _PAYLOAD_FIELDS}
+                {field: getattr(layer, field) for field in cache.LAYER_FIELDS}
                 for layer in layers
             ],
         })
@@ -384,7 +376,7 @@ class GraphEngine:
             try:
                 layers.append(CompiledLayer(
                     name=group, workload=work,
-                    **{field: entry[field] for field in _PAYLOAD_FIELDS},
+                    **{field: entry[field] for field in cache.LAYER_FIELDS},
                 ))
             except (KeyError, TypeError):
                 return None
@@ -437,7 +429,7 @@ def _compile_layer_job(job: Tuple[CoreConfig, OpWorkload, float]) -> dict:
     """
     config, work, scale = job
     layer = GraphEngine(config).compile_workload(work, a_bytes_scale=scale)
-    return {f: getattr(layer, f) for f in _PAYLOAD_FIELDS}
+    return {f: getattr(layer, f) for f in cache.LAYER_FIELDS}
 
 
 def _im2col_scales(graph: Graph) -> Dict[str, float]:

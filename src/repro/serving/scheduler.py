@@ -76,7 +76,7 @@ from .request import Request, RequestState
 from .settings import (POLICIES, serve_kv_fraction, serve_max_batch,
                        serve_policy)
 from .stepcost import StepCostModel
-from .traffic import TenantSpec, generate_trace
+from .traffic import TenantSpec, checked_seed, generate_trace
 
 __all__ = ["ServeSpec", "ServeReport", "simulate_serving", "MODES"]
 
@@ -104,6 +104,7 @@ class ServeSpec:
     def __post_init__(self) -> None:
         if not self.tenants:
             raise ConfigError("a serving campaign needs at least one tenant")
+        checked_seed(self.seed)
         if self.policy is not None and self.policy not in POLICIES:
             raise ConfigError(
                 f"unknown policy {self.policy!r}; known: {POLICIES}")

@@ -17,6 +17,14 @@ an exact event-engine number, not an analytic estimate.  Identical
 transformer layers inside each graph dedupe structurally, so a bucket
 costs roughly one layer compile.
 
+Each priced bucket is also stored as a ``bucket-<sha256>.json`` entry
+keyed by what the graph builder takes plus the design point
+(:func:`repro.compiler.cache.bucket_key`): a later cost model for the
+same design point reads its layers back without building or hashing
+the graph.  A miss compiles as above, which fills the layer and model
+tiers too.  The tier follows the stats tiers' bypasses (``REPRO_CACHE=0``
+and stall/sync fault campaigns) and is not used under the predictor.
+
 ``use_predictor`` (the ``REPRO_SERVE_PREDICT`` knob) swaps the event
 engine for the learned cycle predictor
 (:mod:`repro.perf.predictor`): same graphs, same feature schema, ~three
@@ -29,25 +37,25 @@ report says so.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..compiler.graph_engine import CompiledModel, GraphEngine
+from ..compiler import cache
+from ..compiler.graph_engine import GraphEngine, _observed
 from ..config.core_configs import CoreConfig
 from ..dtypes import DType, FP16
 from ..errors import ConfigError
+from ..graph import Graph
 from ..models.gpt import GptConfig, build_gpt, build_gpt_decode
 from ..profiling.counters import PerfCounters
 from .settings import serve_predict
 
 __all__ = ["StepCostModel", "bucket_pow2"]
 
-_LAYER_FIELDS = (
-    "cycles", "cube_cycles", "vector_cycles", "mte1_cycles", "mte2_cycles",
-    "mte3_cycles", "l1_read_bytes", "l1_write_bytes", "gm_read_bytes",
-    "gm_write_bytes", "instr_count",
-)
+# One priced bucket: its cycles and, from the event engine, each layer's
+# name and cache.LAYER_FIELDS (None under the predictor).
+_Priced = Tuple[int, Optional[List[Dict[str, Any]]]]
 
 
 def bucket_pow2(value: int, minimum: int = 1,
@@ -80,9 +88,9 @@ class StepCostModel:
         self.use_predictor = (serve_predict() if use_predictor is None
                               else use_predictor)
         self._predictor = self._load_predictor() if self.use_predictor else None
-        # bucket key -> (cycles, compiled model or None under the predictor)
-        self._memo: Dict[Tuple[str, int, int],
-                         Tuple[int, Optional[CompiledModel]]] = {}
+        self._key_prefix = (None if self.use_predictor
+                            else cache.bucket_key_prefix(model, core, dtype))
+        self._memo: Dict[Tuple[str, int, int], _Priced] = {}
         self._counts: Dict[Tuple[str, int, int], int] = {}
 
     def _load_predictor(self):
@@ -152,23 +160,42 @@ class StepCostModel:
         self._counts[key] += steps
         return hit[0]
 
-    def _compile(self, phase: str, batch: int,
-                 tokens: int) -> Tuple[int, Optional[CompiledModel]]:
+    def _graph(self, phase: str, batch: int, tokens: int) -> Graph:
         if phase == "prefill":
-            graph = build_gpt(self.model, batch=batch, seq=tokens,
-                              dtype=self.dtype)
-        else:
-            graph = build_gpt_decode(self.model, batch=batch,
-                                     context=tokens, dtype=self.dtype)
+            return build_gpt(self.model, batch=batch, seq=tokens,
+                             dtype=self.dtype)
+        return build_gpt_decode(self.model, batch=batch, context=tokens,
+                                dtype=self.dtype)
+
+    def _compile(self, phase: str, batch: int, tokens: int) -> _Priced:
         if self._predictor is not None:
             from ..perf.predictor.features import model_feature_matrix
 
+            graph = self._graph(phase, batch, tokens)
             features = model_feature_matrix(graph.grouped_workloads(),
                                             self.core)
             cycles = int(np.sum(self._predictor.predict(features)))
             return max(1, cycles), None
-        compiled = self.engine.compile_graph(graph)
-        return max(1, compiled.total_cycles), compiled
+        # Bypassed in both directions whenever the stats tiers are
+        # (load and store are no-ops under REPRO_CACHE=0).
+        key = None
+        if not cache.timing_stats_bypassed():
+            key = cache.bucket_key(self._key_prefix, phase, batch, tokens)
+            entry = cache.load_bucket(key)
+            if entry is not None:
+                # Reported to a profiling session as a model-tier hit is.
+                for row in entry["layers"]:
+                    _observed(SimpleNamespace(**row))
+                return entry["cycles"], entry["layers"]
+        compiled = self.engine.compile_graph(self._graph(phase, batch, tokens))
+        cycles = max(1, compiled.total_cycles)
+        rows = [{"name": layer.name,
+                 **{field: getattr(layer, field)
+                    for field in cache.LAYER_FIELDS}}
+                for layer in compiled.layers]
+        if key is not None:
+            cache.store_bucket(key, {"cycles": cycles, "layers": rows})
+        return cycles, rows
 
     # -- reporting ------------------------------------------------------------
 
@@ -194,19 +221,19 @@ class StepCostModel:
         baseline = since or {}
         total = PerfCounters()
         for key in sorted(self._memo):
-            cycles, compiled = self._memo[key]
+            cycles, rows = self._memo[key]
             p, b, t = key
             count = self._counts[key] - baseline.get(f"{p}_b{b}_t{t}", 0)
             if count <= 0:
                 continue
-            if compiled is None:
+            if rows is None:
                 scaled = PerfCounters()
                 scaled.total_cycles = cycles * count
                 total.add(scaled)
                 continue
-            for layer in compiled.layers:
+            for row in rows:
                 total.add(PerfCounters.from_layer(SimpleNamespace(**{
-                    field: getattr(layer, field) * count
-                    for field in _LAYER_FIELDS
+                    field: row[field] * count
+                    for field in cache.LAYER_FIELDS
                 })))
         return total

@@ -80,3 +80,15 @@ def test_step_cost_bucket(tracer):
     calls = _calls(tracer, {})
     assert calls["graph_build"] == 1
     assert calls["cache_key"] > 0
+
+
+def test_warm_step_cost_bucket(tracer):
+    core = soc_config_by_name("ascend-310").core_groups[0][0]
+    StepCostModel(GPT_TINY, core).decode_cycles(1, 16)
+    before = dict(tracer.calls)
+    StepCostModel(GPT_TINY, core).decode_cycles(1, 16)
+    warm = _calls(tracer, before)
+    assert warm["graph_build"] == 0  # a bucket entry, no graph
+    assert warm["cache_key"] == 0    # keyed by builder inputs, no hashing
+    assert warm["cache_io"] == 1     # one bucket load from disk
+    assert warm["lower"] == 0 and warm["drain"] == 0

@@ -121,6 +121,18 @@ class TestContinuousVsStatic:
             _run(_spec(LOADED), mode="clairvoyant")
 
 
+class TestSeedValidation:
+    def test_negative_seed_rejected_by_spec(self):
+        with pytest.raises(ConfigError, match="seed"):
+            _spec(LOADED, seed=-1)
+
+    def test_cli_negative_seed_exits_2(self, capsys):
+        from repro.serving.cli import main
+
+        assert main(["run", "--seed", "-1", "--requests", "1"]) == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+
+
 class TestPolicies:
     """Two tenants, one long prompt arriving just before one short
     prompt, single-slot engine: FCFS serves the long request first,

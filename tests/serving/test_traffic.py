@@ -74,6 +74,13 @@ class TestTenantIsolation:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 64), 1.5, "0"])
+    def test_bad_seed_raises(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            tenant_trace(ALPHA, seed, FREQ)
+        with pytest.raises(ConfigError, match="seed"):
+            generate_trace((ALPHA, BETA), seed, FREQ)
+
     def test_duplicate_tenant_names_raise(self):
         dup = TenantSpec(name="alpha", rate_rps=1.0, requests=1)
         with pytest.raises(ConfigError, match="duplicate"):
