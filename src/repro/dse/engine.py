@@ -23,17 +23,23 @@ One generation = propose -> predict -> promote -> simulate -> archive
    the generation (and may be re-promoted later) rather than aborting
    the search.
 5. The archive (candidate content key -> simulated record) and the
-   stats ledger are checkpointed atomically (temp file + ``os.replace``)
-   to a run-keyed JSON.  A killed search resumes from the last completed
-   generation: archived candidates are **never** re-simulated, and the
-   resumed trajectory is identical to the uninterrupted one — the
-   exported frontier artifact is byte-identical (pinned by
+   stats ledger are checkpointed atomically to a run-keyed JSON: compact
+   JSON (written by the C encoder) into a ``tempfile.mkstemp`` file of
+   the checkpoint's directory, then ``os.replace``, so processes sharing
+   the file never collide on a temp name or expose a torn checkpoint.
+   A killed search resumes from the last completed generation (from a
+   compact or an indented checkpoint alike): archived candidates are
+   **never** re-simulated, and the resumed trajectory is identical to
+   the uninterrupted one — the exported frontier artifact, still
+   indented JSON, is byte-identical (pinned by
    ``tests/dse/test_resume.py``).
 
 The checkpoint carries the trained predictor payload itself, so a
 resume predicts with exactly the model the search started with, plus a
 RunManifest provenance stamp (the one volatile section, excluded from
-every content key).
+every content key).  Every checkpoint carries the full manifest; its
+``git`` is the tree's describe at the process's first collection, so a
+search runs ``git describe`` once, not once per generation.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -80,10 +87,19 @@ def _canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a private temp file and
+    ``os.replace``: concurrent writers each rename a complete file of
+    their own, so a reader sees one whole version or another."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -442,7 +458,8 @@ class DseEngine:
 
     def write_frontier(self, path=None) -> Path:
         path = Path(path) if path is not None else self.frontier_path
-        _atomic_write_json(path, self.frontier_payload())
+        _atomic_write(path, json.dumps(self.frontier_payload(), indent=2,
+                                       sort_keys=True) + "\n")
         return path
 
     # -- checkpointing --------------------------------------------------------
@@ -466,7 +483,9 @@ class DseEngine:
                 config=self.spec.space.base_name,
                 extras={"dse": self.spec.space.name}).to_dict(),
         }
-        _atomic_write_json(self.checkpoint_path, payload)
+        # Compact, so json takes its C encoder (an indent forces the
+        # pure-Python one); resume reads either form.
+        _atomic_write(self.checkpoint_path, _canonical(payload) + "\n")
 
 
 # -- exhaustive reference -----------------------------------------------------

@@ -7,10 +7,17 @@ code (git describe), with which toolchain (Python/numpy versions), and
 what the compile cache and fault injector were doing at the time.  A
 manifest is a plain dict underneath, so it JSON round-trips and embeds
 directly in the Chrome trace's ``otherData``.
+
+The code a process runs cannot change under it, so ``git`` is the
+tree's describe at the process's first collection: :func:`git_describe`
+runs its subprocess once and is memoized from then on.  The knobs, the
+cache stats and the fault counters do change within a process, so every
+:meth:`RunManifest.collect` reads them afresh.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -22,9 +29,14 @@ from typing import Dict, Optional
 __all__ = ["RunManifest", "git_describe"]
 
 
+@functools.lru_cache(maxsize=None)
 def git_describe() -> str:
     """``git describe --always --dirty`` of the repo this code runs from,
-    or ``"unknown"`` outside a checkout / without git."""
+    or ``"unknown"`` outside a checkout / without git.
+
+    Memoized: the first call runs ``git`` (a few milliseconds), later
+    calls in the process return its answer.  ``git_describe.cache_clear()``
+    forgets it."""
     try:
         result = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

@@ -110,13 +110,15 @@ class StepCostModel:
 
         Token totals beyond ``max_context`` price as full-context chunks
         plus one bucketed remainder — the serving analogue of chunked
-        prefill.
+        prefill.  Each chunk charges one invocation of its bucket.
         """
         if tokens < 1:
             raise ConfigError(f"prefill of {tokens} tokens")
         cap = self.model.max_context
         full, rem = divmod(tokens, cap)
-        cycles = full * self._priced("prefill", 1, cap)
+        cycles = 0
+        if full:
+            cycles = full * self._priced("prefill", 1, cap, steps=full)
         if rem:
             bucket = bucket_pow2(rem, self.MIN_TOKEN_BUCKET, cap)
             cycles += self._priced("prefill", 1, bucket)

@@ -7,13 +7,19 @@ that matches but cannot be cleared, such as a typing alias of ``dict``,
 breaks every benchmark run.
 """
 
+from repro.profiling.manifest import git_describe
 from tests.scripts import load_script
 
 
 def test_every_memo_clearer_runs():
     workloads = load_script("perfbench/workloads.py")
     workloads.import_program()
+    # The ``git describe`` memo is one of the tiers, so every operation
+    # pays the one describe a fresh process pays.
+    git_describe()
+    assert git_describe.cache_info().currsize == 1
     clearers = workloads.memo_clearers()
     assert clearers
     for clear in clearers:
         clear()
+    assert git_describe.cache_info().currsize == 0

@@ -6,13 +6,19 @@ subprocess test in ``test_resume.py``.
 """
 
 import json
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
 
 from repro.dse import (DseEngine, Knob, MixEntry, SearchSpec, SearchSpace,
                        brute_force_frontier)
+from repro.dse import engine as engine_module
 from repro.errors import ConfigError
+from repro.profiling import manifest as manifest_module
 
 
 def _tiny_space():
@@ -180,3 +186,109 @@ class TestCheckpointIntegrity:
     def test_missing_checkpoint_is_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="no DSE checkpoint"):
             DseEngine.resume(tmp_path / "nope.json")
+
+
+class TestCheckpointWrites:
+    def test_one_git_describe_per_search(self, predictor, tmp_path,
+                                         monkeypatch):
+        describes = []
+        real_run = subprocess.run
+
+        def counting_run(args, *rest, **kwargs):
+            if list(args[:2]) == ["git", "describe"]:
+                describes.append(args)
+            return real_run(args, *rest, **kwargs)
+
+        written = []
+        real_write = engine_module._atomic_write
+
+        def recording_write(path, text):
+            written.append((path, text))
+            real_write(path, text)
+
+        monkeypatch.setattr(manifest_module.subprocess, "run", counting_run)
+        monkeypatch.setattr(engine_module, "_atomic_write", recording_write)
+        manifest_module.git_describe.cache_clear()
+        engine = DseEngine(_spec(), predictor, tmp_path)
+        engine.run(max_workers=1)
+
+        checkpoints = [json.loads(text) for path, text in written
+                       if path == engine.checkpoint_path]
+        assert len(checkpoints) == 3       # the initial one + 2 generations
+        describe = manifest_module.git_describe()
+        assert describe
+        assert all(c["manifest"]["git"] == describe for c in checkpoints)
+        assert len(describes) == 1         # the lookup above was memoized
+
+    def test_checkpoint_is_compact_json(self, predictor, tmp_path):
+        engine = DseEngine(_spec(), predictor, tmp_path)
+        engine.run(max_workers=1, stop_after=1)
+        text = engine.checkpoint_path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+        assert [p.name for p in tmp_path.iterdir()] \
+            == [engine.checkpoint_path.name]
+
+    def test_compact_and_indented_checkpoints_resume_alike(self, predictor,
+                                                          tmp_path):
+        straight = DseEngine(_spec(), predictor, tmp_path / "straight")
+        straight.run(max_workers=1)
+        straight.write_frontier()
+
+        halted = DseEngine(_spec(), predictor, tmp_path / "compact")
+        halted.run(max_workers=1, stop_after=1)
+        payload = json.loads(halted.checkpoint_path.read_text())
+        indented = tmp_path / "indented" / halted.checkpoint_path.name
+        indented.parent.mkdir()
+        # The form checkpoints were written in before they went compact.
+        indented.write_text(json.dumps(payload, indent=2, sort_keys=True)
+                            + "\n")
+
+        frontiers = []
+        for path in (halted.checkpoint_path, indented):
+            resumed = DseEngine.resume(path)
+            resumed.run(max_workers=1)
+            frontiers.append(resumed.write_frontier().read_bytes())
+        assert frontiers[0] == frontiers[1] \
+            == straight.frontier_path.read_bytes()
+
+    @pytest.mark.slow
+    def test_concurrent_writers_and_a_reader_never_collide(self, tmp_path):
+        """Two processes given the same spec share one checkpoint file:
+        each rewrites it while a third reads it, and no write fails, no
+        read is torn and no temp file is left behind."""
+        path = tmp_path / "dse-shared.json"
+        path.write_text(json.dumps({"writer": "seed"}))
+        writer = textwrap.dedent("""
+            import json, sys
+            from pathlib import Path
+            from repro.dse.engine import _atomic_write
+            path, tag = Path(sys.argv[1]), sys.argv[2]
+            rows = [[i, tag * 16] for i in range(4000)]
+            for n in range(400):
+                _atomic_write(path, json.dumps({"writer": tag, "n": n,
+                                                "rows": rows}) + "\\n")
+        """)
+        writers = [subprocess.Popen([sys.executable, "-c", writer,
+                                     str(path), tag],
+                                    stderr=subprocess.PIPE, text=True)
+                   for tag in ("a", "b")]
+        reads, torn = 0, 0
+        deadline = time.monotonic() + 120
+        try:
+            while (any(w.poll() is None for w in writers)
+                   and time.monotonic() < deadline):
+                try:
+                    json.loads(path.read_text())
+                except ValueError:
+                    torn += 1
+                reads += 1
+        finally:
+            for w in writers:
+                if w.poll() is None:       # still writing at the deadline
+                    w.kill()
+            errors = [w.communicate()[1] for w in writers]
+        assert [w.returncode for w in writers] == [0, 0], errors
+        assert reads and torn == 0
+        assert json.loads(path.read_text())["n"] == 399
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]

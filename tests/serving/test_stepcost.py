@@ -91,6 +91,29 @@ class TestPrefillChunking:
         assert chunked == 2 * cost.prefill_cycles(cap) \
             + cost.prefill_cycles(5)
 
+    def test_prompt_below_the_cap_charges_no_capped_bucket(self):
+        cost = StepCostModel(TINY, CORE, use_predictor=False)
+        cost.prefill_cycles(40)
+        assert cost.invocations() == {"prefill_b1_t64": 1}
+        assert cost.distinct_buckets == 1
+
+    def test_each_full_chunk_charges_one_capped_invocation(self):
+        cap = TINY.max_context
+        reference = StepCostModel(TINY, CORE, use_predictor=False)
+        price_cap = reference.prefill_cycles(cap)
+        price_rem = reference.prefill_cycles(5)    # the t16 bucket
+        cost = StepCostModel(TINY, CORE, use_predictor=False)
+        assert cost.prefill_cycles(2 * cap + 5) == 2 * price_cap + price_rem
+        assert cost.invocations() == {"prefill_b1_t128": 2,
+                                      "prefill_b1_t16": 1}
+        # The counters scale with the chunks charged, not with the calls.
+        single = StepCostModel(TINY, CORE, use_predictor=False)
+        single.prefill_cycles(cap)
+        single.prefill_cycles(cap)
+        single.prefill_cycles(5)
+        assert (cost.aggregate_counters().to_dict()
+                == single.aggregate_counters().to_dict())
+
     def test_small_prompts_share_the_floor_bucket(self, cost):
         assert cost.prefill_cycles(3) == cost.prefill_cycles(16)
 
