@@ -23,9 +23,11 @@ test-faults:
 # tests/compiler/tiling_oracle.py; the event-driven serving loop vs
 # the per-step loop in tests/serving/oracle.py; the one-pass cache
 # key encoder (layer, model and sweep-job keys) vs the dict-then-json
-# encoder in tests/compiler/key_oracle.py; and the bulk request draws
-# of the traffic generator vs one numpy generator per request in
-# tests/serving/traffic_oracle.py.
+# encoder in tests/compiler/key_oracle.py; the bulk request draws of
+# the traffic generator vs one numpy generator per request in
+# tests/serving/traffic_oracle.py; and the batched predictor feature
+# extractor vs the per-layer scalar extractor in
+# tests/perf/features_oracle.py.
 test-equiv:
 	$(PY) -m pytest -q tests/core/test_trace_columnar.py \
 		tests/core/test_engine_equivalence.py \
@@ -36,7 +38,8 @@ test-equiv:
 		tests/compiler/test_tiling_equivalence.py \
 		tests/compiler/test_key_equivalence.py \
 		tests/serving/test_scheduler_equivalence.py \
-		tests/serving/test_traffic_equivalence.py
+		tests/serving/test_traffic_equivalence.py \
+		tests/perf/test_batch_features.py
 
 bench:
 	$(PY) -m pytest benchmarks/ -q

@@ -5,8 +5,8 @@ statistics depend only on the workload, the core design point, and the
 cost-model schema.  This module caches those statistics on disk keyed by
 a content hash of exactly those inputs, so benchmark processes and the
 test suite skip redundant lowering + scheduling across *process*
-boundaries (the in-memory ``GraphEngine._GLOBAL_CACHE`` already handles
-repeats within one process).
+boundaries (the in-memory ``GraphEngine._GLOBAL_CACHE``, a plain dict
+that is never evicted, already handles repeats within one process).
 
 Layout: ``<cache dir>/v<SCHEMA_VERSION>/<sha256>.json``.  The cache dir
 comes from ``REPRO_CACHE_DIR`` (default ``.repro_cache/``); setting
@@ -53,10 +53,8 @@ import hashlib
 import json
 import os
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator,
-                    MutableMapping, Optional, Tuple)
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 if TYPE_CHECKING:
     from ..graph.workload import OpWorkload
@@ -67,9 +65,7 @@ __all__ = ["SCHEMA_VERSION", "LAYER_FIELDS", "enabled", "cache_dir",
            "quarantine_model", "bucket_key_prefix", "bucket_key",
            "load_bucket", "store_bucket",
            "note_memory_hit", "note_model_memory_hit", "stats", "reset_stats",
-           "snapshot", "merge_stats",
-           "LruCache", "memory_max_entries", "program_cache_enabled",
-           "store_arena", "load_arena", "quarantine_dir",
+           "snapshot", "merge_stats", "quarantine_dir",
            "timing_stats_bypassed"]
 
 # Bump when lowering, the cost model, or the payload shape changes, and
@@ -88,14 +84,11 @@ LAYER_FIELDS = (
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_ENABLE = "REPRO_CACHE"
-_ENV_MAX_ENTRIES = "REPRO_CACHE_MAX_ENTRIES"
-_ENV_PROGRAM = "REPRO_PROGRAM_CACHE"
 _DEFAULT_DIR = ".repro_cache"
 
 _STATS = {"hits": 0, "misses": 0, "stores": 0, "errors": 0,
           "memory_hits": 0, "model_hits": 0, "model_stores": 0,
-          "model_memory_hits": 0, "evictions": 0,
-          "arena_hits": 0, "arena_stores": 0, "quarantined": 0,
+          "model_memory_hits": 0, "quarantined": 0,
           "fault_bypasses": 0, "bucket_hits": 0, "bucket_stores": 0}
 
 
@@ -106,8 +99,8 @@ def timing_stats_bypassed() -> bool:
     is active every stats tier (memory and persistent, layer and model)
     is bypassed in both directions: a cached clean schedule would mask
     the injected faults, and a faulted schedule must never be served to
-    a later clean run.  The arena/program cache is unaffected —
-    lowering is timing-independent.
+    a later clean run.  The step-cost bucket tier is bypassed too.
+    Lowering is timing-independent, so the lowering memo stays on.
     """
     from ..reliability.injector import active_injector
 
@@ -133,23 +126,6 @@ def cache_dir() -> Path:
     return Path(base) / f"v{SCHEMA_VERSION}"
 
 
-def memory_max_entries() -> Optional[int]:
-    """Entry cap for the in-memory tiers (``REPRO_CACHE_MAX_ENTRIES``).
-
-    None (the default) means unbounded — the historical behavior; ``0``
-    requests unbounded explicitly.  A cap matters for long-lived sweep
-    processes that compile thousands of distinct (design point,
-    workload) pairs: each CompiledLayer is small, but whole-model
-    entries hold full layer lists.  Invalid values (non-integers,
-    negatives) raise :class:`~repro.errors.ConfigError` naming the
-    variable instead of silently running unbounded.
-    """
-    from ..config.env import env_int
-
-    cap = env_int(_ENV_MAX_ENTRIES, default=None, minimum=0)
-    return cap if cap else None
-
-
 def quarantine_dir() -> Path:
     """Where corrupt artifacts are moved for post-mortem inspection."""
     return cache_dir() / "quarantine"
@@ -170,50 +146,6 @@ def _quarantine(path: Path) -> None:
         _STATS["quarantined"] += 1
     except OSError:
         _STATS["errors"] += 1
-
-
-class LruCache(MutableMapping):
-    """A dict with least-recently-used eviction for the in-memory tiers.
-
-    The cap is re-read from the environment on every insertion so tests
-    (and long-lived processes) can tighten it at runtime; evictions are
-    counted in :func:`stats`.  With no cap configured this is an ordinary
-    dict with access-order bookkeeping.
-    """
-
-    def __init__(self) -> None:
-        self._data: "OrderedDict[Any, Any]" = OrderedDict()
-
-    def __getitem__(self, key: Any) -> Any:
-        value = self._data[key]
-        self._data.move_to_end(key)
-        return value
-
-    def __setitem__(self, key: Any, value: Any) -> None:
-        data = self._data
-        if key in data:
-            data.move_to_end(key)
-        data[key] = value
-        cap = memory_max_entries()
-        if cap is not None:
-            while len(data) > cap:
-                data.popitem(last=False)
-                _STATS["evictions"] += 1
-
-    def __delitem__(self, key: Any) -> None:
-        del self._data[key]
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._data)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
 
 
 # -- canonical JSON ------------------------------------------------------------------
@@ -557,88 +489,10 @@ def note_model_memory_hit() -> None:
     _STATS["model_memory_hits"] += 1
 
 
-# -- arena-native program artifacts ------------------------------------------------
-#
-# Whole lowered programs persisted as raw columns (one .npz per key):
-# loading one rebuilds an InstructionArena with zero instruction objects
-# and zero re-lowering.  Off by default (REPRO_PROGRAM_CACHE=1 enables):
-# the compile path only needs summary payloads, and program artifacts are
-# megabytes where summaries are bytes.
-
-
-def program_cache_enabled() -> bool:
-    """Whether lowered-program artifacts are persisted/read
-    (``REPRO_PROGRAM_CACHE=1``; requires the cache itself enabled)."""
-    from ..config.env import env_flag
-
-    return enabled() and env_flag(_ENV_PROGRAM, default=False)
-
-
-def store_arena(key: str, arena: Any) -> None:
-    """Persist an exact arena's columns as ``prog-<key>.npz`` (atomic,
-    failure-tolerant; silently skipped for inexact arenas)."""
-    import numpy as np
-
-    if not program_cache_enabled():
-        return
-    try:
-        columns = arena.columns()
-    except Exception:
-        return  # inexact rows: objects are authoritative, don't persist
-    directory = cache_dir()
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, schema=SCHEMA_VERSION,
-                         tags=np.asarray(arena.tags, dtype=object),
-                         **columns)
-            os.replace(tmp, directory / f"prog-{key}.npz")
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError:
-        _STATS["errors"] += 1
-        return
-    _STATS["arena_stores"] += 1
-
-
-def load_arena(key: str) -> Optional[Any]:
-    """Rebuild an :class:`~repro.isa.arena.InstructionArena` from a
-    ``prog-<key>.npz`` artifact, or None on miss/corruption."""
-    import numpy as np
-
-    from ..isa.arena import InstructionArena
-
-    if not program_cache_enabled():
-        return None
-    path = cache_dir() / f"prog-{key}.npz"
-    try:
-        with np.load(path, allow_pickle=True) as data:
-            if int(data["schema"]) != SCHEMA_VERSION:
-                _STATS["misses"] += 1
-                return None
-            tags = [str(t) for t in data["tags"]]
-            columns = {name: data[name] for name in data.files
-                       if name not in ("schema", "tags")}
-        arena = InstructionArena.from_columns(columns, tags)
-    except FileNotFoundError:
-        _STATS["misses"] += 1
-        return None
-    except Exception:
-        # Corrupt program artifact: quarantine + re-lower, never crash.
-        _STATS["errors"] += 1
-        _quarantine(path)
-        return None
-    _STATS["arena_hits"] += 1
-    return arena
-
-
 def stats() -> Dict[str, Any]:
     """Counters for this process plus the active configuration."""
     return {**_STATS, "enabled": enabled(), "dir": str(cache_dir()),
-            "schema": SCHEMA_VERSION, "max_entries": memory_max_entries()}
+            "schema": SCHEMA_VERSION}
 
 
 def reset_stats() -> None:

@@ -23,7 +23,6 @@ from ..graph import Graph
 from ..graph.ops import Conv2D, DepthwiseConv2D
 from ..graph.workload import OpWorkload
 from ..isa.pipes import Pipe
-from ..isa.program import Program
 from ..profiling.session import active_session
 from . import cache
 from .lowering import lower_workload
@@ -129,12 +128,11 @@ class GraphEngine:
     not recompile identical layers.
     """
 
-    # Both in-memory tiers are LRU-bounded by REPRO_CACHE_MAX_ENTRIES
-    # (unbounded by default); evictions show up in cache.stats().
-    _GLOBAL_CACHE: cache.LruCache = cache.LruCache()
+    # Tier 1, per-layer statistics keyed by cache.content_key.
+    _GLOBAL_CACHE: Dict[str, CompiledLayer] = {}
     # Whole-model artifacts (ordered CompiledLayer lists) keyed by
     # cache.model_content_key — the third caching tier above per-layer.
-    _GLOBAL_MODEL_CACHE: cache.LruCache = cache.LruCache()
+    _GLOBAL_MODEL_CACHE: Dict[str, List[CompiledLayer]] = {}
 
     def __init__(self, config: CoreConfig) -> None:
         self.config = config
@@ -172,17 +170,8 @@ class GraphEngine:
                 else:
                     self._cache[key] = layer
                     return _observed(layer)
-        program = None
-        if cache.program_cache_enabled():
-            arena = cache.load_arena(key)
-            if arena is not None:
-                program = Program.from_arena(
-                    arena, name=f"{work.name}_{self.config.name}")
-        if program is None:
-            program = lower_workload(work, self.config,
-                                     a_bytes_scale_for_gemms=a_bytes_scale)
-            if cache.program_cache_enabled():
-                cache.store_arena(key, program._arena)
+        program = lower_workload(work, self.config,
+                                 a_bytes_scale_for_gemms=a_bytes_scale)
         summary = schedule_summary(program, self.costs)
         layer = CompiledLayer(
             name=name or work.name,
@@ -239,82 +228,7 @@ class GraphEngine:
         ResNet-50/BERT (and the stream schedules derived from them via
         :meth:`to_streams`) without lowering or scheduling a single
         layer.
-
-        ``REPRO_COMPILE_WORKERS`` >= 2 routes through
-        :meth:`compile_graph_parallel`, which shards cold per-layer
-        compiles across a fork-based worker pool; results are identical
-        by construction (workers only pre-seed the caches the serial
-        path then reads).  Unset/0/1 keeps the serial path — the
-        off-by-default behavior is byte-for-byte unchanged.
         """
-        workers = _compile_workers()
-        if workers > 1:
-            return self.compile_graph_parallel(graph, workloads,
-                                               max_workers=workers)
-        return self._compile_graph_serial(graph, workloads)
-
-    def compile_graph_parallel(self, graph: Graph,
-                               workloads: Optional[
-                                   Sequence[Tuple[str, OpWorkload]]] = None,
-                               max_workers: Optional[int] = None
-                               ) -> CompiledModel:
-        """Shard cold per-layer compiles across a fork-based worker pool.
-
-        The structurally deduped layer set (minus in-memory cache hits)
-        fans out over :func:`repro.bench.supervise` — each worker lowers
-        + schedules its layers, stores arena programs and stats into the
-        shared persistent cache, and ships the numeric payload back; the
-        parent seeds the process-global memory cache from those payloads
-        and then runs the *unchanged* serial assembly, so the resulting
-        :class:`CompiledModel` is byte-identical to a serial compile.
-        Worker cache counters fold back into this process's
-        ``cache.stats()`` via the sweep harness's fork-aware stats
-        plumbing.  Jobs the supervisor quarantines (crashing, hung, or
-        chaos-poisoned workers past their retry budget) simply ship no
-        payload — the serial assembly recompiles those layers in
-        process, so a degraded sweep still yields an identical model.
-        Falls back to serial work transparently on no-fork platforms
-        (the supervisor's own fallback) and skips the fan-out
-        entirely when a timing-fault campaign is active (per-call
-        perturbations must not cross process boundaries) or when the
-        whole model is already cached in memory.
-        """
-        pairs = list(workloads if workloads is not None
-                     else graph.grouped_workloads())
-        scales = _im2col_scales(graph)
-        model_key = cache.model_content_key(self.config, pairs, scales)
-        if (not cache.timing_stats_bypassed()
-                and GraphEngine._GLOBAL_MODEL_CACHE.get(model_key) is None):
-            seen: Dict[str, Tuple[OpWorkload, float]] = {}
-            for group, work in pairs:
-                scale = scales.get(group, 1.0)
-                key = cache.content_key(self.config, work, scale)
-                if key in seen or self._cache.get(key) is not None:
-                    continue
-                seen[key] = (work, scale)
-            if seen:
-                from ..bench.supervisor import SweepPolicy, supervise
-
-                jobs = [(self.config, work, scale)
-                        for work, scale in seen.values()]
-                outcome = supervise(jobs, _compile_layer_job,
-                                    max_workers=max_workers,
-                                    policy=SweepPolicy.from_env())
-                for key, payload in zip(seen, outcome.results):
-                    if payload is None:
-                        continue  # quarantined job: serial path recompiles
-                    work, _ = seen[key]
-                    try:
-                        layer = self._from_payload(payload, work, None)
-                    except (KeyError, TypeError):
-                        continue  # worker anomaly: serial path recompiles
-                    self._cache[key] = layer
-        return self._compile_graph_serial(graph, workloads)
-
-    def _compile_graph_serial(self, graph: Graph,
-                              workloads: Optional[
-                                  Sequence[Tuple[str, OpWorkload]]] = None
-                              ) -> CompiledModel:
         pairs = list(workloads if workloads is not None
                      else graph.grouped_workloads())
         scales = _im2col_scales(graph)
@@ -404,32 +318,6 @@ class GraphEngine:
             tasks.append(Task(name=layer.name, blocks=blocks,
                               workload=layer.workload))
         return Stream(name=compiled.name, tasks=tasks)
-
-
-def _compile_workers() -> int:
-    """Worker count for process-sharded compiles (``REPRO_COMPILE_WORKERS``).
-
-    Unset, ``0``, and ``1`` all select the serial path — parallel
-    compilation is opt-in because forking a pool only pays off on cold
-    multi-layer compiles.
-    """
-    from ..config.env import env_int
-
-    limit = env_int("REPRO_COMPILE_WORKERS", default=None, minimum=0)
-    return limit or 1
-
-
-def _compile_layer_job(job: Tuple[CoreConfig, OpWorkload, float]) -> dict:
-    """Sweep worker: compile one deduped layer, return its payload.
-
-    Runs in a forked worker.  ``compile_workload`` stores the arena
-    program and stats entry into the shared persistent cache as a side
-    effect, so even on platforms where the payload hand-back is lost the
-    next serial compile is a disk hit.
-    """
-    config, work, scale = job
-    layer = GraphEngine(config).compile_workload(work, a_bytes_scale=scale)
-    return {f: getattr(layer, f) for f in cache.LAYER_FIELDS}
 
 
 def _im2col_scales(graph: Graph) -> Dict[str, float]:

@@ -7,7 +7,7 @@ learned cycle model and simulating only the predicted Pareto frontier —
 """
 
 from .engine import DseEngine, SearchSpec, brute_force_frontier
-from .objectives import design_area_mm2, design_power_w, mix_weighted_cycles
+from .objectives import mix_weighted_cycles
 from .pareto import frontier_groups, pareto_indices
 from .space import Knob, MixEntry, SearchSpace, space_by_name
 from .strategies import strategy_by_name
@@ -16,8 +16,6 @@ __all__ = [
     "DseEngine",
     "SearchSpec",
     "brute_force_frontier",
-    "design_area_mm2",
-    "design_power_w",
     "mix_weighted_cycles",
     "frontier_groups",
     "pareto_indices",

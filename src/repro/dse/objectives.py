@@ -14,28 +14,28 @@
   achieved average power of a particular run is a profiling question,
   not a design-space axis.
 
-The batched variants consume the same ``config_feature_columns`` dict
-the feature extractor uses and reproduce the scalar helpers bit for bit
-(pinned by ``tests/dse/test_objectives.py``) — the promotion loop calls
-no per-config Python.
+Both are computed in batch over the same ``config_feature_columns``
+dict the feature extractor uses, so the promotion loop calls no
+per-config Python.  They reproduce the per-design models of
+:mod:`repro.perf` bit for bit — ``core_area_mm2(config, node,
+buffers_factor=BUFFERS_FACTOR)`` and the
+:class:`~repro.perf.energy.EnergyModel` rated power ``(cube_power_w() +
+vector_power_w()) * (1 + static_fraction)`` — as
+``tests/dse/test_objectives.py`` checks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
-from ..config.core_configs import CoreConfig
 from ..config.tech import tech_by_node
-from ..perf.area import core_area_mm2
 from ..perf.energy import EnergyModel
 from .space import MixEntry
 
 __all__ = [
     "BUFFERS_FACTOR",
-    "design_area_mm2",
-    "design_power_w",
     "design_area_columns",
     "design_power_columns",
     "mix_weighted_cycles",
@@ -45,18 +45,6 @@ __all__ = [
 BUFFERS_FACTOR = 1.55
 
 
-def design_area_mm2(config: CoreConfig, node_nm: float = 7) -> float:
-    """Whole-core area of one design point (the area objective)."""
-    return core_area_mm2(config, node_nm, buffers_factor=BUFFERS_FACTOR)
-
-
-def design_power_w(config: CoreConfig, node_nm: float = 7) -> float:
-    """Rated power of one design point (the power objective)."""
-    em = EnergyModel(config, node_nm)
-    return (em.cube_power_w() + em.vector_power_w()) \
-        * (1.0 + em.static_fraction)
-
-
 def _lanes(widths: np.ndarray) -> np.ndarray:
     # Widths are even byte counts, so float division == integer floor.
     return np.maximum(1.0, widths / 2.0)
@@ -64,10 +52,11 @@ def _lanes(widths: np.ndarray) -> np.ndarray:
 
 def design_area_columns(columns: Dict[str, np.ndarray],
                         node_nm: float = 7) -> np.ndarray:
-    """Vectorized :func:`design_area_mm2` over a config-column dict.
+    """Whole-core area of every design point in a config-column dict.
 
-    Operation order mirrors the scalar path exactly — (scalar + vector)
-    + cube, then the buffers factor — so the two agree bit for bit.
+    Operation order mirrors :func:`~repro.perf.area.core_area_mm2`
+    exactly — (scalar + vector) + cube, then the buffers factor — so the
+    two agree bit for bit.
     """
     tech = tech_by_node(node_nm)
     kmacs = (columns["cube_m"] * columns["cube_k"]
@@ -80,7 +69,8 @@ def design_area_columns(columns: Dict[str, np.ndarray],
 
 def design_power_columns(columns: Dict[str, np.ndarray],
                          node_nm: float = 7) -> np.ndarray:
-    """Vectorized :func:`design_power_w` over a config-column dict."""
+    """Rated power of every design point in a config-column dict:
+    (peak cube + peak vector dynamic power) x (1 + static fraction)."""
     tech = tech_by_node(node_nm)
     freq = columns["frequency_hz"]
     cube_flops = 2.0 * (columns["cube_m"] * columns["cube_k"]

@@ -10,10 +10,9 @@ cube accumulate bit, interned tag ids — so that
 * the cost model prices the whole program in a handful of vectorized
   expressions (:meth:`~repro.core.costs.CostModel.cost_columns`),
 * static validation is masked column reductions
-  (:meth:`~repro.isa.program.Program.validate`),
+  (:meth:`~repro.isa.program.Program.validate`), and
 * the timing engine's prepass reads the columns directly instead of
-  dispatching per instruction object, and
-* the persistent cache serializes the columns with no object round-trip.
+  dispatching per instruction object.
 
 :class:`~repro.isa.instructions.Instruction` dataclasses survive as a
 *lazy view* (mirroring ``TraceEvent`` over the trace arena):
@@ -366,6 +365,9 @@ class InstructionArena:
     def instruction_at(self, i: int) -> Instruction:
         return self.materialize()[i]
 
+    def _kind_set(self) -> List[int]:
+        return [int(k) for k in np.unique(self.kind)]
+
     # -- structural ops -------------------------------------------------------
 
     def retagged(self, tag: str) -> "InstructionArena":
@@ -437,37 +439,3 @@ class InstructionArena:
                 shape = 0 if rank == 1 else (0, 3)
                 setattr(out, name, np.zeros(shape, dtype))
         return out
-
-    # -- serialization (cache artifacts) --------------------------------------
-
-    def columns(self) -> Dict[str, np.ndarray]:
-        """The raw columns, for arena-native serialization.
-
-        Raises when the arena holds rows only the retained objects could
-        rebuild — those programs must not round-trip through columns.
-        """
-        missing = set(self._kind_set()) - _MATERIALIZABLE
-        if missing or not self.exact:
-            raise IsaError(
-                f"opcode(s) {sorted(missing)} are not column-serializable "
-                f"(exact={self.exact})")
-        return {name: getattr(self, name) for name in _COLUMN_NAMES}
-
-    def _kind_set(self) -> List[int]:
-        return [int(k) for k in np.unique(self.kind)]
-
-    @classmethod
-    def from_columns(cls, columns: Dict[str, np.ndarray], tags: List[str]
-                     ) -> "InstructionArena":
-        """Rebuild an arena from :meth:`columns` output (cache load path —
-        no instruction objects are created)."""
-        n = int(len(columns["kind"]))
-        arena = cls(n, tags=list(tags))
-        for name, dtype, rank in _COLUMNS:
-            column = np.asarray(columns[name], dtype)
-            expected = (n,) if rank == 1 else (n, 3)
-            if column.shape != expected:
-                raise IsaError(f"arena column {name} has shape "
-                               f"{column.shape}, expected {expected}")
-            setattr(arena, name, column)
-        return arena

@@ -26,9 +26,8 @@ Layout:
 """
 
 from .features import (FEATURE_SCHEMA_VERSION, feature_names,
-                       features_digest, layer_features,
-                       model_feature_matrix, counters_feature_columns,
-                       counters_feature_matrix)
+                       features_digest, model_feature_matrix,
+                       counters_feature_columns, counters_feature_matrix)
 from .model import CyclePredictor, mape, p95_relative_error
 from .dataset import (Dataset, collect_dataset, design_point_variants,
                       FULL_CORPUS, SMOKE_CORPUS, workload_class)
@@ -41,7 +40,6 @@ __all__ = [
     "FEATURE_SCHEMA_VERSION",
     "feature_names",
     "features_digest",
-    "layer_features",
     "model_feature_matrix",
     "counters_feature_columns",
     "counters_feature_matrix",

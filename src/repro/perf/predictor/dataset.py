@@ -30,7 +30,7 @@ import numpy as np
 
 from ...config.core_configs import CoreConfig, CubeShape, core_config_by_name
 from ...graph.workload import OpWorkload
-from .features import feature_names, layer_features
+from .features import feature_names, model_feature_matrix
 
 __all__ = [
     "Dataset",
@@ -161,14 +161,9 @@ def _collect_job(job: Tuple[str, dict, CoreConfig]
     pairs = list(graph.grouped_workloads())
     scales = _im2col_scales(graph)
     compiled = GraphEngine(config).compile_graph(graph)
-    rows: List[List[float]] = []
-    targets: List[float] = []
-    labels: List[str] = []
-    for (group, work), layer in zip(pairs, compiled.layers):
-        rows.append(layer_features(work, config,
-                                   scales.get(group, 1.0)).tolist())
-        targets.append(float(layer.cycles))
-        labels.append(f"{model_name}@{config.name}/{group}")
+    rows = model_feature_matrix(pairs, config, scales).tolist()
+    targets = [float(layer.cycles) for layer in compiled.layers]
+    labels = [f"{model_name}@{config.name}/{group}" for group, _ in pairs]
     return rows, targets, labels
 
 

@@ -2,12 +2,14 @@
 
 Two extractors live here:
 
-* :func:`layer_features` — the *predictive* feature vector: everything
-  knowable **without simulating** — workload structure
+* :func:`candidate_feature_matrix` — the *predictive* feature rows:
+  everything knowable **without simulating** — workload structure
   (:class:`~repro.graph.workload.OpWorkload`), Table 5 design-point
   parameters, and cheap analytic per-resource cycle estimates (the
-  roofline hints the model refines).  This is what the fast tier
-  evaluates for thousands of candidate configurations.
+  roofline hints the model refines) — for every (design point x layer)
+  pair at once.  This is what the fast tier evaluates for thousands of
+  candidate configurations; :func:`model_feature_matrix` is its batch
+  of one design point.
 * :func:`counters_feature_columns` — the *observed* columns of a
   :class:`~repro.profiling.counters.PerfCounters` registry (instruction
   mix, route matrix, flag-wait histograms) for training-set diagnostics
@@ -28,7 +30,6 @@ models are a clean mismatch instead of silently misread columns.
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,9 +41,7 @@ __all__ = [
     "FEATURE_SCHEMA_VERSION",
     "CONFIG_COLUMN_NAMES",
     "feature_names",
-    "layer_features",
     "model_feature_matrix",
-    "graph_feature_matrix",
     "config_feature_columns",
     "candidate_feature_matrix",
     "features_digest",
@@ -121,154 +120,16 @@ def feature_names() -> Tuple[str, ...]:
     return _NAMES
 
 
-def layer_features(work: OpWorkload, config: CoreConfig,
-                   a_bytes_scale: float = 1.0) -> np.ndarray:
-    """One float64 feature row for (workload, design point).
-
-    Pure function of its arguments — no simulator state, no caches, no
-    randomness — so identical inputs produce byte-identical rows.
-    """
-    cube = config.cube
-    tiles = 0
-    macs = 0
-    a_bytes = b_bytes = c_elems = 0
-    m_shapes: List[int] = []
-    k_shapes: List[int] = []
-    n_shapes: List[int] = []
-    densities: List[float] = []
-    dtype_bytes = 0.0
-    dominant_macs = -1
-    for gemm in work.gemms:
-        tm = -(-gemm.m // cube.m)
-        tk = -(-gemm.k // cube.k)
-        tn = -(-gemm.n // cube.n)
-        tiles += tm * tk * tn * gemm.count
-        macs += gemm.macs
-        a_bytes += gemm.a_bytes
-        b_bytes += gemm.b_bytes
-        c_elems += gemm.c_elems
-        m_shapes.append(gemm.m)
-        k_shapes.append(gemm.k)
-        n_shapes.append(gemm.n)
-        padded = (tm * cube.m) * (tk * cube.k) * (tn * cube.n)
-        densities.append(gemm.m * gemm.k * gemm.n / padded)
-        if gemm.macs > dominant_macs:
-            dominant_macs = gemm.macs
-            dtype_bytes = float(gemm.dtype.bytes)
-
-    vec_passes = sum(v.elem_passes for v in work.vector)
-    vec_bytes = sum(v.bytes_processed for v in work.vector)
-
-    l1a_bpc = config.l1_to_l0a_bytes_per_cycle
-    l1b_bpc = config.l1_to_l0b_bytes_per_cycle
-    ub_bpc = config.ub_bytes_per_cycle
-    llc_bpc = config.llc_bytes_per_cycle or _UNLIMITED_BPC
-
-    # Analytic per-resource occupancy estimates, in cycles: the roofline
-    # bounds the learned model starts from and corrects.
-    est_cube = float(tiles)
-    est_vector = vec_passes / max(1.0, config.vector_width_bytes / 2)
-    est_mte2 = (work.input_bytes * a_bytes_scale + work.weight_bytes) / llc_bpc
-    est_l1a = a_bytes / l1a_bpc
-    est_l1b = b_bytes / l1b_bpc
-    est_mte3 = work.output_bytes / llc_bpc
-    est_ub = vec_bytes / ub_bpc
-    ests = sorted((est_cube, est_vector, est_mte2, est_l1a, est_l1b,
-                   est_mte3, est_ub))
-    est_max, est_second = ests[-1], ests[-2]
-    est_sum = sum(ests)
-
-    # numpy's log1p/log2, not math's: the two differ by 1 ulp on ~1% of
-    # inputs, and the batched extractor below must reproduce these rows
-    # bit for bit without per-config python.
-    log1p = np.log1p
-    row = [
-        log1p(macs),
-        log1p(tiles),
-        log1p(a_bytes),
-        log1p(b_bytes),
-        log1p(c_elems),
-        log1p(vec_passes),
-        log1p(vec_bytes),
-        log1p(work.weight_bytes),
-        log1p(work.input_bytes),
-        log1p(work.output_bytes),
-        log1p(est_max),
-        log1p(est_second),
-        log1p(est_sum),
-        log1p(est_cube),
-        log1p(est_vector),
-        log1p(est_mte2),
-        log1p(est_l1a),
-        log1p(est_l1b),
-        log1p(est_mte3),
-        log1p(est_ub),
-        est_second / est_max if est_max else 0.0,
-        est_max / est_sum if est_sum else 0.0,
-        macs / max(1.0, tiles * cube.macs_per_cycle),
-        min(densities) if densities else 0.0,
-        max(densities) if densities else 0.0,
-        float(a_bytes_scale),
-        log1p(max(m_shapes)) if m_shapes else 0.0,
-        log1p(max(k_shapes)) if k_shapes else 0.0,
-        log1p(max(n_shapes)) if n_shapes else 0.0,
-        log1p(min(m_shapes)) if m_shapes else 0.0,
-        log1p(min(k_shapes)) if k_shapes else 0.0,
-        log1p(min(n_shapes)) if n_shapes else 0.0,
-        dtype_bytes,
-        config.frequency_hz / 1e9,
-        np.log2(float(cube.m)),
-        np.log2(float(cube.k)),
-        np.log2(float(cube.n)),
-        log1p(config.vector_width_bytes),
-        log1p(l1a_bpc),
-        log1p(l1b_bpc),
-        log1p(ub_bpc),
-        log1p(llc_bpc),
-        log1p(config.l1_bytes),
-        log1p(config.l0a_bytes),
-        log1p(config.ub_bytes),
-        float(config.duplex_ub_vector),
-        float(len(work.gemms)),
-        float(len(work.vector)),
-    ]
-    assert len(row) == len(_NAMES)
-    return np.asarray(row, dtype=np.float64)
-
-
-def model_feature_matrix(pairs: Sequence[Tuple[str, OpWorkload]],
-                         config: CoreConfig,
-                         scales: Optional[Mapping[str, float]] = None
-                         ) -> np.ndarray:
-    """Stack :func:`layer_features` for a model's grouped workloads."""
-    scales = scales or {}
-    if not pairs:
-        return np.empty((0, len(_NAMES)), dtype=np.float64)
-    return np.vstack([
-        layer_features(work, config, scales.get(group, 1.0))
-        for group, work in pairs
-    ])
-
-
-def graph_feature_matrix(graph, config: CoreConfig) -> np.ndarray:
-    """Feature matrix for a model graph (im2col GM scales included)."""
-    from ...compiler.graph_engine import _im2col_scales
-
-    return model_feature_matrix(list(graph.grouped_workloads()), config,
-                                _im2col_scales(graph))
-
-
 # -- batched candidate extraction ---------------------------------------------
 #
 # The DSE hot loop evaluates thousands of (workload, design point)
-# candidates per generation; calling :func:`layer_features` per config
-# is ~115 us of python each.  The batched path below represents the
-# design points as named float64 column arrays and vectorizes every
-# config-dependent formula across all candidates at once, producing a
-# matrix **byte-identical** to stacking the per-config extractor
-# (pinned by ``tests/perf/test_batch_features.py``).  Candidate
-# generators that know their knob grid (``repro.dse.space``) can build
-# the columns directly without ever instantiating a ``CoreConfig``.
+# candidates per generation.  The design points are named float64
+# column arrays, and every config-dependent formula is vectorized
+# across all candidates at once.  Every row is byte-identical to the
+# per-config scalar extractor in ``tests/perf/features_oracle.py``
+# (``tests/perf/test_batch_features.py``).  Candidate generators that know
+# their knob grid (``repro.dse.space``) can build the columns directly
+# without ever instantiating a ``CoreConfig``.
 
 # The design-point fields the feature schema reads, as column names.
 # ``llc_bw_per_core`` uses NaN for "no fabric limit" (Table 5 N/A).
@@ -321,8 +182,9 @@ def candidate_feature_matrix(pairs: Sequence[Tuple[str, OpWorkload]],
     ``config_columns`` is the :data:`CONFIG_COLUMN_NAMES` dict (from
     :func:`config_feature_columns` or a knob-grid generator).  Returns a
     ``(n_configs * n_layers, n_features)`` float64 matrix laid out
-    config-major — row ``i * n_layers + j`` equals
-    ``layer_features(pairs[j][1], configs[i], scales)`` bit for bit.
+    config-major: row ``i * n_layers + j`` is layer ``j`` on design
+    point ``i``.  A pure function of its arguments — no simulator
+    state, no caches, no randomness.
     """
     scales = scales or {}
     n_cfg = len(config_columns["frequency_hz"])
@@ -341,8 +203,8 @@ def candidate_feature_matrix(pairs: Sequence[Tuple[str, OpWorkload]],
     l1b_bpc = config_columns["l1_to_l0b_bw"] / freq
     ub_bpc = config_columns["ub_bw"] / freq
     llc_raw = config_columns["llc_bw_per_core"] / freq
-    # Scalar path: ``config.llc_bytes_per_cycle or _UNLIMITED_BPC`` —
-    # both "no limit" (NaN column) and a zero bandwidth fall through.
+    # ``config.llc_bytes_per_cycle or _UNLIMITED_BPC``: both "no limit"
+    # (NaN column) and a zero bandwidth fall through.
     llc_bpc = np.where(np.isnan(llc_raw) | (llc_raw == 0.0),
                        _UNLIMITED_BPC, llc_raw)
 
@@ -412,8 +274,8 @@ def candidate_feature_matrix(pairs: Sequence[Tuple[str, OpWorkload]],
         est_max = ests[:, -1]
         est_second = ests[:, -2]
         # In-order left fold over the sorted estimates — exactly what
-        # ``sum(sorted_list)`` does in the scalar path; a blocked numpy
-        # reduction could round differently.
+        # ``sum(sorted_list)`` does; a blocked numpy reduction could
+        # round differently.
         est_sum = ests[:, 0].copy()
         for e in range(1, ests.shape[1]):
             est_sum += ests[:, e]
@@ -477,6 +339,16 @@ def candidate_feature_matrix(pairs: Sequence[Tuple[str, OpWorkload]],
             block[:, col[name]] = values
 
     return out.reshape(n_cfg * n_layers, len(_NAMES))
+
+
+def model_feature_matrix(pairs: Iterable[Tuple[str, OpWorkload]],
+                         config: CoreConfig,
+                         scales: Optional[Mapping[str, float]] = None
+                         ) -> np.ndarray:
+    """Feature rows for a model's grouped workloads on one design point
+    (a :func:`candidate_feature_matrix` batch of one)."""
+    return candidate_feature_matrix(list(pairs),
+                                    config_feature_columns([config]), scales)
 
 
 def features_digest(matrix: np.ndarray) -> str:

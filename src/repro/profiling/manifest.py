@@ -53,8 +53,10 @@ def git_describe() -> str:
 def _repro_environment() -> Dict[str, str]:
     """Every ``REPRO_*`` variable, verbatim — the knobs that can change
     a run's numbers."""
-    return {name: value for name, value in sorted(os.environ.items())
-            if name.startswith("REPRO_")}
+    environ = os.environ
+    return {name: environ[name]
+            for name in sorted(name for name in environ
+                               if name.startswith("REPRO_"))}
 
 
 @dataclass

@@ -36,6 +36,10 @@ def _square(job):
     return job * job
 
 
+def _square_with_pid(job):
+    return job * job, os.getpid()
+
+
 def _boom_on_3(job):
     if job == 3:
         raise RuntimeError(f"job {job} is poison")
@@ -313,6 +317,22 @@ class TestCheckpoints:
                             policy=self._policy(tmp_path))
         assert outcome.counters["checkpoint_hits"] == 0
         assert outcome.results == [v * v for _, v in other]
+
+
+# -- platforms without fork ---------------------------------------------------
+
+class TestNoForkFallback:
+    def test_pool_request_runs_serially_in_job_order(self, monkeypatch):
+        import repro.bench.runner as runner
+
+        serial = supervise(range(8), _square_with_pid, max_workers=1)
+        monkeypatch.setattr(runner, "_fork_context", lambda: None)
+        outcome = supervise(range(8), _square_with_pid, max_workers=4)
+        assert outcome.ok and outcome.failures == []
+        assert outcome.results == serial.results
+        # In job order, and every job ran here: no pool was started.
+        assert outcome.results == [(j * j, os.getpid()) for j in range(8)]
+        assert outcome.counters["quarantined"] == 0
 
 
 # -- defaults stay inert ------------------------------------------------------

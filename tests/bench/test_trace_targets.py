@@ -37,8 +37,8 @@ def tracer(tmp_path, monkeypatch):
     in-memory compile tiers."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.setattr(GraphEngine, "_GLOBAL_CACHE", cache.LruCache())
-    monkeypatch.setattr(GraphEngine, "_GLOBAL_MODEL_CACHE", cache.LruCache())
+    monkeypatch.setattr(GraphEngine, "_GLOBAL_CACHE", {})
+    monkeypatch.setattr(GraphEngine, "_GLOBAL_MODEL_CACHE", {})
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -249,127 +249,3 @@ class TestModelLevel:
         rebuilt_engine = GraphEngine(ASCEND)
         rebuilt = rebuilt_engine.compile_graph(graph)
         assert rebuilt.total_cycles == cold.total_cycles
-
-
-class TestLruEviction:
-    def _work(self, i):
-        return OpWorkload(name=f"w{i}", gemms=(GemmWork(m=16 + 16 * i,
-                                                        k=32, n=32),))
-
-    def test_unbounded_by_default(self, cache_dir, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_MAX_ENTRIES", raising=False)
-        lru = cache.LruCache()
-        for i in range(50):
-            lru[i] = i
-        assert len(lru) == 50
-        assert cache.stats()["evictions"] == 0
-        assert cache.stats()["max_entries"] is None
-
-    def test_cap_evicts_least_recently_used(self, cache_dir, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "2")
-        lru = cache.LruCache()
-        lru["a"] = 1
-        lru["b"] = 2
-        assert lru["a"] == 1   # touch: "b" becomes the eviction victim
-        lru["c"] = 3
-        assert "b" not in lru
-        assert set(lru) == {"a", "c"}
-        assert cache.stats()["evictions"] == 1
-
-    def test_cap_reread_at_runtime(self, cache_dir, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_MAX_ENTRIES", raising=False)
-        lru = cache.LruCache()
-        for i in range(10):
-            lru[i] = i
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "3")
-        lru["new"] = 1  # insertion under the tightened cap trims to 3
-        assert len(lru) == 3
-        assert cache.stats()["evictions"] == 8
-
-    def test_zero_or_empty_cap_means_unbounded(self, cache_dir, monkeypatch):
-        for unbounded in ("0", "", "  "):
-            monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", unbounded)
-            assert cache.memory_max_entries() is None
-
-    def test_invalid_cap_raises_config_error(self, cache_dir, monkeypatch):
-        from repro.errors import ConfigError
-
-        for bad in ("zero", "-4", "3.5"):
-            monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", bad)
-            with pytest.raises(ConfigError, match="REPRO_CACHE_MAX_ENTRIES"):
-                cache.memory_max_entries()
-        # The cache_dir fixture's teardown repopulates the global model
-        # cache, which consults this variable — leave it valid.
-        monkeypatch.delenv("REPRO_CACHE_MAX_ENTRIES")
-
-    def test_compile_workloads_respect_cap(self, cache_dir, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")  # memory tier only
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "2")
-        engine = GraphEngine(ASCEND)
-        engine._cache = cache.LruCache()
-        for i in range(5):
-            engine.compile_workload(self._work(i))
-        assert len(engine._cache) == 2
-        assert cache.stats()["evictions"] == 3
-
-
-class TestArenaArtifacts:
-    def test_store_load_round_trip(self, cache_dir, monkeypatch):
-        import numpy as np
-
-        monkeypatch.setenv("REPRO_PROGRAM_CACHE", "1")
-        from repro.compiler import lower_workload
-        work = OpWorkload(name="roundtrip",
-                          gemms=(GemmWork(m=64, k=128, n=48, count=2),),
-                          vector=(VectorWork(elems=10000),))
-        program = lower_workload(work, ASCEND)
-        assert program._arena is not None
-        cache.store_arena("k1", program._arena)
-        assert cache.stats()["arena_stores"] == 1
-        loaded = cache.load_arena("k1")
-        assert cache.stats()["arena_hits"] == 1
-        assert loaded.n == program._arena.n
-        for name, col in program._arena.columns().items():
-            assert np.array_equal(getattr(loaded, name), col,
-                                  equal_nan=True), name
-        assert loaded.materialize() == program.instructions
-
-    def test_miss_and_corruption_are_safe(self, cache_dir, monkeypatch):
-        monkeypatch.setenv("REPRO_PROGRAM_CACHE", "1")
-        assert cache.load_arena("absent") is None
-        assert cache.stats()["misses"] == 1
-        path = cache.cache_dir() / "prog-bad.npz"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"not an npz")
-        assert cache.load_arena("bad") is None
-        assert cache.stats()["errors"] == 1
-
-    def test_disabled_by_default(self, cache_dir, monkeypatch):
-        monkeypatch.delenv("REPRO_PROGRAM_CACHE", raising=False)
-        from repro.compiler import lower_workload
-        work = OpWorkload(name="off", gemms=(GemmWork(m=32, k=32, n=32),))
-        program = lower_workload(work, ASCEND)
-        cache.store_arena("k2", program._arena)
-        assert cache.stats()["arena_stores"] == 0
-        assert cache.load_arena("k2") is None
-
-    def test_compile_path_reuses_persisted_program(self, cache_dir,
-                                                   monkeypatch):
-        monkeypatch.setenv("REPRO_PROGRAM_CACHE", "1")
-        work = OpWorkload(name="via-engine",
-                          gemms=(GemmWork(m=48, k=96, n=32),))
-        engine = GraphEngine(ASCEND)
-        engine._cache = {}
-        cold = engine.compile_workload(work)
-        assert cache.stats()["arena_stores"] == 1
-
-        # Drop the summary payload so the engine must rebuild from the
-        # program artifact (arena load) instead of re-lowering.
-        key = cache.content_key(ASCEND, work)
-        (cache.cache_dir() / f"{key}.json").unlink()
-        rebuilt_engine = GraphEngine(ASCEND)
-        rebuilt_engine._cache = {}
-        warm = rebuilt_engine.compile_workload(work)
-        assert cache.stats()["arena_hits"] == 1
-        assert warm.cycles == cold.cycles
-        assert warm.instr_count == cold.instr_count

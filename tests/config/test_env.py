@@ -6,8 +6,13 @@ to serial silently; a mistyped knob must raise
 change behavior.
 """
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.bench.runner import sweep_workers
 from repro.config.env import env_choice, env_flag, env_float, env_int
 from repro.errors import ConfigError
@@ -112,3 +117,52 @@ class TestWorkerKnobsIntegration:
         finally:
             session_mod._ENV_MEMO = None
             session_mod._ENV_SESSION = None
+
+
+# Every environment knob the program reads.  Adding or dropping one is a
+# deliberate edit here (and in the docs that list the knobs).
+KNOBS = (
+    "REPRO_CACHE",
+    "REPRO_CACHE_DIR",
+    "REPRO_CHAOS",
+    "REPRO_DSE_DIR",
+    "REPRO_DSE_EPSILON",
+    "REPRO_DSE_GENERATIONS",
+    "REPRO_DSE_KILL_AT",
+    "REPRO_DSE_MAX_PROMOTE",
+    "REPRO_DSE_POPULATION",
+    "REPRO_DSE_STRATEGY",
+    "REPRO_DSE_TOPK",
+    "REPRO_FAULTS",
+    "REPRO_PREDICT",
+    "REPRO_PREDICT_EPSILON",
+    "REPRO_PREDICT_MODEL",
+    "REPRO_PREDICT_TOPK",
+    "REPRO_PROFILE",
+    "REPRO_SERVE_KV_FRACTION",
+    "REPRO_SERVE_MAX_BATCH",
+    "REPRO_SERVE_POLICY",
+    "REPRO_SERVE_PREDICT",
+    "REPRO_SWEEP_CHECKPOINT",
+    "REPRO_SWEEP_RETRIES",
+    "REPRO_SWEEP_TIMEOUT",
+    "REPRO_SWEEP_WORKERS",
+)
+
+
+def _knob_literals():
+    """Every string literal in the package that is exactly a knob name."""
+    pattern = re.compile(r"REPRO_[A-Z0-9_]+")
+    found = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and pattern.fullmatch(node.value)):
+                found.add(node.value)
+    return found
+
+
+class TestKnobSet:
+    def test_package_reads_exactly_the_pinned_knobs(self):
+        assert tuple(sorted(_knob_literals())) == KNOBS
+        assert len(KNOBS) == 25

@@ -1,4 +1,4 @@
-"""InstructionArena: columns, lazy view, concat, serialization."""
+"""InstructionArena: columns, lazy view, concat, validation."""
 
 import numpy as np
 import pytest
@@ -66,8 +66,20 @@ class TestColumns:
         prog = _gemm_program()
         arena = prog._arena
         assert arena is not None and arena.exact
-        rebuilt = InstructionArena.from_columns(arena.columns(), arena.tags)
-        assert rebuilt.materialize() == arena.materialize()
+        # Built from columns alone: no retained objects to hand back.
+        rebuilt = InstructionArena.concat([arena])
+        assert rebuilt._objects is None
+        objects = rebuilt.materialize()
+        assert objects == arena.materialize()
+        # Columns -> objects -> columns is the identity.
+        again = InstructionArena.from_instructions(objects)
+        for name in ("kind", "pipe", "flag_src", "flag_dst", "event", "vop",
+                     "scalar", "accumulate", "misc", "r_space", "r_offset",
+                     "r_d0", "r_d1", "r_pitch", "r_dtype"):
+            assert np.array_equal(getattr(again, name), getattr(arena, name),
+                                  equal_nan=name == "scalar"), name
+        assert ([again.tags[t] for t in again.tag_id.tolist()]
+                == [arena.tags[t] for t in arena.tag_id.tolist()])
 
     def test_nbytes_and_elems_match_objects(self):
         prog = _gemm_program()
@@ -105,10 +117,12 @@ class TestExactness:
         arena = InstructionArena.from_instructions(
             [ScalarInstr(op="loop", cycles=7)])
         assert not arena.exact
-        with pytest.raises(IsaError):
-            arena.columns()
-        # ...but the retained objects still materialize.
+        # The retained objects materialize...
         assert arena.materialize()[0].cycles == 7
+        # ...but the columns alone cannot rebuild the row.
+        arena._objects = None
+        with pytest.raises(IsaError):
+            arena.materialize()
 
     def test_cost_columns_still_prices_inexact_rows(self):
         arena = InstructionArena.from_instructions(
@@ -136,23 +150,6 @@ class TestConcat:
     def test_empty_concat(self):
         out = InstructionArena.concat([])
         assert out.n == 0 and len(out.kind) == 0
-
-
-class TestSerialization:
-    def test_columns_round_trip_equal_arrays(self):
-        arena = _gemm_program()._arena
-        rebuilt = InstructionArena.from_columns(arena.columns(), arena.tags)
-        for name in arena.columns():
-            assert np.array_equal(getattr(rebuilt, name),
-                                  getattr(arena, name), equal_nan=True), name
-        assert rebuilt.tags == arena.tags
-
-    def test_from_columns_rejects_bad_shapes(self):
-        arena = _gemm_program()._arena
-        cols = dict(arena.columns())
-        cols["r_space"] = cols["r_space"][:, :2]
-        with pytest.raises(IsaError):
-            InstructionArena.from_columns(cols, arena.tags)
 
 
 class TestColumnarValidation:

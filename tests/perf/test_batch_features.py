@@ -1,9 +1,10 @@
-"""Batched candidate feature extraction: byte-identical to the scalar path.
+"""Batched candidate feature extraction: byte-identical to the scalar oracle.
 
 The DSE fast tier rests on ``candidate_feature_matrix`` producing the
-exact bits the per-config ``layer_features`` loop would, for any mix of
-design points — including the Table 5 N/A fabric (NaN column) and the
-knob grids the search perturbs.  Any drift here silently changes every
+exact bits the per-config ``layer_features`` loop of
+``tests/perf/features_oracle.py`` would, for any mix of design points —
+including the Table 5 N/A fabric (NaN column) and the knob grids the
+search perturbs.  Any drift here silently changes every
 prediction, shortlist, and frontier, so equality is asserted on raw
 bytes, not almost-equal.
 """
@@ -21,11 +22,7 @@ from repro.perf.predictor.features import (CONFIG_COLUMN_NAMES,
                                            feature_names,
                                            model_feature_matrix)
 from repro.perf.predictor.model import CyclePredictor
-
-
-def _reference_stack(pairs, configs, scales):
-    return np.vstack([model_feature_matrix(pairs, config, scales)
-                      for config in configs])
+from tests.perf.features_oracle import oracle_matrix
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +50,7 @@ class TestByteIdentity:
         batch = candidate_feature_matrix(
             pairs, config_feature_columns(configs), scales)
         assert batch.tobytes() == \
-            _reference_stack(pairs, configs, scales).tobytes()
+            oracle_matrix(pairs, configs, scales).tobytes()
 
     def test_seeded_variant_grid(self, gesture_pairs):
         """The distribution the DSE actually sweeps: seeded Table-5
@@ -63,7 +60,7 @@ class TestByteIdentity:
         configs = design_point_variants(ASCEND_LITE, 40, seed=3)
         batch = candidate_feature_matrix(
             pairs, config_feature_columns(configs), scales)
-        reference = _reference_stack(pairs, configs, scales)
+        reference = oracle_matrix(pairs, configs, scales)
         assert batch.shape == (len(configs) * len(pairs),
                                len(feature_names()))
         assert batch.tobytes() == reference.tobytes()
@@ -76,7 +73,7 @@ class TestByteIdentity:
         batch = candidate_feature_matrix(
             pairs, config_feature_columns(configs), scales)
         assert batch.tobytes() == \
-            _reference_stack(pairs, configs, scales).tobytes()
+            oracle_matrix(pairs, configs, scales).tobytes()
 
     def test_empty_inputs(self, gesture_pairs):
         pairs, scales = gesture_pairs
@@ -87,6 +84,39 @@ class TestByteIdentity:
                                          config_feature_columns([ASCEND]),
                                          None)
         assert empty.shape == (0, len(feature_names()))
+        assert model_feature_matrix([], ASCEND).shape == \
+            (0, len(feature_names()))
+
+
+class TestModelFeatureMatrix:
+    """The one-design-point batch that training and the serving
+    predictor tier read."""
+
+    def test_training_corpus_rows_match_oracle(self):
+        # Every (model, design point) job collect_dataset runs for the
+        # smoke corpus on the default cores, row for row.
+        from repro.perf.predictor.dataset import (_DEFAULT_CORES,
+                                                  SMOKE_CORPUS)
+        from repro.config import core_config_by_name
+
+        rows = 0
+        for model_name, kwargs in SMOKE_CORPUS:
+            graph = build_model(model_name, **kwargs)
+            pairs = list(graph.grouped_workloads())
+            scales = _im2col_scales(graph)
+            for core in _DEFAULT_CORES:
+                for config in design_point_variants(
+                        core_config_by_name(core), 12, seed=0):
+                    got = model_feature_matrix(pairs, config, scales)
+                    assert got.tobytes() == oracle_matrix(
+                        pairs, [config], scales).tobytes()
+                    rows += len(got)
+        assert rows > 1000
+
+    def test_accepts_a_workload_iterator(self, gesture_pairs):
+        pairs, _ = gesture_pairs
+        got = model_feature_matrix(iter(pairs), ASCEND_MAX)
+        assert got.tobytes() == oracle_matrix(pairs, [ASCEND_MAX]).tobytes()
 
 
 class TestPredictModelCycles:

@@ -17,14 +17,21 @@ import sys
 import numpy as np
 import pytest
 
+from repro.compiler.graph_engine import _im2col_scales
 from repro.config import ASCEND_LITE, ASCEND_MAX
 from repro.models import build_model
 from repro.perf.predictor import (FEATURE_SCHEMA_VERSION, feature_names,
-                                  features_digest, layer_features)
+                                  features_digest, model_feature_matrix)
 from repro.perf.predictor.features import (counters_feature_columns,
-                                           counters_feature_matrix,
-                                           graph_feature_matrix)
+                                           counters_feature_matrix)
 from repro.profiling import PerfCounters
+
+
+def _gesture_matrix():
+    """Every layer of a freshly built gesture graph on Ascend-Lite."""
+    graph = build_model("gesture")
+    return model_feature_matrix(graph.grouped_workloads(), ASCEND_LITE,
+                                _im2col_scales(graph))
 
 
 class TestSchema:
@@ -41,17 +48,17 @@ class TestSchema:
 
     def test_row_width_matches_names(self):
         graph = build_model("gesture")
-        (_, work), *_ = list(graph.grouped_workloads())
-        row = layer_features(work, ASCEND_LITE)
+        first, *_ = list(graph.grouped_workloads())
+        [row] = model_feature_matrix([first], ASCEND_LITE)
         assert row.shape == (len(feature_names()),)
         assert row.dtype == np.float64
         assert np.isfinite(row).all()
 
     def test_config_changes_config_features_only_for_same_workload(self):
         graph = build_model("gesture")
-        (_, work), *_ = list(graph.grouped_workloads())
-        a = layer_features(work, ASCEND_LITE)
-        b = layer_features(work, ASCEND_MAX)
+        first, *_ = list(graph.grouped_workloads())
+        [a] = model_feature_matrix([first], ASCEND_LITE)
+        [b] = model_feature_matrix([first], ASCEND_MAX)
         assert not np.array_equal(a, b)
 
 
@@ -59,10 +66,7 @@ class TestDeterminism:
     def test_two_fresh_extractions_are_byte_identical(self):
         """Rebuild the graph from scratch both times: interning tables,
         memo caches, and dict insertion orders must not affect bytes."""
-        def extract():
-            return graph_feature_matrix(build_model("gesture"), ASCEND_LITE)
-
-        first, second = extract(), extract()
+        first, second = _gesture_matrix(), _gesture_matrix()
         assert first.tobytes() == second.tobytes()
         assert features_digest(first) == features_digest(second)
 
@@ -70,22 +74,24 @@ class TestDeterminism:
         """The regression the satellite asks for: a separate interpreter
         (fresh interning, fresh caches, fresh hash randomization)
         produces the identical digest."""
-        local = features_digest(
-            graph_feature_matrix(build_model("gesture"), ASCEND_LITE))
+        local = features_digest(_gesture_matrix())
         code = (
+            "from repro.compiler.graph_engine import _im2col_scales\n"
             "from repro.config import ASCEND_LITE\n"
             "from repro.models import build_model\n"
             "from repro.perf.predictor.features import (features_digest,\n"
-            "    graph_feature_matrix)\n"
-            "print(features_digest(graph_feature_matrix("
-            "build_model('gesture'), ASCEND_LITE)))\n")
+            "    model_feature_matrix)\n"
+            "graph = build_model('gesture')\n"
+            "print(features_digest(model_feature_matrix("
+            "graph.grouped_workloads(), ASCEND_LITE, "
+            "_im2col_scales(graph))))\n")
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True, check=True,
                              env=dict(os.environ, PYTHONHASHSEED="random"))
         assert out.stdout.strip() == local
 
     def test_digest_is_content_addressed(self):
-        matrix = graph_feature_matrix(build_model("gesture"), ASCEND_LITE)
+        matrix = _gesture_matrix()
         tweaked = matrix.copy()
         tweaked[0, 0] += 1.0
         assert features_digest(matrix) != features_digest(tweaked)

@@ -24,9 +24,18 @@ class TestRunManifest:
     def test_env_keeps_only_repro_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_DEMO_KNOB", "on")
         monkeypatch.setenv("UNRELATED_VAR", "off")
+        # Set in reverse order: the manifest lists knobs sorted by name,
+        # not in the order they were set.
+        monkeypatch.setenv("REPRO_ZZ_DEMO_KNOB", "2")
+        monkeypatch.setenv("REPRO_AA_DEMO_KNOB", "1")
         manifest = RunManifest.collect()
         assert manifest.env.get("REPRO_DEMO_KNOB") == "on"
         assert all(name.startswith("REPRO_") for name in manifest.env)
+        assert list(manifest.env) == sorted(manifest.env)
+        pair = ("REPRO_ZZ_DEMO_KNOB", "REPRO_AA_DEMO_KNOB")
+        assert [name for name in manifest.env if name in pair] == \
+            ["REPRO_AA_DEMO_KNOB", "REPRO_ZZ_DEMO_KNOB"]
+        assert manifest.env["REPRO_AA_DEMO_KNOB"] == "1"
 
     def test_dict_round_trip(self):
         manifest = RunManifest.collect(model="bert-base")

@@ -1,13 +1,13 @@
-"""Injected-corruption regression per artifact tier (ISSUE 9 satellite).
+"""Injected-corruption regression per artifact tier.
 
-The per-layer JSON tier has quarantined corrupt entries since PR 4
-(``test_compiler_faults.py``); these tests pin the same
-retry-with-quarantine discipline on the other three artifact tiers:
-whole-model JSON entries (``model-<key>.json``), persisted program
-arenas (``prog-<key>.npz``), and the trained predictor artifact.  In
-every case the corrupt file is moved aside — a clean miss that
-recompiles (or degrades to full simulation), never a crash and never a
-poisoned re-read.
+The per-layer JSON tier's quarantine is pinned in
+``test_compiler_faults.py`` and the step-cost bucket tier's in
+``tests/serving/test_bucket_tier.py``; these tests pin the same
+retry-with-quarantine discipline on whole-model JSON entries
+(``model-<key>.json``) and the trained predictor artifact.  In every
+case the corrupt file is moved aside — a clean miss that recompiles (or
+degrades to full simulation), never a crash and never a poisoned
+re-read.
 """
 
 import json
@@ -86,31 +86,6 @@ class TestModelTierQuarantine:
         before = cache.stats()["model_hits"]
         _fresh_engine().compile_graph(graph)
         assert cache.stats()["model_hits"] == before + 1
-
-
-class TestProgramTierQuarantine:
-    def test_corrupt_npz_quarantined_and_relowered(self, cache_dir,
-                                                   monkeypatch):
-        from repro.graph.workload import GemmWork, OpWorkload
-
-        monkeypatch.setenv("REPRO_PROGRAM_CACHE", "1")
-        work = OpWorkload(name="ras-npz",
-                          gemms=(GemmWork(m=64, k=64, n=64),))
-        cold = _fresh_engine().compile_workload(work)
-        [prog] = list(cache.cache_dir().glob("prog-*.npz"))
-
-        prog.write_bytes(b"\x00garbage\xff" * 16)
-        # Clear every clean tier so the poisoned npz is actually read.
-        for entry in cache.cache_dir().glob("*.json"):
-            entry.unlink()
-        GraphEngine._GLOBAL_MODEL_CACHE.clear()
-        rebuilt = _fresh_engine().compile_workload(work)
-        assert rebuilt.cycles == cold.cycles
-        # Corrupt bytes moved aside; the relower re-stored a fresh npz.
-        quarantined = cache.quarantine_dir() / prog.name
-        assert quarantined.read_bytes().startswith(b"\x00garbage")
-        assert prog.exists() and prog.read_bytes() != quarantined.read_bytes()
-        assert cache.stats()["quarantined"] >= 1
 
 
 class TestPredictorArtifactQuarantine:

@@ -64,8 +64,8 @@ def isolated(tmp_path, monkeypatch):
     """An empty persistent cache and empty in-memory compile tiers."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.setattr(GraphEngine, "_GLOBAL_CACHE", cache.LruCache())
-    monkeypatch.setattr(GraphEngine, "_GLOBAL_MODEL_CACHE", cache.LruCache())
+    monkeypatch.setattr(GraphEngine, "_GLOBAL_CACHE", {})
+    monkeypatch.setattr(GraphEngine, "_GLOBAL_MODEL_CACHE", {})
     return tmp_path
 
 
