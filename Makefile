@@ -20,8 +20,10 @@ test-faults:
 # weight-stationary GEMMs, vector streams, workloads, memo hits) vs
 # the per-object emitters in tests/compiler/lowering_oracle.py; the
 # one-pass tiling table vs the scalar search in
-# tests/compiler/tiling_oracle.py; the event-driven serving loop vs
-# the per-step loop in tests/serving/oracle.py; the one-pass cache
+# tests/compiler/tiling_oracle.py; the event-driven serving loop and
+# its early-stopping admission rounds vs the self-contained per-step
+# loop in tests/serving/oracle.py (its own admission and KV ledger, so
+# it covers admission too); the one-pass cache
 # key encoder (layer, model and sweep-job keys) vs the dict-then-json
 # encoder in tests/compiler/key_oracle.py; the bulk request draws of
 # the traffic generator vs one numpy generator per request in

@@ -333,19 +333,28 @@ def measure_predictor(candidates: int = 60, variants: int = 8,
     ``python -m repro.perf.predictor smoke``.  ``hit_rate`` is the
     fraction of the true (fully simulated) top-5 designs the predictor's
     shortlist captured.
+
+    Like the compile timers, it runs on a private, empty compile cache,
+    and training starts from empty in-process memo tiers, so
+    ``train_s`` times training (its corpus compiles included) whatever
+    the working directory's ``.repro_cache/`` holds.
     """
+    from repro.config.env import env_scope
     from repro.perf.predictor.sweep import (clear_memo_tiers,
                                             triage_design_sweep)
     from repro.perf.predictor.train import train_predictor
 
-    report = train_predictor(
-        seed=0, corpus=(("gesture", {}), ("wide_deep", {})),
-        variants_per_core=variants, rounds=rounds)
-    clear_memo_tiers()
-    sweep = triage_design_sweep(
-        report.predictor, model="gesture", base_core="ascend-lite",
-        n_candidates=candidates, top_k=8, epsilon=0.05, seed=1,
-        validate=True)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache:
+        with env_scope(REPRO_CACHE_DIR=cache):
+            clear_memo_tiers()
+            report = train_predictor(
+                seed=0, corpus=(("gesture", {}), ("wide_deep", {})),
+                variants_per_core=variants, rounds=rounds)
+            clear_memo_tiers()
+            sweep = triage_design_sweep(
+                report.predictor, model="gesture", base_core="ascend-lite",
+                n_candidates=candidates, top_k=8, epsilon=0.05, seed=1,
+                validate=True)
     gate = sweep.gate
     order = sorted(range(len(sweep.full_simulated)),
                    key=lambda i: (sweep.full_simulated[i], i))

@@ -129,29 +129,37 @@ class KvLedger:
         self.admitted = 0
         self.released = 0
         self.rejected = 0
+        # The share geometry is fixed: each tenant's ceiling in bytes,
+        # the floors in bytes of the tenants that have one, and the room
+        # a tenant has on an otherwise idle system (its ceiling, less
+        # every other tenant's floor).
+        total = self._total_bytes = capacity.total_bytes
+        floors: Dict[str, int] = {}
+        self._ceilings: Dict[str, int] = {}
+        for name in self.reserved:
+            part = self.arbiter.partitions.get(name)
+            floors[name] = int(part.min_share * total) if part else 0
+            self._ceilings[name] = int((part.max_share if part else 1.0)
+                                       * total)
+        self._floored = [(name, floor) for name, floor in floors.items()
+                         if floor > 0]
+        self.idle_room: Dict[str, int] = {
+            name: min(self._ceilings[name],
+                      total - sum(f for o, f in floors.items() if o != name))
+            for name in self.reserved}
 
     # -- share geometry -------------------------------------------------------
-
-    def _floor_bytes(self, name: str) -> int:
-        part = self.arbiter.partitions.get(name)
-        return int(part.min_share * self.capacity.total_bytes) if part else 0
-
-    def _ceiling_bytes(self, name: str) -> int:
-        part = self.arbiter.partitions.get(name)
-        share = part.max_share if part else 1.0
-        return int(share * self.capacity.total_bytes)
 
     def _available_to(self, name: str) -> int:
         """Free bytes ``name`` may claim: global free space minus the
         unused part of every *other* tenant's guaranteed floor."""
         if name not in self.reserved:
             raise SchedulingError(f"unknown tenant {name!r}")
-        free = self.capacity.total_bytes - self.total_reserved
-        held_floors = sum(
-            max(0, self._floor_bytes(other) - used)
-            for other, used in self.reserved.items() if other != name
-        )
-        tenant_room = self._ceiling_bytes(name) - self.reserved[name]
+        free = self._total_bytes - self.total_reserved
+        held_floors = sum(max(0, floor - self.reserved[other])
+                          for other, floor in self._floored
+                          if other != name)
+        tenant_room = self._ceilings[name] - self.reserved[name]
         return max(0, min(free - held_floors, tenant_room))
 
     # -- admission ------------------------------------------------------------
@@ -160,11 +168,7 @@ class KvLedger:
         """Could this reservation fit on an otherwise idle system?"""
         if name not in self.reserved:
             raise SchedulingError(f"unknown tenant {name!r}")
-        others_floors = sum(self._floor_bytes(o) for o in self.reserved
-                            if o != name)
-        room = min(self._ceiling_bytes(name),
-                   self.capacity.total_bytes - others_floors)
-        return nbytes <= room
+        return nbytes <= self.idle_room[name]
 
     def try_reserve(self, name: str, nbytes: int) -> bool:
         if nbytes <= 0:
@@ -174,7 +178,8 @@ class KvLedger:
         self.reserved[name] += nbytes
         self.total_reserved += nbytes
         self.admitted += 1
-        self.peak_reserved = max(self.peak_reserved, self.total_reserved)
+        if self.total_reserved > self.peak_reserved:
+            self.peak_reserved = self.total_reserved
         self._check()
         return True
 
@@ -183,13 +188,23 @@ class KvLedger:
 
     def grow(self, name: str, nbytes: int) -> None:
         """Materialize ``nbytes`` of actual KV inside a reservation."""
-        self.resident[name] += nbytes
-        self.total_resident += nbytes
-        if self.resident[name] > self.reserved[name]:
-            raise SchedulingError(
-                f"{name}: resident {self.resident[name]} B exceeds "
-                f"reservation {self.reserved[name]} B")
-        self.peak_resident = max(self.peak_resident, self.total_resident)
+        self.grow_all({name: nbytes})
+
+    def grow_all(self, grown: Dict[str, int]) -> None:
+        """:meth:`grow` for several tenants at once, checked once.
+
+        Every amount is an increase, so the peak after the last one is
+        the peak over the sequence."""
+        for name, nbytes in grown.items():
+            if nbytes:
+                resident = self.resident[name] = self.resident[name] + nbytes
+                if resident > self.reserved[name]:
+                    raise SchedulingError(
+                        f"{name}: resident {resident} B exceeds "
+                        f"reservation {self.reserved[name]} B")
+                self.total_resident += nbytes
+        if self.total_resident > self.peak_resident:
+            self.peak_resident = self.total_resident
         self._check()
 
     def release(self, name: str, reserved_bytes: int,
@@ -216,10 +231,10 @@ class KvLedger:
             raise SchedulingError(
                 f"KV ledger: resident {self.total_resident} B exceeds "
                 f"reserved {self.total_reserved} B")
-        if self.total_reserved > self.capacity.total_bytes:
+        if self.total_reserved > self._total_bytes:
             raise SchedulingError(
                 f"KV ledger: reserved {self.total_reserved} B exceeds "
-                f"capacity {self.capacity.total_bytes} B")
+                f"capacity {self._total_bytes} B")
 
     @property
     def in_flight(self) -> int:

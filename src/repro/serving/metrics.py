@@ -25,6 +25,13 @@ from ..errors import SchedulingError
 __all__ = ["exact_percentile", "latency_summary"]
 
 
+def _rank(pct: float, n: int) -> int:
+    """0-based nearest rank of ``pct`` in ``n`` sorted samples."""
+    if not 0 < pct <= 100:
+        raise SchedulingError(f"percentile must lie in (0, 100], got {pct}")
+    return max(0, math.ceil(Fraction(pct) * n / 100) - 1)
+
+
 def exact_percentile(values: Sequence[int], pct: float) -> int:
     """Nearest-rank percentile of integer samples — no interpolation.
 
@@ -35,26 +42,26 @@ def exact_percentile(values: Sequence[int], pct: float) -> int:
     """
     if not values:
         raise SchedulingError("exact_percentile of an empty sample")
-    if not 0 < pct <= 100:
-        raise SchedulingError(f"percentile must lie in (0, 100], got {pct}")
     ordered = sorted(int(v) for v in values)
-    rank = math.ceil(Fraction(pct) * len(ordered) / 100)
-    return ordered[max(0, rank - 1)]
+    return ordered[_rank(pct, len(ordered))]
 
 
 def latency_summary(cycles: Sequence[int]) -> Dict[str, int]:
     """p50/p90/p99/max of integer latencies, all exact order statistics.
 
-    The mean is reported in integer cycles (floor of the exact mean) so
-    the whole summary is reproducible bit-for-bit.
+    The sample is sorted once.  The mean is reported in integer cycles
+    (floor of the exact mean) so the whole summary is reproducible
+    bit-for-bit.
     """
     if not cycles:
         return {"count": 0, "p50": 0, "p90": 0, "p99": 0, "max": 0, "mean": 0}
+    ordered = sorted(int(v) for v in cycles)
+    n = len(ordered)
     return {
-        "count": len(cycles),
-        "p50": exact_percentile(cycles, 50),
-        "p90": exact_percentile(cycles, 90),
-        "p99": exact_percentile(cycles, 99),
-        "max": max(int(v) for v in cycles),
-        "mean": sum(int(v) for v in cycles) // len(cycles),
+        "count": n,
+        "p50": ordered[_rank(50, n)],
+        "p90": ordered[_rank(90, n)],
+        "p99": ordered[_rank(99, n)],
+        "max": ordered[-1],
+        "mean": sum(ordered) // n,
     }

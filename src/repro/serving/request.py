@@ -50,7 +50,13 @@ class Request:
 
 @dataclass
 class RequestState:
-    """Mutable per-request scheduling state."""
+    """Mutable per-request scheduling state.
+
+    The scheduler keeps its running batch as aggregates, so ``decoded``
+    and ``kv_resident_bytes`` are written when the request finishes;
+    while it decodes they are derived from the campaign's decode-step
+    count and ``finish_step``.
+    """
 
     request: Request
     admitted_cycles: Optional[int] = None
@@ -61,6 +67,8 @@ class RequestState:
     decoded: int = 0
     kv_reserved_bytes: int = 0
     kv_resident_bytes: int = 0
+    kv_need: int = 0       # the worst-case reservation, cached at arrival
+    finish_step: int = 0   # the campaign decode-step count it finishes at
 
     @property
     def done(self) -> bool:
@@ -69,13 +77,6 @@ class RequestState:
     @property
     def rejected(self) -> bool:
         return self.rejected_cycles is not None
-
-    @property
-    def context_tokens(self) -> int:
-        """Tokens currently resident in the KV cache."""
-        if not self.prefilled:
-            return 0
-        return self.request.prefill_tokens + self.decoded
 
     def latency_cycles(self) -> int:
         if self.finish_cycles is None:

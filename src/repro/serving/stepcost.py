@@ -58,6 +58,16 @@ __all__ = ["StepCostModel", "bucket_pow2"]
 _Priced = Tuple[int, Optional[List[Dict[str, Any]]]]
 
 
+class _Bucket:
+    """A priced bucket and how many steps have been charged to it."""
+
+    __slots__ = ("cycles", "rows", "count")
+
+    def __init__(self, priced: _Priced) -> None:
+        self.cycles, self.rows = priced
+        self.count = 0
+
+
 def bucket_pow2(value: int, minimum: int = 1,
                 maximum: Optional[int] = None) -> int:
     """Round ``value`` up to a power of two within [minimum, maximum]."""
@@ -72,9 +82,12 @@ def bucket_pow2(value: int, minimum: int = 1,
 class StepCostModel:
     """Memoized (phase, batch, context) -> cycles for one design point."""
 
-    # Floor buckets keep the distinct-compile count low without
-    # distorting costs: a 3-token prompt and a 16-token prompt genuinely
-    # cost the same padded cube tiles.
+    # The token floor trades accuracy for compile count: every context
+    # and prompt below 16 tokens prices at 16, which overcharges short
+    # ones.  gpt-tiny on ascend-mini prefills 3 tokens in 80,186 cycles
+    # and 16 in 99,258, so a 3-token prompt is charged 24% too much.
+    # Pricing each step at its own shape is an open item (ROADMAP.md,
+    # "Serving step costs priced at the shape each step runs").
     MIN_TOKEN_BUCKET = 16
     MIN_BATCH_BUCKET = 1
 
@@ -90,8 +103,7 @@ class StepCostModel:
         self._predictor = self._load_predictor() if self.use_predictor else None
         self._key_prefix = (None if self.use_predictor
                             else cache.bucket_key_prefix(model, core, dtype))
-        self._memo: Dict[Tuple[str, int, int], _Priced] = {}
-        self._counts: Dict[Tuple[str, int, int], int] = {}
+        self._memo: Dict[Tuple[str, int, int], _Bucket] = {}
 
     def _load_predictor(self):
         # Strict by design: REPRO_SERVE_PREDICT=1 with no loadable
@@ -136,7 +148,8 @@ class StepCostModel:
             raise ConfigError(f"decode batch of {batch}")
         if steps < 0:
             raise ConfigError(f"charging {steps} decode steps")
-        b = bucket_pow2(batch, self.MIN_BATCH_BUCKET)
+        # The serving loop's hottest call: bucket_pow2, inline.
+        b = max(self.MIN_BATCH_BUCKET, 1 << (batch - 1).bit_length())
         return self._priced("decode", b, self._context_bucket(max_context),
                             steps)
 
@@ -148,19 +161,19 @@ class StepCostModel:
         return None if bucket == self.model.max_context else bucket
 
     def _context_bucket(self, context: int) -> int:
-        return bucket_pow2(max(1, context), self.MIN_TOKEN_BUCKET,
-                           self.model.max_context)
+        # bucket_pow2(max(1, context), MIN_TOKEN_BUCKET, max_context)
+        bucket = 1 << (context - 1).bit_length() if context > 1 else 1
+        return min(max(self.MIN_TOKEN_BUCKET, bucket),
+                   self.model.max_context)
 
     def _priced(self, phase: str, batch: int, tokens: int,
                 steps: int = 1) -> int:
-        key = (phase, batch, tokens)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._compile(phase, batch, tokens)
-            self._memo[key] = hit
-            self._counts[key] = 0
-        self._counts[key] += steps
-        return hit[0]
+        bucket = self._memo.get((phase, batch, tokens))
+        if bucket is None:
+            bucket = self._memo[phase, batch, tokens] = _Bucket(
+                self._compile(phase, batch, tokens))
+        bucket.count += steps
+        return bucket.cycles
 
     def _graph(self, phase: str, batch: int, tokens: int) -> Graph:
         if phase == "prefill":
@@ -207,8 +220,8 @@ class StepCostModel:
 
     def invocations(self) -> Dict[str, int]:
         """Bucket label -> use count (deterministically ordered)."""
-        return {f"{p}_b{b}_t{t}": self._counts[(p, b, t)]
-                for p, b, t in sorted(self._counts)}
+        return {f"{p}_b{b}_t{t}": self._memo[p, b, t].count
+                for p, b, t in sorted(self._memo)}
 
     def aggregate_counters(
             self, since: Optional[Dict[str, int]] = None) -> PerfCounters:
@@ -223,9 +236,10 @@ class StepCostModel:
         baseline = since or {}
         total = PerfCounters()
         for key in sorted(self._memo):
-            cycles, rows = self._memo[key]
+            bucket = self._memo[key]
+            cycles, rows = bucket.cycles, bucket.rows
             p, b, t = key
-            count = self._counts[key] - baseline.get(f"{p}_b{b}_t{t}", 0)
+            count = bucket.count - baseline.get(f"{p}_b{b}_t{t}", 0)
             if count <= 0:
                 continue
             if rows is None:

@@ -14,8 +14,9 @@ from repro.config.core_configs import core_config_by_name
 from repro.config.soc_configs import soc_config_by_name
 from repro.errors import ConfigError, SchedulingError
 from repro.models.gpt import GPT_TINY
-from repro.serving import (KvLedger, Request, ServeSpec, TenantSpec,
-                           simulate_serving)
+from repro.serving import (KvLedger, Request, ServeSpec, StepCostModel,
+                           TenantSpec, simulate_serving)
+from repro.serving.cli import default_tenants
 
 CORE = core_config_by_name("ascend-mini")
 SOC = soc_config_by_name("ascend-310")
@@ -85,6 +86,45 @@ class TestPinnedCampaign:
     def test_seed_changes_digest(self):
         assert (_run(_spec(LOADED, seed=7)).digest()
                 != _run(_spec(LOADED, seed=8)).digest())
+
+
+class TestServeBenchmarkDesign:
+    """The serve benchmark's design pinned by digest: gpt-tiny on
+    ascend-310 (its ascend-mini core), the CLI's two default tenants of
+    1000 requests, every knob at its default, as perfbench runs it.
+    perfbench checks eight summary fields per campaign; the digest also
+    holds the KV peaks and every tenant's block."""
+
+    DIGESTS = {
+        (0, "continuous"): "772f28ec54192b698488c78957a1e1fe"
+                           "dc71a7cdc39106d525a759bf6d534752",
+        (0, "static"): "b3706274f567a84966c69a2b7efc6491"
+                       "b59fda9bc2c82c661735380dd084a510",
+        (1, "continuous"): "6b655ffe0f08e932f31b8c4a6860074e"
+                           "208925f24cb7fc7332e6ae9c56181123",
+        (1, "static"): "d82481d0d07fb0f3c56a6493bb3be435"
+                       "a838d02c7063fc9ac5e915f7e77a6d71",
+    }
+
+    def test_pinned_digests(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        for knob in ("REPRO_CACHE", "REPRO_SERVE_POLICY",
+                     "REPRO_SERVE_MAX_BATCH", "REPRO_SERVE_KV_FRACTION",
+                     "REPRO_SERVE_PREDICT"):
+            monkeypatch.delenv(knob, raising=False)
+        core = SOC.core_groups[0][0]
+        assert core.name == "ascend-mini"
+        cost = StepCostModel(GPT_TINY, core)
+        for (seed, mode), digest in self.DIGESTS.items():
+            spec = ServeSpec(model=GPT_TINY, core=core, soc=SOC,
+                             tenants=default_tenants(1000), seed=seed)
+            report = simulate_serving(spec, mode=mode, cost_model=cost,
+                                      with_manifest=False,
+                                      with_counters=False)
+            assert report.digest() == digest, (seed, mode)
+            if (seed, mode) == (0, "continuous"):
+                kv = report.payload["kv"]
+                assert kv["peak_resident_bytes"] == 12_148_736
 
 
 HEAVY = (

@@ -1,12 +1,14 @@
 """The event-driven serving loop against the per-step oracle.
 
-Production (:class:`repro.serving.scheduler._Campaign`) advances each
-run of uneventful decode steps in one go; the oracle
-(:class:`tests.serving.oracle.PerStepCampaign`) takes one loop trip per
-engine step.  Every campaign here runs through both on the same trace,
-and they must agree on the report digest, every request's admitted,
-first-token, finish and rejected cycles, the KV ledger peaks and the
-step-cost bucket invocations.
+Production (:class:`repro.serving.scheduler._Campaign`) keeps the
+running batch as aggregates, advances each run of uneventful decode
+steps in one go and stops an admission round at its last free slot;
+the oracle (:class:`tests.serving.oracle.PerStepCampaign`, which shares
+no admission or ledger code with it) takes one loop trip per engine
+step and walks every request on every trip.  Every campaign here runs
+through both on the same trace, and they must agree on the report
+digest, every request's admitted, first-token, finish and rejected
+cycles, the KV ledger peaks and the step-cost bucket invocations.
 
 :class:`EdgeCost` changes its decode price at every power-of-two batch
 and context edge (context floor 16, capped at ``max_context``), so a
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.config.core_configs import core_config_by_name
 from repro.config.soc_configs import soc_config_by_name
+from repro.errors import ConfigError
 from repro.models.gpt import GPT_TINY
 from repro.serving import Request, ServeSpec, StepCostModel, TenantSpec
 from repro.serving.cli import default_tenants
@@ -230,6 +233,120 @@ class TestPinnedCases:
         assert steps < 12
 
 
+class TestOverloadedCases:
+    """Queues far longer than the batch, where admission rounds stop
+    early, skip by per-tenant thresholds and reject from deep in the
+    queue."""
+
+    TWO = (TenantSpec(name="x", rate_rps=1.0, requests=1),
+           TenantSpec(name="y", rate_rps=1.0, requests=1))
+
+    @pytest.mark.parametrize("policy", ["fcfs", "spf"])
+    @pytest.mark.parametrize("mode", ["continuous", "static"])
+    def test_queue_far_longer_than_the_batch(self, mode, policy):
+        # 300 requests land on one cycle; two run at a time.
+        trace = [_req("xy"[i % 2], i // 2, 1, 16 + 7 * (i % 5),
+                      1 + (i * 7) % 11) for i in range(300)]
+        trace.sort(key=lambda r: (r.arrival_cycles, r.tenant, r.index))
+        fast, steps = _compare(_spec(self.TWO, policy=policy, max_batch=2),
+                               mode, trace)
+        assert len(fast.finished) == 300
+        assert steps < fast.iterations
+
+    @pytest.mark.parametrize("policy", ["fcfs", "spf"])
+    @pytest.mark.parametrize("mode", ["continuous", "static"])
+    def test_same_cycle_ties_out_of_order(self, mode, policy):
+        # A caller's trace is sorted by arrival only: these ties come
+        # out of (tenant, index) order, and FCFS must still take x/0
+        # before x/1 before y/0.
+        trace = [_req("y", 1, 0, 20, 3), _req("y", 0, 0, 20, 3),
+                 _req("x", 1, 0, 40, 2), _req("x", 0, 0, 20, 4),
+                 _req("y", 2, 90_000, 16, 2), _req("x", 2, 90_000, 16, 2)]
+        fast, _ = _compare(_spec(self.TWO, policy=policy, max_batch=1),
+                           mode, trace)
+        if policy == "fcfs":
+            order = sorted(fast.finished, key=lambda s: s.admitted_cycles)
+            assert [s.request.key for s in order[:4]] == [
+                "x/0", "x/1", "y/0", "y/1"]
+
+    def test_trace_out_of_arrival_order_raises(self):
+        trace = [_req("x", 0, 10, 16, 2), _req("x", 1, 5, 16, 2)]
+        with pytest.raises(ConfigError, match="not sorted by arrival"):
+            _Campaign(_spec(self.TWO), "continuous", EdgeCost(), trace)
+
+    def test_floor_and_ceiling_bind_in_one_round(self):
+        # A 2,688-token budget.  c is capped at 40% (1,075.2 tokens),
+        # f holds a 30% floor (806.4 tokens) it never uses.  c/0 (600
+        # tokens) runs when four requests land at once.  In that one
+        # round c/1 (500) fails at c's ceiling and the smaller c/2 (300)
+        # still fits; g/0 (1,100) fails at f's held floor and the
+        # smaller g/1 (900) still fits.
+        tenants = (TenantSpec(name="c", rate_rps=1.0, requests=1,
+                              kv_ceiling=0.4),
+                   TenantSpec(name="f", rate_rps=1.0, requests=1,
+                              kv_floor=0.3),
+                   TenantSpec(name="g", rate_rps=1.0, requests=1))
+        trace = [_req("c", 0, 0, 590, 10), _req("c", 1, 1_000, 490, 10),
+                 _req("c", 2, 1_000, 290, 10), _req("g", 0, 1_000, 1090, 10),
+                 _req("g", 1, 1_000, 890, 10)]
+        fast, _ = _compare(_spec(tenants, max_batch=8), "continuous", trace)
+        admitted = {s.request.key: s.admitted_cycles for s in fast.finished}
+        round_two = admitted["c/2"]
+        assert admitted["g/1"] == round_two > admitted["c/0"] == 0
+        assert admitted["c/1"] > round_two and admitted["g/0"] > round_two
+
+    @pytest.mark.parametrize("mode", ["continuous", "static"])
+    def test_infeasible_requests_behind_a_full_batch(self, mode):
+        # A 10% ceiling holds ~268 tokens: a/2 and a/3 can never fit.
+        # They queue behind a full batch and are rejected by the first
+        # round that reaches them with a slot free.
+        capped = TenantSpec(name="a", rate_rps=1.0, requests=1,
+                            kv_ceiling=0.1)
+        trace = [_req("a", 0, 0, 16, 12), _req("a", 1, 0, 16, 30),
+                 _req("a", 2, 10, 290, 10), _req("a", 3, 20, 16, 300),
+                 _req("a", 4, 30, 16, 4)]
+        fast, _ = _compare(_spec([capped], max_batch=2), mode, trace)
+        assert [s.request.key for s in fast.rejected] == ["a/2", "a/3"]
+        first = {s.request.key: s.finish_cycles for s in fast.finished}
+        slot_free = (first["a/0"] if mode == "continuous"
+                     else max(first["a/0"], first["a/1"]))
+        assert all(s.rejected_cycles == slot_free for s in fast.rejected)
+
+    @pytest.mark.parametrize("mode", ["continuous", "static"])
+    def test_two_finish_on_one_step_around_a_decoder(self, mode):
+        # Running order a, b, c; a and c finish on the same step while b
+        # decodes on.  The per-request order on that step is a's token,
+        # a's release, b's token, c's token, c's release, so the peak is
+        # just before a's release: growing all three first would read
+        # two tokens higher.
+        tenants = [TenantSpec(name=n, rate_rps=1.0, requests=1)
+                   for n in ("a", "b", "c")]
+        a, b, c = (_req("a", 0, 0, 40, 9), _req("b", 0, 0, 30, 12),
+                   _req("c", 0, 0, 50, 9))
+        fast, _ = _compare(_spec(tenants, max_batch=4), mode, [a, b, c])
+        bpt = fast.bpt
+        peak = bpt * (a.total_tokens + b.prefill_tokens + 8
+                      + c.prefill_tokens + 8)
+        assert fast.ledger.peak_resident == peak
+        finish = {s.request.key: s.finish_cycles for s in fast.finished}
+        assert finish["a/0"] == finish["c/0"] < finish["b/0"]
+
+    @pytest.mark.parametrize("mode", ["continuous", "static"])
+    def test_budgets_block_everything(self, mode):
+        # Two tenants each ask for 1,500 of 2,688 tokens: the round's
+        # QoS arbitration grants each 1,344, so nothing is admitted on
+        # budget, and the progress guarantee forces p/0 through the
+        # ledger.  q/0 fits only once p/0 has released.
+        tenants = (TenantSpec(name="p", rate_rps=1.0, requests=1),
+                   TenantSpec(name="q", rate_rps=1.0, requests=1))
+        trace = [_req("p", 0, 0, 1490, 10), _req("q", 0, 0, 1490, 10)]
+        fast, _ = _compare(_spec(tenants, max_batch=4), mode, trace)
+        stamps = {s.request.key: s for s in fast.finished}
+        assert stamps["p/0"].admitted_cycles == 0
+        assert (stamps["q/0"].admitted_cycles
+                == stamps["p/0"].finish_cycles)
+
+
 class TestRealStepCostModel:
     def test_small_gpt_tiny_campaign(self):
         cost = StepCostModel(GPT_TINY, CORE, use_predictor=False)
@@ -275,3 +392,42 @@ class TestRandomCampaigns:
                      kv_fraction=kv_fraction)
         _compare(spec, mode, cost_factory=lambda: EdgeCost(
             max_context=max_context, decode_base=decode_base))
+
+
+# Arrival rates far above what a batch of one to four can serve, and a
+# KV budget of the on-chip bytes plus at most 5% of free DRAM: queues
+# grow to most of the trace, and tenants block on floors, ceilings and
+# budgets.
+_flooding_tenant = st.builds(
+    TenantSpec,
+    name=st.sampled_from(["t0", "t1", "t2"]),
+    rate_rps=st.floats(min_value=20_000.0, max_value=500_000.0),
+    requests=st.integers(min_value=5, max_value=40),
+    prefill_choices=st.sampled_from(
+        [(1,), (16,), (15, 17), (120, 300), (1000, 1030), (600, 2000)]),
+    decode_choices=st.sampled_from([(1,), (2, 3), (1, 9), (12,)]),
+    slo_ms=st.floats(min_value=0.1, max_value=100.0),
+    priority=st.integers(min_value=0, max_value=2),
+    critical=st.booleans(),
+    kv_floor=st.sampled_from([0.0, 0.1, 0.3]),
+    kv_ceiling=st.sampled_from([0.3, 0.45, 1.0]),
+)
+
+
+class TestOverloadedRandomCampaigns:
+    @given(tenants=st.lists(_flooding_tenant, min_size=1, max_size=3,
+                            unique_by=lambda t: t.name),
+           seed=st.integers(min_value=0, max_value=2 ** 16),
+           mode=st.sampled_from(["continuous", "static"]),
+           policy=st.sampled_from(["fcfs", "spf"]),
+           max_batch=st.integers(min_value=1, max_value=4),
+           kv_fraction=st.one_of(st.just(0.0),
+                                 st.floats(min_value=0.0, max_value=0.05)),
+           decode_base=st.sampled_from([3_000, 40_000, 400_000]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_step_oracle(self, tenants, seed, mode, policy,
+                                     max_batch, kv_fraction, decode_base):
+        spec = _spec(tenants, seed=seed, policy=policy, max_batch=max_batch,
+                     kv_fraction=kv_fraction)
+        _compare(spec, mode, cost_factory=lambda: EdgeCost(
+            decode_base=decode_base))
