@@ -61,7 +61,8 @@ if TYPE_CHECKING:
 
 __all__ = ["SCHEMA_VERSION", "LAYER_FIELDS", "enabled", "cache_dir",
            "canonical_json", "content_key",
-           "load", "store", "model_content_key", "load_model", "store_model",
+           "load", "store", "model_content_key", "model_layers_text",
+           "load_model", "store_model",
            "quarantine_model", "bucket_key_prefix", "bucket_key",
            "load_bucket", "store_bucket",
            "note_memory_hit", "note_model_memory_hit", "stats", "reset_stats",
@@ -306,13 +307,16 @@ def store(key: str, payload: Dict[str, Any]) -> None:
     """
     if not enabled():
         return
+    # One ``dumps`` (the C encoder) and one write: ``json.dump`` streams
+    # the same text through the pure-Python encoder.
+    text = json.dumps({**payload, "schema": SCHEMA_VERSION})
     directory = cache_dir()
     try:
         directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({**payload, "schema": SCHEMA_VERSION}, fh)
+                fh.write(text)
             os.replace(tmp, directory / f"{key}.json")
         except BaseException:
             os.unlink(tmp)
@@ -345,7 +349,8 @@ def _maybe_corrupt(path: Path) -> None:
 
 
 def model_content_key(config: Any, pairs: Any,
-                      scales: Optional[Dict[str, float]] = None) -> str:
+                      scales: Optional[Dict[str, float]] = None,
+                      layers_text: Optional[str] = None) -> str:
     """sha256 over a whole model's compile inputs.
 
     ``pairs`` is the ordered ``(group name, OpWorkload)`` sequence that
@@ -353,19 +358,34 @@ def model_content_key(config: Any, pairs: Any,
     im2col GM-fetch scales.  Hashing the ordered sequence (rather than
     the graph object) makes the key independent of graph construction
     details that do not reach the compiler.
+
+    ``layers_text`` is :func:`model_layers_text` of the same ``pairs``
+    and ``scales``, for a caller that keys one model on many design
+    points: the config's encoding is spliced in front of it, and the
+    bytes hashed are the same.
     """
-    scales = scales or {}
     memo: _Encoded = {}
     config_text = _encode(config, memo)
-    layers = []
-    for group, work in pairs:
-        work_text = _encode(work, memo)
-        layers.append('{"a_bytes_scale":' + _json_text(scales.get(group, 1.0))
-                      + ',"group":' + _json_text(group)
-                      + ',"workload":' + work_text + "}")
-    blob = ('{"config":' + config_text + ',"layers":[' + ",".join(layers)
+    if layers_text is None:
+        layers_text = _layers_text(pairs, scales or {}, memo)
+    blob = ('{"config":' + config_text + ',"layers":[' + layers_text
             + '],"schema":' + _json_text(SCHEMA_VERSION) + "}")
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def model_layers_text(pairs: Any,
+                      scales: Optional[Dict[str, float]] = None) -> str:
+    """The encoded layer list of every :func:`model_content_key` of
+    ``pairs`` and ``scales``: the part no design point changes."""
+    return _layers_text(pairs, scales or {}, {})
+
+
+def _layers_text(pairs: Any, scales: Dict[str, float],
+                 memo: _Encoded) -> str:
+    return ",".join(['{"a_bytes_scale":' + _json_text(scales.get(group, 1.0))
+                     + ',"group":' + _json_text(group)
+                     + ',"workload":' + _encode(work, memo) + "}"
+                     for group, work in pairs])
 
 
 def _load_checked(name: str, well_formed: Callable[[Dict[str, Any]], bool],

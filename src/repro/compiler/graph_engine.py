@@ -231,8 +231,22 @@ class GraphEngine:
         """
         pairs = list(workloads if workloads is not None
                      else graph.grouped_workloads())
-        scales = _im2col_scales(graph)
-        key = cache.model_content_key(self.config, pairs, scales)
+        return self.compile_pairs(graph.name, pairs, _im2col_scales(graph))
+
+    def compile_pairs(self, name: str,
+                      pairs: Sequence[Tuple[str, OpWorkload]],
+                      scales: Dict[str, float],
+                      layers_text: Optional[str] = None) -> CompiledModel:
+        """Compile the ordered ``(group, workload)`` list of model
+        ``name`` with its im2col ``scales``: the one compile path, which
+        :meth:`compile_graph` derives its inputs for.
+
+        ``layers_text`` is their :func:`cache.model_layers_text`, for a
+        caller that compiles one model on many design points (the DSE
+        search): the whole-model key then encodes only the design point.
+        """
+        key = cache.model_content_key(self.config, pairs, scales,
+                                      layers_text)
 
         # See compile_workload: timing-fault campaigns bypass the stats
         # tiers in both directions.
@@ -243,7 +257,7 @@ class GraphEngine:
                 cache.note_model_memory_hit()
                 layers = [_observed(self._relabel(layer, work, group))
                           for layer, (group, work) in zip(cached, pairs)]
-                return CompiledModel(name=graph.name, config=self.config,
+                return CompiledModel(name=name, config=self.config,
                                      layers=layers)
 
             payload = cache.load_model(key)
@@ -253,8 +267,8 @@ class GraphEngine:
                     GraphEngine._GLOBAL_MODEL_CACHE[key] = layers
                     for layer in layers:
                         _observed(layer)
-                    return CompiledModel(name=graph.name,
-                                         config=self.config, layers=layers)
+                    return CompiledModel(name=name, config=self.config,
+                                         layers=layers)
                 # Structurally corrupt whole-model entry: move it aside
                 # so every later process sees a clean miss instead of
                 # re-loading and re-rejecting the same artifact.
@@ -266,8 +280,7 @@ class GraphEngine:
             for group, work in pairs
         ]
         if not stats_cached:
-            return CompiledModel(name=graph.name, config=self.config,
-                                 layers=layers)
+            return CompiledModel(name=name, config=self.config, layers=layers)
         GraphEngine._GLOBAL_MODEL_CACHE[key] = layers
         cache.store_model(key, {
             "layers": [
@@ -275,7 +288,7 @@ class GraphEngine:
                 for layer in layers
             ],
         })
-        return CompiledModel(name=graph.name, config=self.config, layers=layers)
+        return CompiledModel(name=name, config=self.config, layers=layers)
 
     @staticmethod
     def _model_from_payload(payload: dict, pairs: Sequence[Tuple[str, OpWorkload]]

@@ -6,10 +6,10 @@ One generation = propose -> predict -> promote -> simulate -> archive
 1. The strategy proposes up to ``population`` unseen candidates
    (deterministic in ``(seed, generation, archive)``).
 2. The fast tier builds **one** stacked feature matrix for the whole
-   generation (every mix workload x every candidate, via the batched
-   extractor) and makes **one** model call; area and rated power come
-   from the vectorized closed-form PPA columns.  No per-config Python
-   runs in this loop.
+   generation (every mix workload x every candidate, from the search's
+   feature layer tables) and makes **one** model call; area and rated
+   power come from the vectorized closed-form PPA columns.  No
+   per-config Python runs in this loop.
 3. Promotion keeps the predicted-Pareto-frontier plus epsilon window:
    a candidate is simulated only when its prediction is within
    ``(1 + epsilon)`` of the best prediction at no-worse area and rated
@@ -34,12 +34,23 @@ One generation = propose -> predict -> promote -> simulate -> archive
    indented JSON, is byte-identical (pinned by
    ``tests/dse/test_resume.py``).
 
+A search derives what depends only on its mix once, when the engine is
+built: each mix model's grouped workloads, im2col scales and the
+encoded layer part of its whole-model cache key go into a per-process
+memo (``_MIX_MEMO``) that every simulation job reads, and
+each model's :class:`~repro.perf.predictor.features.LayerTable` is
+built for the predictions.  A generation then pays only for what a
+``CoreConfig`` changes: the config columns of the feature pass, and
+per job the design point's part of the model key and the cache lookup.
+
 The checkpoint carries the trained predictor payload itself, so a
 resume predicts with exactly the model the search started with, plus a
 RunManifest provenance stamp (the one volatile section, excluded from
 every content key).  Every checkpoint carries the full manifest; its
 ``git`` is the tree's describe at the process's first collection, so a
-search runs ``git describe`` once, not once per generation.
+search runs ``git describe`` once, not once per generation.  The
+sections no generation changes (schema, run key, spec, predictor) are
+encoded once per search and spliced into each checkpoint's text.
 """
 
 from __future__ import annotations
@@ -50,14 +61,14 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config.core_configs import CoreConfig
 from ..errors import ConfigError
-from ..perf.predictor.features import (candidate_feature_matrix,
-                                       config_feature_columns)
+from ..graph.workload import OpWorkload
+from ..perf.predictor.features import LayerTable, config_feature_columns
 from ..perf.predictor.model import CyclePredictor
 from .objectives import (design_area_columns, design_power_columns,
                          mix_weighted_cycles)
@@ -72,19 +83,62 @@ CHECKPOINT_SCHEMA = 1
 FRONTIER_SCHEMA = 1
 
 
+class _MixModel(NamedTuple):
+    """What the jobs of one mix model share: everything but the core."""
+
+    name: str
+    pairs: List[Tuple[str, OpWorkload]]   # grouped workloads
+    scales: Dict[str, float]              # im2col GM-fetch scales
+    layers_text: str                      # cache.model_layers_text
+
+
+# (model, sorted kwargs) -> _MixModel, per process.  DseEngine fills it
+# in the parent, so fork workers inherit it; a worker that starts
+# without an entry (brute_force_frontier's) builds it on its first job.
+_MIX_MEMO: Dict[Tuple[str, tuple], _MixModel] = {}
+
+
+def _mix_model(model_name: str, kwargs: Dict[str, object]) -> _MixModel:
+    key = (model_name, tuple(sorted(kwargs.items())))
+    mix = _MIX_MEMO.get(key)
+    if mix is None:
+        from ..compiler import cache
+        from ..compiler.graph_engine import _im2col_scales
+        from ..models import build_model
+
+        graph = build_model(model_name, **kwargs)
+        pairs = list(graph.grouped_workloads())
+        scales = _im2col_scales(graph)
+        mix = _MIX_MEMO[key] = _MixModel(
+            graph.name, pairs, scales, cache.model_layers_text(pairs, scales))
+    return mix
+
+
 def _simulate_job(job: Tuple[str, dict, CoreConfig]) -> float:
     """Sweep worker: total simulated model cycles on one design point."""
     from ..compiler import GraphEngine
-    from ..models import build_model
 
     model_name, kwargs, config = job
-    graph = build_model(model_name, **kwargs)
-    compiled = GraphEngine(config).compile_graph(graph)
+    mix = _mix_model(model_name, kwargs)
+    compiled = GraphEngine(config).compile_pairs(
+        mix.name, mix.pairs, mix.scales, mix.layers_text)
     return float(sum(layer.cycles for layer in compiled.layers))
 
 
-def _canonical(payload: dict) -> str:
+def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _splice_sorted(encoded: Dict[str, str], sections: dict) -> str:
+    """``_canonical`` of the union of ``encoded`` and ``sections``, where
+    ``encoded`` maps a key to its value's ``_canonical`` text: sections
+    encoded once are spliced in among the others in sorted-key order,
+    as the encoder would have placed them."""
+    texts = dict(encoded)
+    for key, value in sections.items():
+        texts[key] = _canonical(value)
+    return "{" + ",".join([json.encoder.encode_basestring_ascii(key) + ":"
+                           + texts[key] for key in sorted(texts)]) + "}"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -181,26 +235,31 @@ class DseEngine:
         self.timings = {"predict_seconds": 0.0, "simulate_seconds": 0.0}
         self._run_key = spec.run_key()
         self._strategy = strategy_by_name(spec.strategy)
-        self._workloads = self._load_mix()
+        self._tables = self._load_mix()
+        # The checkpoint sections no generation changes, encoded once.
+        self._fixed_sections = {
+            "schema": _canonical(CHECKPOINT_SCHEMA),
+            "run_key": _canonical(self._run_key),
+            "spec": _canonical(spec.to_dict()),
+            "predictor": _canonical(predictor.to_dict()),
+        }
 
-    def _load_mix(self):
-        from ..compiler.graph_engine import _im2col_scales
-        from ..models import build_model
-
-        loaded = []
+    def _load_mix(self) -> List[LayerTable]:
+        """One feature table per mix model; fills the process's mix memo
+        that every simulation job of the search reads."""
+        tables = []
         base = self.spec.space.base
         for entry in self.spec.space.mix:
-            graph = build_model(entry.model, **entry.kwargs_dict)
-            pairs = list(graph.grouped_workloads())
-            for _, work in pairs:
+            mix = _mix_model(entry.model, entry.kwargs_dict)
+            for _, work in mix.pairs:
                 for gemm in work.gemms:
                     if not base.supports_dtype(gemm.dtype):
                         raise ConfigError(
                             f"mix workload {entry.label!r} needs "
                             f"{gemm.dtype} which base core {base.name!r} "
                             "does not support")
-            loaded.append((entry, pairs, _im2col_scales(graph)))
-        return loaded
+            tables.append(LayerTable(mix.pairs, mix.scales))
+        return tables
 
     # -- paths ----------------------------------------------------------------
 
@@ -302,18 +361,17 @@ class DseEngine:
         """One feature matrix and one model call for the generation."""
         space = self.spec.space
         keys = [space.candidate_key(a) for a in proposals]
-        configs = [space.decode(a) for a in proposals]
+        configs = [space.decode(a, key) for a, key in zip(proposals, keys)]
         columns = config_feature_columns(configs)
-        blocks = [candidate_feature_matrix(pairs, columns, scales)
-                  for _, pairs, scales in self._workloads]
+        blocks = [table.feature_matrix(columns) for table in self._tables]
         stacked = np.vstack(blocks)
         per_layer = self.predictor.predict(stacked)
         weighted = np.zeros(len(configs), dtype=np.float64)
         offset = 0
-        for (entry, pairs, _), block in zip(self._workloads, blocks):
+        for entry, table, block in zip(space.mix, self._tables, blocks):
             rows = block.shape[0]
             model_cycles = per_layer[offset:offset + rows] \
-                .reshape(len(configs), len(pairs)).sum(axis=1)
+                .reshape(len(configs), table.n_layers).sum(axis=1)
             weighted += entry.weight * model_cycles
             offset += rows
         areas = design_area_columns(columns, self.spec.node_nm)
@@ -467,11 +525,7 @@ class DseEngine:
     def _checkpoint(self) -> None:
         from ..profiling.manifest import RunManifest
 
-        payload = {
-            "schema": CHECKPOINT_SCHEMA,
-            "run_key": self._run_key,
-            "spec": self.spec.to_dict(),
-            "predictor": self.predictor.to_dict(),
+        sections = {
             "completed_generations": self.completed,
             "seen": sorted(self.seen),
             "archive": self.archive,
@@ -484,8 +538,10 @@ class DseEngine:
                 extras={"dse": self.spec.space.name}).to_dict(),
         }
         # Compact, so json takes its C encoder (an indent forces the
-        # pure-Python one); resume reads either form.
-        _atomic_write(self.checkpoint_path, _canonical(payload) + "\n")
+        # pure-Python one); resume reads either form.  The bytes are
+        # ``_canonical`` of the whole payload.
+        _atomic_write(self.checkpoint_path,
+                      _splice_sorted(self._fixed_sections, sections) + "\n")
 
 
 # -- exhaustive reference -----------------------------------------------------
@@ -500,7 +556,7 @@ def brute_force_frontier(space: SearchSpace, node_nm: float = 7.0,
     """
     points = list(space.points())
     keys = [space.candidate_key(a) for a in points]
-    configs = [space.decode(a) for a in points]
+    configs = [space.decode(a, key) for a, key in zip(points, keys)]
     columns = config_feature_columns(configs)
     areas = design_area_columns(columns, node_nm)
     powers = design_power_columns(columns, node_nm)

@@ -37,7 +37,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -217,13 +217,18 @@ class SearchSpace:
 
     # -- decoding -------------------------------------------------------------
 
-    def decode(self, assignment: Assignment) -> CoreConfig:
+    def decode(self, assignment: Assignment,
+               key: Optional[str] = None) -> CoreConfig:
         """The concrete core this assignment describes.
 
         The variant keeps the base cube dtypes, so any model the base
         supports runs on every candidate; the name embeds the content
         key so compile-cache lines and report labels stay stable.
+        ``key`` is the assignment's :meth:`candidate_key`, when the
+        caller has already hashed it.
         """
+        if key is None:
+            key = self.candidate_key(assignment)
         base = self.base
         kwargs: Dict[str, object] = {}
         cube_m, cube_n = base.cube.m, base.cube.n
@@ -252,8 +257,7 @@ class SearchSpace:
                 kwargs["ub_bytes"] = int(base.ub_bytes * float(value))
         if (cube_m, cube_n) != (base.cube.m, base.cube.n):
             kwargs["cube"] = CubeShape(cube_m, base.cube.k, cube_n)
-        kwargs["name"] = (f"{base.name}-dse-"
-                          f"{self.candidate_key(assignment)[:10]}")
+        kwargs["name"] = f"{base.name}-dse-{key[:10]}"
         return dataclasses.replace(base, **kwargs)
 
 

@@ -50,11 +50,13 @@ def clear_memo_tiers() -> None:
     from ...compiler import lowering
     from ...compiler.graph_engine import GraphEngine
     from ...core import engine as engine_mod
+    from ...dse import engine as dse_engine
 
     GraphEngine._GLOBAL_CACHE.clear()
     GraphEngine._GLOBAL_MODEL_CACHE.clear()
     lowering.clear_lowering_memo()
     engine_mod._SUMMARY_MEMO.clear()
+    dse_engine._MIX_MEMO.clear()
 
 
 def _simulate_job(job: Tuple[str, dict, CoreConfig]) -> float:

@@ -16,6 +16,8 @@ from repro import models
 from repro.compiler import GraphEngine, cache
 from repro.config import core_config_by_name
 from repro.config.soc_configs import soc_config_by_name
+from repro.dse import engine as dse_engine
+from repro.dse.space import space_by_name
 from repro.models.gpt import GPT_TINY
 from repro.serving.stepcost import StepCostModel
 
@@ -92,3 +94,25 @@ def test_warm_step_cost_bucket(tracer):
     assert warm["cache_key"] == 0    # keyed by builder inputs, no hashing
     assert warm["cache_io"] == 1     # one bucket load from disk
     assert warm["lower"] == 0 and warm["drain"] == 0
+
+
+def test_dse_jobs_on_a_warm_cache(tracer, monkeypatch):
+    """A search's jobs on one mix model build its graph once between
+    them, and each pays for its own whole-model key and disk load."""
+    monkeypatch.setattr(dse_engine, "_MIX_MEMO", {})
+    space = space_by_name("smoke")
+    points = list(space.points())[:2]
+    jobs = [("gesture", {}, space.decode(point)) for point in points]
+    for job in jobs:                        # fill the persistent cache
+        dse_engine._simulate_job(job)
+    GraphEngine._GLOBAL_MODEL_CACHE.clear()
+    GraphEngine._GLOBAL_CACHE.clear()
+    dse_engine._MIX_MEMO.clear()
+    before = dict(tracer.calls)
+    for job in jobs:
+        dse_engine._simulate_job(job)
+    calls = _calls(tracer, before)
+    assert calls["graph_build"] == 1
+    assert calls["cache_key"] == len(jobs)
+    assert calls["cache_io"] == len(jobs)
+    assert calls["lower"] == 0 and calls["drain"] == 0

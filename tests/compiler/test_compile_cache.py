@@ -110,6 +110,34 @@ class TestPinnedKeys:
             "3f56ad6d120a71fbbe6cf9b91ff5732c2c55c3255e7c8f1682fe2e04443b2343")
 
 
+class TestEntryText:
+    """Every entry is the C encoder's ``json.dumps`` of its payload with
+    the schema appended, written in one piece."""
+
+    def test_store_writes_dumps_text(self, cache_dir):
+        payload = {"cycles": 12, "ratio": 0.1, "nan": float("nan"),
+                   "layers": [{"name": "ünï", "cycles": 3}], "z": None}
+        cache.store("probe", payload)
+        text = (cache.cache_dir() / "probe.json").read_text()
+        assert text == json.dumps({**payload,
+                                   "schema": cache.SCHEMA_VERSION})
+
+    def test_layer_model_and_bucket_entries(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(GraphEngine, "_GLOBAL_CACHE", {})
+        GraphEngine(ASCEND).compile_graph(build_model("gesture", batch=1))
+        core = soc_config_by_name("ascend-310").core_groups[0][0]
+        StepCostModel(GPT_TINY, core).decode_cycles(1, 16)
+        kinds = set()
+        for path in cache.cache_dir().glob("*.json"):
+            kinds.add(path.name.split("-")[0] if "-" in path.name
+                      else "layer")
+            text = path.read_text()
+            payload = json.loads(text)
+            assert list(payload)[-1] == "schema"
+            assert text == json.dumps(payload), path.name
+        assert kinds == {"layer", "model", "bucket"}
+
+
 class TestPersistentRoundTrip:
     def test_disk_hit_matches_compiled(self, cache_dir, fresh_engine):
         cold = fresh_engine.compile_workload(_WORK)

@@ -5,14 +5,15 @@ Production encodes a key's inputs in one pass
 :mod:`tests.compiler.key_oracle` builds their dict form and serializes it
 with ``json.dumps(sort_keys=True)``.  Stored compile-cache entries and
 sweep checkpoints are addressed by the oracle's digests, so every case
-asserts that ``content_key``, ``model_content_key`` and
-``sweep_job_key`` return the oracle's digest, or raise the oracle's
-exception type.  Cases: every registered core with every model of
-perfbench's compile pool, layer by layer; every gpt-tiny serving
-bucket; every design point of the DSE smoke space; and hypothesis
-values built to break an encoder that memoizes by value or sorts,
-escapes or formats differently.  ``content_key`` takes dataclass
-workloads only, and raises ``TypeError`` on anything else.
+asserts that ``content_key``, ``model_content_key`` (whole, or spliced
+from a precomputed ``model_layers_text``) and ``sweep_job_key`` return
+the oracle's digest, or raise the oracle's exception type.  Cases:
+every registered core with every model of perfbench's compile pool,
+layer by layer; every gpt-tiny serving bucket; every design point of
+the DSE smoke space; and hypothesis values built to break an encoder
+that memoizes by value or sorts, escapes or formats differently.
+``content_key`` takes dataclass workloads only, and raises
+``TypeError`` on anything else.
 """
 
 import dataclasses
@@ -95,7 +96,9 @@ def test_every_serving_bucket():
 
 
 def test_dse_smoke_space():
-    """Each decoded design point keys its mix model and its sweep job."""
+    """Each decoded design point keys its mix model (from scratch and
+    spliced into the model's layer text, as a search's jobs key it) and
+    its sweep job."""
     space = space_by_name("smoke")
     entry, = space.mix
     graph = build_model(entry.model, **entry.kwargs_dict)
@@ -103,9 +106,12 @@ def test_dse_smoke_space():
     scales = _im2col_scales(graph)
     configs = [space.decode(point) for point in space.points()]
     assert len(configs) == 288
+    layers_text = cache.model_layers_text(pairs, scales)
     for config in configs:
-        assert cache.model_content_key(config, pairs, scales) \
-            == oracle.model_content_key(config, pairs, scales)
+        key = oracle.model_content_key(config, pairs, scales)
+        assert cache.model_content_key(config, pairs, scales) == key
+        assert cache.model_content_key(config, pairs, scales,
+                                       layers_text) == key
         job = (entry.model, entry.kwargs_dict, config)
         assert sweep_job_key(job) == oracle.sweep_job_key(job)
 
@@ -306,4 +312,27 @@ def test_content_key_rejects_non_dataclass_workloads(work):
          scales={"a": 0.5, 1: math.nan, True: -0.0})
 def test_model_content_key_matches_oracle(config, layers, scales):
     assert _outcome(cache.model_content_key, config, layers, scales) \
+        == _outcome(oracle.model_content_key, config, layers, scales)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=st.one_of(_VALUES, st.sampled_from(list(CORE_CONFIGS.values()))),
+       layers=st.lists(st.tuples(_RAW, st.one_of(_VALUES, _WORKLOADS)),
+                       max_size=4),
+       scales=st.one_of(st.none(), st.dictionaries(_RAW.filter(
+           lambda v: isinstance(v, (str, int, float)) or v is None), _RAW,
+           max_size=3)))
+@example(config=ASCEND, layers=[("a", Box(1, 2)), ("a", Box(1, 2)),
+                                (1, [1.0]), (True, [True])],
+         scales={"a": 0.5, 1: math.nan, True: -0.0})
+@example(config=_LOOKALIKES, layers=[("w", _LOOKALIKES)], scales=None)
+@example(config=ASCEND, layers=[], scales={})
+def test_spliced_model_key_matches_oracle(config, layers, scales):
+    """A key spliced from the layer text (encoded once, apart from the
+    config) is the oracle's key of the whole model."""
+    def spliced():
+        return cache.model_content_key(
+            config, layers, scales, cache.model_layers_text(layers, scales))
+
+    assert _outcome(spliced) \
         == _outcome(oracle.model_content_key, config, layers, scales)

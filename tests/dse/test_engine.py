@@ -5,6 +5,7 @@ memo) and shared; the kill/resume byte-identity contract has its own
 subprocess test in ``test_resume.py``.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.dse import (DseEngine, Knob, MixEntry, SearchSpec, SearchSpace,
-                       brute_force_frontier)
+                       brute_force_frontier, space_by_name)
 from repro.dse import engine as engine_module
 from repro.errors import ConfigError
 from repro.profiling import manifest as manifest_module
@@ -292,3 +293,47 @@ class TestCheckpointWrites:
         assert reads and torn == 0
         assert json.loads(path.read_text())["n"] == 399
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+# perfbench's dse operations (space ``smoke``, population 12, two
+# generations, top_k 1, max_promote 2) with the predictor its set-up
+# trains: per seed, the frontier's content key and the sha256 of the
+# compact checkpoint without its ``manifest``, as the search wrote them
+# before it derived its fixed inputs once per search.
+_PINNED_SEARCHES = {
+    0: ("f20b947c4d5b8af12e37ad36471da6f98886c832fa8c64fc7ac9336ecc422643",
+        "20b0c54d1518cbf7887d41957cd31e798f4ff99c68c89ad47328185899ebbd65"),
+    1: ("aa16b69e35c483103d073e2f1e183e19a51457474d9111c42652a657d9c9b0d8",
+        "cc7f9db59d65d8e125bbf921108ac3b8a5cc6ddd2cf1275d3d29f20b633dfeb1"),
+    2: ("5993696824803acc3b53465b5a08fb5c638a392f0c05935a63b8a858b87ea0c5",
+        "b110348922d16c843fa4b89c2ea0e536a133c4a71e7d9603522e1d9c038e142f"),
+}
+
+
+@pytest.fixture(scope="module")
+def bench_predictor():
+    """The predictor perfbench's dse workload trains in its set-up."""
+    from repro.perf.predictor.train import train_predictor
+
+    predictor = train_predictor(
+        seed=0, corpus=(("gesture", {}),), cores=("ascend-lite",),
+        variants_per_core=8, rounds=40, max_workers=1).predictor
+    assert predictor.content_key() == (
+        "7c6d1d1830b09dc0103088ea91efe64293a527f4fb3bab671f2366897d8c852b")
+    return predictor
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_SEARCHES))
+def test_benchmark_searches_are_pinned(bench_predictor, tmp_path, seed):
+    spec = SearchSpec(space=space_by_name("smoke"), population=12,
+                      generations=2, top_k=1, max_promote=2, seed=seed)
+    engine = DseEngine(spec, bench_predictor, tmp_path)
+    frontier = engine.run(max_workers=1)
+    text = engine.checkpoint_path.read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, sort_keys=True,
+                              separators=(",", ":")) + "\n"
+    del payload["manifest"]
+    checkpoint = hashlib.sha256(json.dumps(
+        payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    assert (frontier["content_key"], checkpoint) == _PINNED_SEARCHES[seed]

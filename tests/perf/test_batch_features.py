@@ -1,7 +1,8 @@
 """Batched candidate feature extraction: byte-identical to the scalar oracle.
 
-The DSE fast tier rests on ``candidate_feature_matrix`` producing the
-exact bits the per-config ``layer_features`` loop of
+The DSE fast tier rests on the feature extractor (``LayerTable``, and
+``candidate_feature_matrix``/``model_feature_matrix`` around it)
+producing the exact bits the per-config ``layer_features`` loop of
 ``tests/perf/features_oracle.py`` would, for any mix of design points —
 including the Table 5 N/A fabric (NaN column) and the knob grids the
 search perturbs.  Any drift here silently changes every
@@ -13,16 +14,23 @@ import numpy as np
 import pytest
 
 from repro.compiler.graph_engine import _im2col_scales
-from repro.config import ASCEND, ASCEND_LITE, ASCEND_MAX, ASCEND_TINY
+from repro.config import (ASCEND, ASCEND_LITE, ASCEND_MAX, ASCEND_TINY,
+                          core_config_by_name)
+from repro.dtypes import INT4, INT8
+from repro.graph.workload import GemmWork, OpWorkload, VectorWork
 from repro.models import build_model
-from repro.perf.predictor.dataset import design_point_variants
-from repro.perf.predictor.features import (CONFIG_COLUMN_NAMES,
+from repro.perf.predictor.dataset import _DEFAULT_CORES, design_point_variants
+from repro.perf.predictor.features import (CONFIG_COLUMN_NAMES, LayerTable,
                                            candidate_feature_matrix,
                                            config_feature_columns,
                                            feature_names,
                                            model_feature_matrix)
 from repro.perf.predictor.model import CyclePredictor
 from tests.perf.features_oracle import oracle_matrix
+from tests.scripts import load_script
+
+_POOL_MODELS = sorted(
+    {model for model, _ in load_script("perfbench/workloads.py").COMPILE_POOL})
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +93,64 @@ class TestByteIdentity:
                                          None)
         assert empty.shape == (0, len(feature_names()))
         assert model_feature_matrix([], ASCEND).shape == \
+            (0, len(feature_names()))
+
+
+class TestLayerTable:
+    """One table per model, built once and priced for any batch."""
+
+    @pytest.mark.parametrize("model", _POOL_MODELS)
+    def test_compile_pool_model(self, model):
+        graph = build_model(model)
+        pairs = list(graph.grouped_workloads())
+        scales = _im2col_scales(graph)
+        table = LayerTable(pairs, scales)
+        defaults = [core_config_by_name(core) for core in _DEFAULT_CORES]
+        for configs in (defaults,
+                        design_point_variants(ASCEND_LITE, 16, seed=7)):
+            got = table.feature_matrix(config_feature_columns(configs))
+            assert got.tobytes() == \
+                oracle_matrix(pairs, configs, scales).tobytes()
+
+    def test_layer_shapes_and_unlimited_fabric(self):
+        """Layers without GEMMs (vector-only and empty ones, first,
+        between and last), layers of several GEMMs of mixed dtype and
+        count, and a core with no fabric limit (NaN column)."""
+        vec = (VectorWork(elems=4096, passes=3), VectorWork(elems=17))
+        pairs = [
+            ("vector", OpWorkload("vector", vector=vec, input_bytes=8192,
+                                  output_bytes=8192)),
+            ("several", OpWorkload(
+                "several",
+                gemms=(GemmWork(3, 1000, 17), GemmWork(64, 64, 64, INT8, 4),
+                       GemmWork(1, 7, 5000, INT4, 2),
+                       GemmWork(64, 64, 64, count=4)),
+                vector=vec, weight_bytes=123457, input_bytes=99,
+                output_bytes=7)),
+            ("empty", OpWorkload("empty")),
+            ("one", OpWorkload("one", gemms=(GemmWork(31, 33, 35),),
+                               input_bytes=4096, output_bytes=1)),
+            ("several", OpWorkload(
+                "several", gemms=(GemmWork(16, 16, 16), GemmWork(8, 9, 10)))),
+            ("tail", OpWorkload("tail", vector=vec)),
+        ]
+        scales = {"several": 0.25, "one": 1 / 9}
+        configs = [ASCEND_TINY, ASCEND_MAX, ASCEND_LITE, ASCEND] \
+            + design_point_variants(ASCEND_TINY, 6, seed=2)
+        columns = config_feature_columns(configs)
+        assert np.isnan(columns["llc_bw_per_core"][0])
+        got = LayerTable(pairs, scales).feature_matrix(columns)
+        assert got.tobytes() == oracle_matrix(pairs, configs, scales).tobytes()
+
+    def test_one_table_prices_every_batch(self, gesture_pairs):
+        pairs, scales = gesture_pairs
+        table = LayerTable(pairs, scales)
+        for seed in range(3):
+            configs = design_point_variants(ASCEND_MAX, 5 + seed, seed=seed)
+            got = table.feature_matrix(config_feature_columns(configs))
+            assert got.tobytes() == \
+                oracle_matrix(pairs, configs, scales).tobytes()
+        assert table.feature_matrix(config_feature_columns([])).shape == \
             (0, len(feature_names()))
 
 
