@@ -1,10 +1,11 @@
-"""Benchmark-harness utilities (parallel, supervised, triaged sweeps)."""
+"""Benchmark-harness utilities (parallel and supervised sweeps, the triage
+shortlist)."""
 
 from .runner import run_sweep, sweep_workers
 from .supervisor import (Attempt, JobFailureReport, SweepOutcome, SweepPolicy,
                          supervise, sweep_job_key)
-from .triage import TriageResult, shortlist_indices, triage_sweep
+from .triage import shortlist_indices
 
-__all__ = ["run_sweep", "sweep_workers", "triage_sweep", "TriageResult",
-           "shortlist_indices", "supervise", "SweepPolicy", "SweepOutcome",
-           "JobFailureReport", "Attempt", "sweep_job_key"]
+__all__ = ["run_sweep", "sweep_workers", "shortlist_indices", "supervise",
+           "SweepPolicy", "SweepOutcome", "JobFailureReport", "Attempt",
+           "sweep_job_key"]

@@ -1,55 +1,20 @@
-"""Predictor-triaged sweeps: simulate only a shortlist of candidates.
+"""The triage shortlist: which predicted candidates get simulated.
 
-:func:`triage_sweep` is the fast-tier counterpart of
-:func:`~repro.bench.runner.run_sweep`: given per-job *predicted* scores
-(lower is better — cycles, latency), it keeps the top-K plus everything
-within ``(1 + epsilon)`` of the predicted best, runs the real worker on
-that shortlist only (through :func:`~repro.bench.supervisor.supervise`,
-so the warm-cache seeding, fork-aware stats plumbing, and the
-retry/timeout/quarantine policy knobs apply unchanged), and returns
-results aligned with the original job order — ``None`` where a
-candidate was triaged away or quarantined.
-
-The triage contract: predicted scores only ever *rank*; any number that
-leaves a sweep (a published table row, a chosen design point) comes
-from the event engine via the shortlist.  Callers verify that with the
+:func:`shortlist_indices` keeps the top-K predicted candidates plus
+everything within ``(1 + epsilon)`` of the predicted best.  The triage
+contract: predicted scores only ever *rank*; any number that leaves a
+sweep (a published table row, a chosen design point) comes from the
+event engine via the shortlist.  Callers verify that with the
 ``predicted_vs_simulated`` report the predictor sweeps emit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, TypeVar, Union
+from typing import List, Sequence
 
 import numpy as np
 
-from .supervisor import JobFailureReport, SweepPolicy, supervise
-
-__all__ = ["TriageResult", "triage_sweep", "shortlist_indices"]
-
-_J = TypeVar("_J")
-_R = TypeVar("_R")
-
-
-@dataclass
-class TriageResult:
-    """Outcome of one triaged sweep, aligned with the input job order."""
-
-    predicted: List[float]
-    shortlist: List[int]               # indices simulated, ascending
-    results: List[Optional[object]]    # worker result, or None if skipped
-    # Shortlisted jobs the supervisor quarantined (reports carry the
-    # original job-list index).  Empty unless retries were exhausted;
-    # their ``results`` slots stay None like triaged-away candidates.
-    failures: List[JobFailureReport] = field(default_factory=list)
-
-    @property
-    def simulated(self) -> int:
-        return len(self.shortlist)
-
-    @property
-    def skipped(self) -> int:
-        return len(self.predicted) - len(self.shortlist)
+__all__ = ["shortlist_indices"]
 
 
 def shortlist_indices(predicted: Sequence[float], top_k: int,
@@ -85,44 +50,3 @@ def shortlist_indices(predicted: Sequence[float], top_k: int,
     cutoff = float(scores[order[0]]) * (1.0 + epsilon)
     keep |= scores <= cutoff
     return [int(i) for i in np.flatnonzero(keep)]
-
-
-def triage_sweep(jobs: Sequence[_J], worker: Callable[[_J], _R],
-                 predicted: Union[Sequence[float], Callable[[_J], float]],
-                 top_k: Optional[int] = None,
-                 epsilon: Optional[float] = None,
-                 max_workers: Optional[int] = None,
-                 warm: Optional[Callable[[], object]] = None) -> TriageResult:
-    """Run ``worker`` on the predicted-best shortlist of ``jobs`` only.
-
-    ``predicted`` is either one score per job (lower is better) or a
-    callable evaluated per job.  ``top_k`` / ``epsilon`` default to the
-    ``REPRO_PREDICT_TOPK`` / ``REPRO_PREDICT_EPSILON`` knobs.
-    """
-    from ..perf.predictor.settings import predict_epsilon, predict_top_k
-
-    job_list = list(jobs)
-    scores = ([float(predicted(job)) for job in job_list]
-              if callable(predicted)
-              else [float(s) for s in predicted])
-    if len(scores) != len(job_list):
-        raise ValueError(
-            f"{len(scores)} predictions for {len(job_list)} jobs")
-    keep = shortlist_indices(
-        scores,
-        top_k if top_k is not None else predict_top_k(),
-        epsilon if epsilon is not None else predict_epsilon())
-    outcome = supervise([job_list[i] for i in keep], worker,
-                        max_workers=max_workers, warm=warm,
-                        policy=SweepPolicy.from_env())
-    results: List[Optional[object]] = [None] * len(job_list)
-    for index, result in zip(keep, outcome.results):
-        results[index] = result
-    failures = []
-    for report in outcome.failures:
-        # Re-anchor the report at the caller's job-list index.
-        report.index = keep[report.index]
-        results[report.index] = None
-        failures.append(report)
-    return TriageResult(predicted=scores, shortlist=keep, results=results,
-                        failures=failures)

@@ -12,6 +12,9 @@ trailing garbage, no ``_`` digit separators, no ``inf``/``nan``.  Python's
 own ``int()``/``float()`` accept several of those, and the pre-audit
 parsers accepted worse (``REPRO_SWEEP_WORKERS=4x`` silently fell back to
 serial); a mistyped knob must fail loudly, not quietly change behavior.
+The same holds for a mistyped or retired *name*: :data:`KNOBS` lists
+every knob the program reads, and each CLI calls
+:func:`check_knob_names` before it does any work.
 """
 
 from __future__ import annotations
@@ -23,11 +26,42 @@ from typing import Iterator, Optional, Sequence
 
 from ..errors import ConfigError
 
-__all__ = ["env_choice", "env_int", "env_float", "env_flag", "env_scope"]
+__all__ = ["KNOBS", "check_knob_names", "env_choice", "env_int",
+           "env_float", "env_flag", "env_scope"]
+
+# Every environment knob the program reads, sorted.  Each is parsed
+# where it is read, through the helpers below.
+KNOBS = (
+    "REPRO_CACHE",
+    "REPRO_CACHE_DIR",
+    "REPRO_CHAOS",
+    "REPRO_DSE_KILL_AT",
+    "REPRO_FAULTS",
+    "REPRO_PREDICT",
+    "REPRO_PREDICT_MODEL",
+    "REPRO_PROFILE",
+    "REPRO_SERVE_PREDICT",
+    "REPRO_SWEEP_CHECKPOINT",
+    "REPRO_SWEEP_RETRIES",
+    "REPRO_SWEEP_TIMEOUT",
+    "REPRO_SWEEP_WORKERS",
+)
 
 # Exactly one optionally-signed decimal integer / float, nothing else.
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _FLOAT_RE = re.compile(r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
+
+
+def check_knob_names() -> None:
+    """Raise :class:`ConfigError` naming every set ``REPRO_*`` variable
+    that is not in :data:`KNOBS`: a misspelt or retired knob would
+    otherwise leave its default silently in force."""
+    unknown = sorted(name for name in os.environ
+                     if name.startswith("REPRO_") and name not in KNOBS)
+    if unknown:
+        raise ConfigError(
+            f"unknown environment knob(s) {', '.join(unknown)}; known: "
+            + ", ".join(KNOBS))
 
 
 def env_choice(name: str, default: str, choices: Sequence[str]) -> str:

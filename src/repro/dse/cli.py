@@ -27,17 +27,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 from typing import List, Optional
 
-from ..config.env import env_scope
+from ..config.env import check_knob_names, env_scope
 from ..errors import ConfigError
 from .engine import DseEngine, SearchSpec, brute_force_frontier
-from .settings import (dse_dir, dse_epsilon, dse_generations,
-                       dse_max_promote, dse_population, dse_strategy,
-                       dse_top_k)
 from .space import SearchSpace, space_by_name
 
 __all__ = ["main"]
@@ -143,7 +141,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
               f"(holdout MAPE {report.holdout_mape:.1%}) in "
               f"{report.train_seconds:.1f}s")
     spec = _spec_from_args(args, space, recipe)
-    engine = DseEngine(spec, predictor, args.out or dse_dir())
+    engine = DseEngine(spec, predictor, args.out)
     if engine.checkpoint_path.is_file() and not args.fresh:
         print(f"existing checkpoint {engine.checkpoint_path} — resuming "
               "(pass --fresh to discard)")
@@ -417,24 +415,26 @@ def _add_search_args(parser: argparse.ArgumentParser) -> None:
                         help="named space (smoke|edge|datacenter)")
     parser.add_argument("--space-file", default=None,
                         help="JSON SearchSpace payload (overrides --space)")
-    parser.add_argument("--strategy", default=dse_strategy(),
+    parser.add_argument("--strategy", default=SearchSpec.strategy,
                         choices=("evolve", "beam"))
-    parser.add_argument("--population", type=int, default=dse_population())
+    parser.add_argument("--population", type=int,
+                        default=SearchSpec.population)
     parser.add_argument("--generations", type=int,
-                        default=dse_generations())
-    parser.add_argument("--top-k", type=int, default=dse_top_k())
-    parser.add_argument("--epsilon", type=float, default=dse_epsilon())
+                        default=SearchSpec.generations)
+    parser.add_argument("--top-k", type=int, default=SearchSpec.top_k)
+    parser.add_argument("--epsilon", type=float, default=SearchSpec.epsilon)
     parser.add_argument("--max-promote", type=int,
-                        default=dse_max_promote())
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--node", type=float, default=7.0,
+                        default=SearchSpec.max_promote)
+    parser.add_argument("--seed", type=int, default=SearchSpec.seed)
+    parser.add_argument("--node", type=float, default=SearchSpec.node_nm,
                         help="process node (nm) for the PPA objectives")
     parser.add_argument("--artifact", default=None,
                         help="pretrained predictor artifact (else train)")
     parser.add_argument("--train-variants", type=int, default=48)
     parser.add_argument("--train-rounds", type=int, default=80)
-    parser.add_argument("--out", default=None,
-                        help=f"checkpoint dir (default {dse_dir()})")
+    parser.add_argument("--out",
+                        default=os.path.join("benchmarks", "results", "dse"),
+                        help="checkpoint dir (default %(default)s)")
     parser.add_argument("--fresh", action="store_true",
                         help="ignore an existing checkpoint for this spec")
     parser.add_argument("--workers", type=int, default=None)
@@ -479,6 +479,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        check_knob_names()
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,6 +66,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config.core_configs import CoreConfig
+from ..config.env import env_int
 from ..errors import ConfigError
 from ..graph.workload import OpWorkload
 from ..perf.predictor.features import LayerTable, config_feature_columns
@@ -73,7 +74,6 @@ from ..perf.predictor.model import CyclePredictor
 from .objectives import (design_area_columns, design_power_columns,
                          mix_weighted_cycles)
 from .pareto import frontier_groups
-from .settings import dse_kill_at
 from .space import Assignment, SearchSpace
 from .strategies import strategy_by_name
 
@@ -313,7 +313,9 @@ class DseEngine:
 
         if not self.checkpoint_path.is_file():
             self._checkpoint()
-        kill_at = dse_kill_at()
+        # A fault knob for the resume tests: hard-exit mid-generation at
+        # this generation index, as a kill between two checkpoints would.
+        kill_at = env_int("REPRO_DSE_KILL_AT", default=None, minimum=0)
         ran = 0
         while self.completed < self.spec.generations:
             gen = self.completed

@@ -21,19 +21,18 @@ Layout:
   :class:`~repro.profiling.manifest.RunManifest` provenance;
 * :mod:`sweep` — triaged design-point sweeps and the
   ``predicted_vs_simulated`` gate;
-* :mod:`settings` — the ``REPRO_PREDICT*`` environment knobs;
+* :mod:`settings` — the ``REPRO_PREDICT`` switch;
 * CLI: ``python -m repro.perf.predictor {train,sweep,smoke}``.
 """
 
 from .features import (FEATURE_SCHEMA_VERSION, feature_names,
-                       features_digest, model_feature_matrix,
-                       counters_feature_columns, counters_feature_matrix)
+                       features_digest, model_feature_matrix)
 from .model import CyclePredictor, mape, p95_relative_error
 from .dataset import (Dataset, collect_dataset, design_point_variants,
                       FULL_CORPUS, SMOKE_CORPUS, workload_class)
 from .train import (TrainReport, train_predictor, save_artifact,
                     load_artifact, try_load_artifact, default_artifact_path)
-from .settings import (predict_enabled, predict_top_k, predict_epsilon)
+from .settings import predict_enabled
 from .sweep import TriageSweepReport, triage_design_sweep
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "feature_names",
     "features_digest",
     "model_feature_matrix",
-    "counters_feature_columns",
-    "counters_feature_matrix",
     "CyclePredictor",
     "mape",
     "p95_relative_error",
@@ -59,8 +56,6 @@ __all__ = [
     "try_load_artifact",
     "default_artifact_path",
     "predict_enabled",
-    "predict_top_k",
-    "predict_epsilon",
     "TriageSweepReport",
     "triage_design_sweep",
 ]

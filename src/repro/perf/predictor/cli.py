@@ -29,9 +29,10 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from ...config.env import env_scope
+from ...config.env import check_knob_names, env_scope
 from .dataset import SMOKE_CORPUS
-from .sweep import clear_memo_tiers, triage_design_sweep
+from .sweep import (DEFAULT_EPSILON, DEFAULT_TOP_K, clear_memo_tiers,
+                    triage_design_sweep)
 from .train import (default_artifact_path, load_artifact, save_artifact,
                     train_predictor)
 
@@ -184,8 +185,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     sweep.add_argument("--model", default="gesture")
     sweep.add_argument("--core", default="ascend-lite")
     sweep.add_argument("--candidates", type=int, default=200)
-    sweep.add_argument("--top-k", type=int, default=None)
-    sweep.add_argument("--epsilon", type=float, default=None)
+    sweep.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
+    sweep.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     sweep.add_argument("--seed", type=int, default=1)
     sweep.add_argument("--artifact", default=None)
     sweep.add_argument("--validate", action="store_true",
@@ -201,6 +202,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     smoke.set_defaults(func=_cmd_smoke)
 
     args = parser.parse_args(argv)
+    check_knob_names()
     return args.func(args)
 
 

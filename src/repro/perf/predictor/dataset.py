@@ -1,12 +1,14 @@
 """Training data: model zoo x design-point variants, via the sweep harness.
 
 A training job is one (model, design point) pair; the worker compiles
-the model through the normal :class:`~repro.compiler.GraphEngine` path —
-so the persistent compile cache and the in-memory tiers make repeated
-collections cheap — and returns one (feature row, simulated cycles)
-sample per layer group.  Jobs fan out over the supervised sweep layer
-(:func:`repro.bench.supervise` — per-job retry/timeout/quarantine and
-optional ``REPRO_SWEEP_CHECKPOINT`` resume with zero re-simulation; a
+the model through :meth:`~repro.compiler.GraphEngine.compile_pairs` from
+its memoized workloads, scales and key text (the DSE search's mix memo,
+:func:`repro.dse.engine._mix_model`) — so the persistent compile cache
+and the in-memory tiers make repeated collections cheap — and returns
+one (feature row, simulated cycles) sample per layer group.  Jobs fan
+out over the supervised sweep layer (:func:`repro.bench.supervise` —
+per-job retry/timeout/quarantine and optional
+``REPRO_SWEEP_CHECKPOINT`` resume with zero re-simulation; a
 quarantined job drops its samples with a structured warning instead of
 killing the collection), results come back in job order, and every
 random choice flows from one seeded generator, so a (corpus, cores,
@@ -153,17 +155,16 @@ def _collect_job(job: Tuple[str, dict, CoreConfig]
                  ) -> Tuple[List[List[float]], List[float], List[str]]:
     """Sweep worker: compile one (model, config) pair, emit its samples."""
     from ...compiler import GraphEngine
-    from ...compiler.graph_engine import _im2col_scales
-    from ...models import build_model
+    # Imported here: dse.engine imports this package's features module.
+    from ...dse.engine import _mix_model
 
     model_name, kwargs, config = job
-    graph = build_model(model_name, **kwargs)
-    pairs = list(graph.grouped_workloads())
-    scales = _im2col_scales(graph)
-    compiled = GraphEngine(config).compile_graph(graph)
-    rows = model_feature_matrix(pairs, config, scales).tolist()
+    mix = _mix_model(model_name, kwargs)
+    compiled = GraphEngine(config).compile_pairs(
+        mix.name, mix.pairs, mix.scales, mix.layers_text)
+    rows = model_feature_matrix(mix.pairs, config, mix.scales).tolist()
     targets = [float(layer.cycles) for layer in compiled.layers]
-    labels = [f"{model_name}@{config.name}/{group}" for group, _ in pairs]
+    labels = [f"{model_name}@{config.name}/{group}" for group, _ in mix.pairs]
     return rows, targets, labels
 
 
@@ -179,7 +180,7 @@ def collect_dataset(corpus: Optional[Sequence[Tuple[str, dict]]] = None,
     worker.
     """
     from ...bench.supervisor import SweepPolicy, supervise
-    from ...models import build_model
+    from ...dse.engine import _mix_model
 
     corpus = list(corpus if corpus is not None else FULL_CORPUS)
     core_names = list(cores if cores is not None else _DEFAULT_CORES)
@@ -187,7 +188,8 @@ def collect_dataset(corpus: Optional[Sequence[Tuple[str, dict]]] = None,
     jobs: List[Tuple[str, dict, CoreConfig]] = []
     job_classes: List[str] = []
     for model_name, kwargs in corpus:
-        pairs = list(build_model(model_name, **kwargs).grouped_workloads())
+        # Fills the mix memo here, so fork workers inherit each model.
+        pairs = _mix_model(model_name, kwargs).pairs
         for core_name in core_names:
             base = core_config_by_name(core_name)
             for config in design_point_variants(base, variants_per_core,

@@ -1,25 +1,17 @@
 """Deterministic per-layer features for the cycle predictor.
 
-Two extractors live here:
+:class:`LayerTable` is the one extractor: everything knowable **without
+simulating** — workload structure
+(:class:`~repro.graph.workload.OpWorkload`), Table 5 design-point
+parameters, and cheap analytic per-resource cycle estimates (the
+roofline hints the model refines) — for every (design point x layer)
+pair at once.  The table is built once per model; this is what the fast
+tier evaluates for thousands of candidate configurations.
+:func:`candidate_feature_matrix` is one table used once and
+:func:`model_feature_matrix` its batch of one design point.
 
-* :class:`LayerTable` — the *predictive* feature rows: everything
-  knowable **without simulating** — workload structure
-  (:class:`~repro.graph.workload.OpWorkload`), Table 5 design-point
-  parameters, and cheap analytic per-resource cycle estimates (the
-  roofline hints the model refines) — for every (design point x layer)
-  pair at once.  The table is built once per model; this is what the
-  fast tier evaluates for thousands of candidate configurations.
-  :func:`candidate_feature_matrix` is one table used once and
-  :func:`model_feature_matrix` its batch of one design point.
-* :func:`counters_feature_columns` — the *observed* columns of a
-  :class:`~repro.profiling.counters.PerfCounters` registry (instruction
-  mix, route matrix, flag-wait histograms) for training-set diagnostics
-  and feature-matrix exports.
-
-Determinism is part of the contract: every dict-shaped counter table
-(kinds, routes, interned flag channels) is **sorted by key before
-export**, so two identical runs produce byte-identical feature matrices
-regardless of dict insertion order — pinned by
+Determinism is part of the contract: two identical runs produce
+byte-identical feature matrices — pinned by
 ``tests/perf/test_predictor_features.py`` and relied on by the
 content-addressed artifact keys.
 
@@ -47,8 +39,6 @@ __all__ = [
     "config_feature_columns",
     "candidate_feature_matrix",
     "features_digest",
-    "counters_feature_columns",
-    "counters_feature_matrix",
 ]
 
 # Bump on any change to the name list, ordering, or a feature formula.
@@ -409,53 +399,3 @@ def features_digest(matrix: np.ndarray) -> str:
     digest.update(np.ascontiguousarray(matrix, dtype=np.float64).tobytes())
     return digest.hexdigest()
 
-
-# -- observed-counter columns -------------------------------------------------
-
-def counters_feature_columns(counters) -> "Dict[str, float]":
-    """Flatten a :class:`PerfCounters` into named numeric columns.
-
-    Every dict-shaped table — instruction kinds, the route matrix, the
-    interned flag-channel histograms — is sorted by key before export,
-    so column order depends only on *content*, never on the insertion
-    order of merges.  The returned dict preserves that deterministic
-    order (plain dicts are insertion-ordered).
-    """
-    from ...isa.pipes import Pipe
-
-    cols: Dict[str, float] = {}
-    for name in ("total_cycles", "events", "l1_read_bytes",
-                 "l1_write_bytes", "gm_read_bytes", "gm_write_bytes",
-                 "ub_read_bytes", "ub_write_bytes", "traces", "layers"):
-        cols[name] = float(getattr(counters, name))
-    cols["stall_cycles"] = float(counters.stall_cycles)
-    for pipe in Pipe:
-        cols[f"busy[{pipe.name}]"] = float(counters.busy_by_pipe[int(pipe)])
-    for pipe in Pipe:
-        cols[f"wait[{pipe.name}]"] = float(counters.wait_by_pipe[int(pipe)])
-    for kind in sorted(counters.kind_events):
-        cols[f"kind[{kind}]"] = float(counters.kind_events[kind])
-    for route in sorted(counters.route_bytes):
-        cols[f"route[{route}]"] = float(counters.route_bytes[route])
-    for channel in sorted(counters.flag_waits):
-        waits, stalled = counters.flag_waits[channel]
-        cols[f"waits[{channel}]"] = float(waits)
-        cols[f"stalled[{channel}]"] = float(stalled)
-    return cols
-
-
-def counters_feature_matrix(samples: Iterable) -> Tuple[List[str], np.ndarray]:
-    """Align many counters into one (names, matrix) pair.
-
-    The column set is the sorted union of every sample's columns;
-    samples missing a column get 0.0 there.  Deterministic for the same
-    multiset of counters regardless of iteration interleaving.
-    """
-    flats = [counters_feature_columns(c) for c in samples]
-    names = sorted(set().union(*flats)) if flats else []
-    matrix = np.zeros((len(flats), len(names)), dtype=np.float64)
-    for i, flat in enumerate(flats):
-        for j, name in enumerate(names):
-            if name in flat:
-                matrix[i, j] = flat[name]
-    return names, matrix

@@ -1,45 +1,23 @@
-"""The ``REPRO_PREDICT*`` environment knobs.
+"""The ``REPRO_PREDICT`` switch.
 
-* ``REPRO_PREDICT`` — ``1`` enables the predictor fast tier in sweeps
-  and benchmarks that support triage.  Off by default: published
-  figure/table numbers are always simulated, and with the switch off
-  not a single code path consults the predictor.
-* ``REPRO_PREDICT_MODEL`` — path to the trained artifact JSON
-  (default ``benchmarks/results/predictor_model.json``).
-* ``REPRO_PREDICT_TOPK`` — shortlist size floor (default 8): the top-K
-  predicted candidates are always simulated.
-* ``REPRO_PREDICT_EPSILON`` — relative widening of the shortlist
-  (default 0.05): any candidate predicted within (1 + epsilon) of the
-  predicted best is simulated too, so near-ties are never decided by
-  the model alone.
+``REPRO_PREDICT=1`` enables the predictor fast tier in sweeps and
+benchmarks that support triage.  Off by default: published figure/table
+numbers are always simulated, and with the switch off not a single code
+path consults the predictor.  The artifact path is
+``REPRO_PREDICT_MODEL`` (:func:`~repro.perf.predictor.train.default_artifact_path`).
 
-All parsing is strict (:mod:`repro.config.env`): garbage values raise
-:class:`~repro.errors.ConfigError` instead of silently changing what a
-sweep simulates.
+Parsing is strict (:mod:`repro.config.env`): anything but ``0``/``1``
+raises :class:`~repro.errors.ConfigError` instead of silently changing
+what a sweep simulates.
 """
 
 from __future__ import annotations
 
-from ...config.env import env_flag, env_float, env_int
+from ...config.env import env_flag
 
-__all__ = ["predict_enabled", "predict_top_k", "predict_epsilon"]
-
-_ENV_PREDICT = "REPRO_PREDICT"
-_ENV_TOPK = "REPRO_PREDICT_TOPK"
-_ENV_EPSILON = "REPRO_PREDICT_EPSILON"
-
-DEFAULT_TOP_K = 8
-DEFAULT_EPSILON = 0.05
+__all__ = ["predict_enabled"]
 
 
 def predict_enabled() -> bool:
     """Whether the predictor fast tier is switched on (off by default)."""
-    return env_flag(_ENV_PREDICT, default=False)
-
-
-def predict_top_k() -> int:
-    return env_int(_ENV_TOPK, default=DEFAULT_TOP_K, minimum=1)
-
-
-def predict_epsilon() -> float:
-    return env_float(_ENV_EPSILON, default=DEFAULT_EPSILON, minimum=0.0)
+    return env_flag("REPRO_PREDICT", default=False)

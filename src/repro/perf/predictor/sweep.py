@@ -5,7 +5,9 @@ candidate design points around a base core, predict model cycles for
 **every** candidate from the feature matrix (one vectorized
 ``predict`` call — microseconds per candidate), then simulate only the
 shortlist the triage policy keeps (top-K plus the epsilon near-tie
-window) through the ordinary event-engine path.
+window) through the DSE search's simulation job
+(:func:`repro.dse.engine._simulate_job`), which compiles each candidate
+from the model's memoized workloads, scales and key text.
 
 ``validate=True`` additionally simulates *every* candidate and emits a
 ``predicted_vs_simulated`` gating report: per-candidate relative error,
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,9 +37,14 @@ from ...config.core_configs import CoreConfig, core_config_by_name
 from .dataset import design_point_variants
 from .features import candidate_feature_matrix, config_feature_columns
 from .model import CyclePredictor, mape, p95_relative_error
-from .settings import predict_epsilon, predict_top_k
 
 __all__ = ["TriageSweepReport", "triage_design_sweep", "clear_memo_tiers"]
+
+# The shortlist a triaged sweep simulates by default: the top-K
+# predicted candidates plus every one predicted within (1 + epsilon) of
+# the predicted best, so near-ties are never decided by the model alone.
+DEFAULT_TOP_K = 8
+DEFAULT_EPSILON = 0.05
 
 
 def clear_memo_tiers() -> None:
@@ -57,17 +64,6 @@ def clear_memo_tiers() -> None:
     lowering.clear_lowering_memo()
     engine_mod._SUMMARY_MEMO.clear()
     dse_engine._MIX_MEMO.clear()
-
-
-def _simulate_job(job: Tuple[str, dict, CoreConfig]) -> float:
-    """Sweep worker: total simulated model cycles on one design point."""
-    from ...compiler import GraphEngine
-    from ...models import build_model
-
-    model_name, kwargs, config = job
-    graph = build_model(model_name, **kwargs)
-    compiled = GraphEngine(config).compile_graph(graph)
-    return float(sum(layer.cycles for layer in compiled.layers))
 
 
 @dataclass
@@ -129,8 +125,8 @@ def triage_design_sweep(predictor: CyclePredictor,
                         kwargs: Optional[dict] = None,
                         base_core: str = "ascend-lite",
                         n_candidates: int = 200,
-                        top_k: Optional[int] = None,
-                        epsilon: Optional[float] = None,
+                        top_k: int = DEFAULT_TOP_K,
+                        epsilon: float = DEFAULT_EPSILON,
                         seed: int = 1,
                         validate: bool = False,
                         max_workers: Optional[int] = None
@@ -142,23 +138,20 @@ def triage_design_sweep(predictor: CyclePredictor,
     the corpus models here must be supported on every variant, which
     holds because variants keep the base cube's k/n and dtypes.
     """
-    from ...compiler.graph_engine import _im2col_scales
-    from ...models import build_model
+    # Imported here: dse.engine imports this package's features module.
+    from ...dse.engine import _mix_model, _simulate_job
 
     kwargs = kwargs or {}
-    top_k = top_k if top_k is not None else predict_top_k()
-    epsilon = epsilon if epsilon is not None else predict_epsilon()
     base = core_config_by_name(base_core)
     configs = design_point_variants(base, n_candidates, seed=seed,
                                     include_base=False)
-    graph = build_model(model, **kwargs)
-    pairs = list(graph.grouped_workloads())
-    scales = _im2col_scales(graph)
+    mix = _mix_model(model, kwargs)
 
     # -- fast tier: one batched feature matrix, one model call ----------------
     triage_start = time.perf_counter()
-    stack = candidate_feature_matrix(pairs, config_feature_columns(configs),
-                                     scales)
+    stack = candidate_feature_matrix(mix.pairs,
+                                     config_feature_columns(configs),
+                                     mix.scales)
     predicted = predictor.predict_model_cycles(stack, len(configs))
     predict_seconds = time.perf_counter() - triage_start
 
@@ -196,6 +189,7 @@ def _validate(report: TriageSweepReport, model: str, kwargs: dict,
               max_workers: Optional[int]) -> None:
     """Full-simulation leg + the ``predicted_vs_simulated`` gate."""
     from ...bench.runner import run_sweep
+    from ...dse.engine import _simulate_job
 
     # Both legs cold: the triage leg above already paid its compiles, so
     # drop the memo tiers before timing the full sweep.

@@ -22,6 +22,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from ..config.core_configs import CORE_CONFIGS, core_config_by_name
+from ..config.env import check_knob_names
 from ..core.costs import CostModel
 from ..core.engine import schedule
 from ..core.trace import ExecutionTrace
@@ -181,6 +182,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     lister.set_defaults(func=_cmd_list)
 
     args = parser.parse_args(argv)
+    check_knob_names()
     return args.func(args)
 
 

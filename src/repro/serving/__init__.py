@@ -14,8 +14,7 @@ from .kvcache import KvCapacity, KvLedger, qos_arbiter_for
 from .metrics import exact_percentile, latency_summary
 from .request import Request, RequestState
 from .scheduler import MODES, ServeReport, ServeSpec, simulate_serving
-from .settings import (serve_kv_fraction, serve_max_batch, serve_policy,
-                       serve_predict)
+from .settings import serve_max_batch, serve_predict
 from .stepcost import StepCostModel, bucket_pow2
 from .traffic import TenantSpec, generate_trace, tenant_key, tenant_trace
 
@@ -24,7 +23,7 @@ __all__ = [
     "exact_percentile", "latency_summary",
     "Request", "RequestState",
     "MODES", "ServeReport", "ServeSpec", "simulate_serving",
-    "serve_kv_fraction", "serve_max_batch", "serve_policy", "serve_predict",
+    "serve_max_batch", "serve_predict",
     "StepCostModel", "bucket_pow2",
     "TenantSpec", "generate_trace", "tenant_key", "tenant_trace",
 ]

@@ -33,10 +33,12 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from ..config.core_configs import core_config_by_name
+from ..config.env import check_knob_names
 from ..config.soc_configs import soc_config_by_name
 from ..errors import ConfigError, ReproError
 from ..models.gpt import GPT_MEDIUM, GPT_SMALL, GPT_TINY, GptConfig
-from .scheduler import MODES, ServeReport, ServeSpec, simulate_serving
+from .scheduler import (MODES, POLICIES, ServeReport, ServeSpec,
+                        simulate_serving)
 from .stepcost import StepCostModel
 from .traffic import TenantSpec
 
@@ -257,10 +259,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     run.add_argument("--core", default=None,
                      help="core config (default: the SoC's first group)")
     run.add_argument("--mode", default="continuous", choices=MODES)
-    run.add_argument("--policy", default=None, choices=("fcfs", "spf"),
-                     help="admission order (default: REPRO_SERVE_POLICY)")
-    run.add_argument("--max-batch", type=int, default=None)
-    run.add_argument("--kv-fraction", type=float, default=None)
+    run.add_argument("--policy", default=ServeSpec.policy, choices=POLICIES,
+                     help="admission order (default %(default)s)")
+    run.add_argument("--max-batch", type=int, default=ServeSpec.max_batch,
+                     help="in-flight request ceiling (default %(default)s)")
+    run.add_argument("--kv-fraction", type=float,
+                     default=ServeSpec.kv_fraction,
+                     help="KV share of post-weight DRAM, in [0, 1] "
+                          "(default %(default)s)")
     run.add_argument("--requests", type=int, default=1000,
                      help="requests per tenant")
     run.add_argument("--rate-scale", type=float, default=1.0,
@@ -274,6 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        check_knob_names()
         return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,8 +8,9 @@ capacity numbers every other part of the simulator uses:
 
 * **on-chip**: the SoC LLC plus each core's L1 and UB scratchpads — the
   tier the hot tail of the cache lives in;
-* **GM**: a configurable fraction (``REPRO_SERVE_KV_FRACTION``) of DRAM
-  *after* the model's weights are resident.
+* **GM**: a configurable fraction (``ServeSpec.kv_fraction``, the ``run``
+  CLI's ``--kv-fraction``) of DRAM *after* the model's weights are
+  resident.
 
 Per-tenant isolation reuses the automotive MPAM machinery
 (:class:`~repro.soc.qos.MpamPartition` / :class:`~repro.soc.qos.QosArbiter`

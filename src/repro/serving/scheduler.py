@@ -89,22 +89,27 @@ from ..profiling.manifest import RunManifest
 from .kvcache import KvCapacity, KvLedger
 from .metrics import latency_summary
 from .request import Request, RequestState
-from .settings import (POLICIES, serve_kv_fraction, serve_max_batch,
-                       serve_policy)
 from .stepcost import StepCostModel
 from .traffic import TenantSpec, checked_seed, generate_trace
 
-__all__ = ["ServeSpec", "ServeReport", "simulate_serving", "MODES"]
+__all__ = ["ServeSpec", "ServeReport", "simulate_serving", "MODES",
+           "POLICIES"]
 
 MODES = ("continuous", "static")
+POLICIES = ("fcfs", "spf")
 
 
 @dataclass(frozen=True)
 class ServeSpec:
     """One serving campaign: model x design point x tenants x knobs.
 
-    ``policy`` / ``max_batch`` / ``kv_fraction`` default to the
-    ``REPRO_SERVE_*`` environment knobs when left ``None``.
+    * ``policy`` — batch-admission order: ``fcfs`` (arrival order) or
+      ``spf`` (shortest-prefill-first).
+    * ``max_batch`` — how many requests the engine keeps in flight at
+      once, on top of the KV-capacity constraint.
+    * ``kv_fraction`` — the share of the design point's DRAM left after
+      weights that the KV cache may occupy, in [0, 1]; on-chip capacity
+      (LLC + per-core L1/UB) is always available on top of it.
     """
 
     model: GptConfig
@@ -112,29 +117,20 @@ class ServeSpec:
     soc: SocConfig
     tenants: Tuple[TenantSpec, ...]
     seed: int = 0
-    policy: Optional[str] = None
-    max_batch: Optional[int] = None
-    kv_fraction: Optional[float] = None
+    policy: str = "fcfs"
+    max_batch: int = 32
+    kv_fraction: float = 0.3
     dtype: DType = FP16
 
     def __post_init__(self) -> None:
         if not self.tenants:
             raise ConfigError("a serving campaign needs at least one tenant")
         checked_seed(self.seed)
-        if self.policy is not None and self.policy not in POLICIES:
+        if self.policy not in POLICIES:
             raise ConfigError(
                 f"unknown policy {self.policy!r}; known: {POLICIES}")
-        if self.max_batch is not None and self.max_batch < 1:
+        if self.max_batch < 1:
             raise ConfigError("max_batch must be >= 1")
-
-    def resolved(self) -> Tuple[str, int, float]:
-        return (
-            self.policy if self.policy is not None else serve_policy(),
-            self.max_batch if self.max_batch is not None
-            else serve_max_batch(),
-            self.kv_fraction if self.kv_fraction is not None
-            else serve_kv_fraction(),
-        )
 
 
 @dataclass
@@ -209,11 +205,11 @@ class _Campaign:
             raise ConfigError(f"unknown serving mode {mode!r}; known: {MODES}")
         self.spec = spec
         self.mode = mode
-        self.policy, self.max_batch, kv_fraction = spec.resolved()
+        self.policy, self.max_batch = spec.policy, spec.max_batch
         self.cost = cost_model if cost_model is not None else StepCostModel(
             spec.model, spec.core, dtype=spec.dtype)
         self.capacity = KvCapacity.for_design_point(
-            spec.model, spec.core, spec.soc, kv_fraction, spec.dtype)
+            spec.model, spec.core, spec.soc, spec.kv_fraction, spec.dtype)
         self.ledger = KvLedger(self.capacity, spec.tenants)
         self.trace = _first_come(trace) if trace is not None else (
             generate_trace(spec.tenants, spec.seed, spec.core.frequency_hz))

@@ -1,70 +1,32 @@
-"""The ``REPRO_SERVE_*`` environment knobs.
+"""The serving layer's environment knob, and its batch-size default.
 
-* ``REPRO_SERVE_POLICY`` — batch-admission order: ``fcfs`` (arrival
-  order, the default) or ``spf`` (shortest-prefill-first).
-* ``REPRO_SERVE_MAX_BATCH`` — iteration-level batch-size ceiling
-  (default 32): how many requests the engine keeps in flight at once,
-  on top of the KV-capacity constraint.
-* ``REPRO_SERVE_KV_FRACTION`` — fraction of the design point's DRAM
-  left after weights that the KV cache may occupy (default 0.3, must
-  lie in [0, 1]).  On-chip capacity (LLC + per-core L1/UB) is always
-  available to the cache on top of this.
 * ``REPRO_SERVE_PREDICT`` — ``1`` prices engine steps with the learned
   cycle predictor (:mod:`repro.perf.predictor`) instead of compiling +
   scheduling each (phase, batch, context) bucket.  Off by default:
-  reported numbers are simulated unless explicitly opted in.
+  reported numbers are simulated unless explicitly opted in.  Parsing
+  is strict (:mod:`repro.config.env`): anything but ``0``/``1`` raises
+  :class:`~repro.errors.ConfigError` naming the variable.
 
-All parsing is strict (:mod:`repro.config.env`): garbage values raise
-:class:`~repro.errors.ConfigError` naming the variable instead of
-silently changing what a campaign measures; unset knobs leave behavior
-byte-identical to the built-in defaults.
+Admission policy, batch ceiling and KV fraction are
+:class:`~repro.serving.scheduler.ServeSpec` fields, which the ``run``
+CLI sets from its flags.
 """
 
 from __future__ import annotations
 
-from ..config.env import env_choice, env_flag, env_float, env_int
-from ..errors import ConfigError
+from ..config.env import env_flag
 
-__all__ = [
-    "serve_policy",
-    "serve_max_batch",
-    "serve_kv_fraction",
-    "serve_predict",
-    "POLICIES",
-]
-
-_ENV_POLICY = "REPRO_SERVE_POLICY"
-_ENV_MAX_BATCH = "REPRO_SERVE_MAX_BATCH"
-_ENV_KV_FRACTION = "REPRO_SERVE_KV_FRACTION"
-_ENV_PREDICT = "REPRO_SERVE_PREDICT"
-
-POLICIES = ("fcfs", "spf")
-DEFAULT_POLICY = "fcfs"
-DEFAULT_MAX_BATCH = 32
-DEFAULT_KV_FRACTION = 0.3
-
-
-def serve_policy() -> str:
-    """Admission policy (``fcfs``/``spf``); anything else raises."""
-    return env_choice(_ENV_POLICY, DEFAULT_POLICY, POLICIES)
+__all__ = ["serve_max_batch", "serve_predict"]
 
 
 def serve_max_batch() -> int:
-    """In-flight request ceiling per engine iteration (>= 1)."""
-    return env_int(_ENV_MAX_BATCH, default=DEFAULT_MAX_BATCH, minimum=1)
+    """``ServeSpec``'s default in-flight request ceiling, for callers that
+    size a step-cost grid by it (perfbench's serve set-up)."""
+    from .scheduler import ServeSpec
 
-
-def serve_kv_fraction() -> float:
-    """KV share of post-weight DRAM, in [0, 1]."""
-    value = env_float(_ENV_KV_FRACTION, default=DEFAULT_KV_FRACTION,
-                      minimum=0.0)
-    if value > 1.0:
-        raise ConfigError(
-            f"{_ENV_KV_FRACTION}={value!r} is above the maximum of 1.0"
-        )
-    return value
+    return ServeSpec.max_batch
 
 
 def serve_predict() -> bool:
     """Whether step costs come from the predictor fast tier (default off)."""
-    return env_flag(_ENV_PREDICT, default=False)
+    return env_flag("REPRO_SERVE_PREDICT", default=False)

@@ -3,7 +3,10 @@
 The regression these pin: ``REPRO_SWEEP_WORKERS=4x`` used to fall back
 to serial silently; a mistyped knob must raise
 :class:`~repro.errors.ConfigError` naming the variable, not quietly
-change behavior.
+change behavior.  The same holds for a mistyped or deleted knob *name*
+(``REPRO_SERVE_POLCY=spf`` used to leave the default policy in force):
+every CLI rejects a ``REPRO_*`` name outside ``config/env.py``'s
+``KNOBS``.
 """
 
 import ast
@@ -14,7 +17,9 @@ import pytest
 
 import repro
 from repro.bench.runner import sweep_workers
-from repro.config.env import env_choice, env_flag, env_float, env_int
+from repro.config import env
+from repro.config.env import (check_knob_names, env_choice, env_flag,
+                              env_float, env_int)
 from repro.errors import ConfigError
 
 _VAR = "REPRO_TEST_KNOB"
@@ -120,28 +125,17 @@ class TestWorkerKnobsIntegration:
 
 
 # Every environment knob the program reads.  Adding or dropping one is a
-# deliberate edit here (and in the docs that list the knobs).
-KNOBS = (
+# deliberate edit here, in config/env.py's KNOBS, and in the docs that
+# list the knobs.
+PINNED = (
     "REPRO_CACHE",
     "REPRO_CACHE_DIR",
     "REPRO_CHAOS",
-    "REPRO_DSE_DIR",
-    "REPRO_DSE_EPSILON",
-    "REPRO_DSE_GENERATIONS",
     "REPRO_DSE_KILL_AT",
-    "REPRO_DSE_MAX_PROMOTE",
-    "REPRO_DSE_POPULATION",
-    "REPRO_DSE_STRATEGY",
-    "REPRO_DSE_TOPK",
     "REPRO_FAULTS",
     "REPRO_PREDICT",
-    "REPRO_PREDICT_EPSILON",
     "REPRO_PREDICT_MODEL",
-    "REPRO_PREDICT_TOPK",
     "REPRO_PROFILE",
-    "REPRO_SERVE_KV_FRACTION",
-    "REPRO_SERVE_MAX_BATCH",
-    "REPRO_SERVE_POLICY",
     "REPRO_SERVE_PREDICT",
     "REPRO_SWEEP_CHECKPOINT",
     "REPRO_SWEEP_RETRIES",
@@ -151,10 +145,15 @@ KNOBS = (
 
 
 def _knob_literals():
-    """Every string literal in the package that is exactly a knob name."""
+    """Every string literal that is exactly a knob name, in every module
+    of the package but the registry itself: a registered name that
+    nothing reads is missing here."""
     pattern = re.compile(r"REPRO_[A-Z0-9_]+")
+    registry = Path(env.__file__).resolve()
     found = set()
     for path in Path(repro.__file__).parent.rglob("*.py"):
+        if path.resolve() == registry:
+            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Constant) and isinstance(node.value, str)
                     and pattern.fullmatch(node.value)):
@@ -164,5 +163,70 @@ def _knob_literals():
 
 class TestKnobSet:
     def test_package_reads_exactly_the_pinned_knobs(self):
-        assert tuple(sorted(_knob_literals())) == KNOBS
-        assert len(KNOBS) == 25
+        assert env.KNOBS == PINNED
+        assert tuple(sorted(_knob_literals())) == PINNED
+        assert len(PINNED) == 13
+
+
+def _never(args):
+    raise AssertionError("the command ran despite an unknown knob name")
+
+
+class TestUnknownKnobNames:
+    """Every CLI rejects a ``REPRO_*`` name outside the registry — a
+    misspelt or deleted knob — before its command does any work."""
+
+    def test_registered_names_pass(self, monkeypatch):
+        for name in PINNED:
+            monkeypatch.setenv(name, "")
+        check_knob_names()
+
+    def test_unknown_names_are_listed(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ZZ_TYPO", "1")
+        monkeypatch.setenv("REPRO_AA_TYPO", "1")
+        with pytest.raises(ConfigError,
+                           match="REPRO_AA_TYPO, REPRO_ZZ_TYPO; known: "):
+            check_knob_names()
+
+    def test_dse_cli(self, monkeypatch, capsys):
+        from repro.dse import cli
+
+        monkeypatch.setenv("REPRO_DSE_POPULATION", "96")
+        monkeypatch.setattr(cli, "_cmd_report", _never)
+        assert cli.main(["report", "--checkpoint", "missing.json"]) == 2
+        assert "unknown environment knob(s) REPRO_DSE_POPULATION" \
+            in capsys.readouterr().err
+
+    def test_serving_cli(self, monkeypatch, capsys):
+        from repro.serving import cli
+
+        monkeypatch.setenv("REPRO_SERVE_POLCY", "spf")
+        monkeypatch.setattr(cli, "_cmd_run", _never)
+        assert cli.main(["run", "--requests", "1"]) == 2
+        assert "unknown environment knob(s) REPRO_SERVE_POLCY" \
+            in capsys.readouterr().err
+
+    def test_predictor_cli(self, monkeypatch):
+        from repro.perf.predictor import cli
+
+        monkeypatch.setenv("REPRO_PREDICT_TOPK", "3")
+        monkeypatch.setattr(cli, "_cmd_sweep", _never)
+        with pytest.raises(ConfigError, match="REPRO_PREDICT_TOPK"):
+            cli.main(["sweep"])
+
+    def test_profiling_cli(self, monkeypatch):
+        from repro.profiling import cli
+
+        monkeypatch.setenv("REPRO_PROFILE_DIR", "traces")
+        monkeypatch.setattr(cli, "_cmd_list", _never)
+        with pytest.raises(ConfigError, match="REPRO_PROFILE_DIR"):
+            cli.main(["list"])
+
+    def test_garbage_value_of_a_known_knob_still_fails(self, monkeypatch,
+                                                       capsys):
+        from repro.serving.cli import main
+
+        monkeypatch.setenv("REPRO_SERVE_PREDICT", "yes")
+        assert main(["run", "--requests", "1"]) == 2
+        assert "REPRO_SERVE_PREDICT='yes' is not a valid value" \
+            in capsys.readouterr().err

@@ -1,11 +1,15 @@
 """Declarative search spaces: enumeration, identity, and decoding."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from repro.config import core_config_by_name
 from repro.dse import Knob, MixEntry, SearchSpace, space_by_name
+from repro.dse.space import NAMED_SPACES
 from repro.errors import ConfigError
+from repro.models import build_model
 
 
 def _space(**overrides):
@@ -128,3 +132,27 @@ class TestDecode:
         config = space.decode(point)
         assert config.name \
             == f"ascend-lite-dse-{space.candidate_key(point)[:10]}"
+
+
+class TestNamedSpaces:
+    @pytest.mark.parametrize("name,size", [
+        ("smoke", 288), ("edge", 82_944), ("datacenter", 5_184)])
+    def test_every_named_space_builds_and_decodes(self, name, size):
+        assert set(NAMED_SPACES) == {"smoke", "edge", "datacenter"}
+        space = space_by_name(name)
+        assert space.size() == size == int(np.prod(
+            [len(k.values) for k in space.knobs]))
+        points = space.points()
+        first = next(points)
+        last = deque(points, maxlen=1)[0]
+        assert first == {k.name: k.values[0] for k in space.knobs}
+        assert last == {k.name: k.values[-1] for k in space.knobs}
+        for point in (first, last):
+            config = space.decode(point)
+            assert config.cube_dtypes == space.base.cube_dtypes
+        # Every mix model runs on the base core (hence on every point).
+        for entry in space.mix:
+            graph = build_model(entry.model, **entry.kwargs_dict)
+            for _, work in graph.grouped_workloads():
+                for gemm in work.gemms:
+                    assert space.base.supports_dtype(gemm.dtype), entry.label

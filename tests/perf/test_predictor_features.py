@@ -22,9 +22,6 @@ from repro.config import ASCEND_LITE, ASCEND_MAX
 from repro.models import build_model
 from repro.perf.predictor import (FEATURE_SCHEMA_VERSION, feature_names,
                                   features_digest, model_feature_matrix)
-from repro.perf.predictor.features import (counters_feature_columns,
-                                           counters_feature_matrix)
-from repro.profiling import PerfCounters
 
 
 def _gesture_matrix():
@@ -95,49 +92,3 @@ class TestDeterminism:
         tweaked = matrix.copy()
         tweaked[0, 0] += 1.0
         assert features_digest(matrix) != features_digest(tweaked)
-
-
-class TestCountersColumns:
-    def _scrambled_pair(self):
-        """Two counters with identical content, opposite insertion order."""
-        a, b = PerfCounters(), PerfCounters()
-        items = [("MTE2->M#0", [3, 70]), ("V->MTE3#1", [1, 9]),
-                 ("M->V#2", [5, 40])]
-        kinds = [("cube", 4), ("vector", 7), ("copy", 2)]
-        routes = [("GM->L1", 1024), ("L1->L0A", 512), ("UB->GM", 64)]
-        for target, payload in ((a, items), (b, reversed(items))):
-            for key, value in payload:
-                target.flag_waits[key] = list(value)
-        for target, payload in ((a, kinds), (b, reversed(kinds))):
-            for key, value in payload:
-                target.kind_events[key] = value
-        for target, payload in ((a, routes), (b, reversed(routes))):
-            for key, value in payload:
-                target.route_bytes[key] = value
-        return a, b
-
-    def test_sorted_tables_make_insertion_order_irrelevant(self):
-        a, b = self._scrambled_pair()
-        assert list(counters_feature_columns(a)) == \
-            list(counters_feature_columns(b))
-        assert counters_feature_columns(a) == counters_feature_columns(b)
-
-    def test_table_segments_are_sorted(self):
-        a, _ = self._scrambled_pair()
-        cols = list(counters_feature_columns(a))
-        for prefix in ("kind[", "route[", "waits["):
-            segment = [c for c in cols if c.startswith(prefix)]
-            assert segment == sorted(segment), prefix
-
-    def test_matrix_alignment_fills_missing_columns(self):
-        a, b = self._scrambled_pair()
-        del b.kind_events["copy"]
-        names, matrix = counters_feature_matrix([a, b])
-        assert names == sorted(names)
-        j = names.index("kind[copy]")
-        assert matrix[0, j] == 2.0
-        assert matrix[1, j] == 0.0
-        # Same multiset, opposite iteration order: identical output.
-        names2, matrix2 = counters_feature_matrix([b, a])
-        assert names2 == names
-        assert np.array_equal(matrix2, matrix[::-1])

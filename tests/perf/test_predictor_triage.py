@@ -1,5 +1,5 @@
 """Triage semantics: what gets simulated, what gets skipped, and the
-strict ``REPRO_PREDICT*`` environment contract.
+strict ``REPRO_PREDICT`` switch.
 
 The shortlist policy is pure code (no model involved), so it is tested
 exhaustively here with hand-built predictions; the end-to-end accuracy
@@ -7,17 +7,15 @@ and speedup gates live in ``make predict-smoke`` and
 ``benchmarks/bench_predictor_triage.py``.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
-from repro.bench import TriageResult, shortlist_indices, triage_sweep
+from repro.bench import shortlist_indices
 from repro.errors import ConfigError
-from repro.perf.predictor.settings import (predict_enabled, predict_epsilon,
-                                           predict_top_k)
-
-
-def _double(job):
-    return job * 2
+from repro.perf.predictor import triage_design_sweep
+from repro.perf.predictor.settings import predict_enabled
 
 
 class TestShortlist:
@@ -100,44 +98,14 @@ class TestShortlistBoundaryTies:
         assert all(type(i) is int for i in out)
 
 
-class TestTriageSweep:
-    def test_simulates_shortlist_only(self):
-        jobs = [10, 40, 20, 30]
-        result = triage_sweep(jobs, _double, predicted=[1.0, 4.0, 2.0, 3.0],
-                              top_k=2, epsilon=0.0, max_workers=1)
-        assert isinstance(result, TriageResult)
-        assert result.shortlist == [0, 2]
-        assert result.results == [20, None, 40, None]
-        assert result.simulated == 2
-        assert result.skipped == 2
-
-    def test_callable_predictions(self):
-        result = triage_sweep([3, 1, 2], _double, predicted=float,
-                              top_k=1, epsilon=0.0, max_workers=1)
-        assert result.shortlist == [1]
-        assert result.results == [None, 2, None]
-
-    def test_prediction_count_mismatch(self):
-        with pytest.raises(ValueError):
-            triage_sweep([1, 2], _double, predicted=[1.0], top_k=1,
-                         epsilon=0.0, max_workers=1)
-
-    def test_env_defaults_apply(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PREDICT_TOPK", "3")
-        monkeypatch.setenv("REPRO_PREDICT_EPSILON", "0")
-        result = triage_sweep([1, 2, 3, 4], _double,
-                              predicted=[1.0, 2.0, 3.0, 4.0], max_workers=1)
-        assert result.shortlist == [0, 1, 2]
-
-
 class TestEnvKnobs:
     def test_defaults(self, monkeypatch):
-        for name in ("REPRO_PREDICT", "REPRO_PREDICT_TOPK",
-                     "REPRO_PREDICT_EPSILON"):
-            monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv("REPRO_PREDICT", raising=False)
         assert predict_enabled() is False
-        assert predict_top_k() == 8
-        assert predict_epsilon() == 0.05
+        # The shortlist size has one source: the sweep's own defaults.
+        params = inspect.signature(triage_design_sweep).parameters
+        assert (params["top_k"].default, params["epsilon"].default) \
+            == (8, 0.05)
 
     def test_enable_flag(self, monkeypatch):
         monkeypatch.setenv("REPRO_PREDICT", "1")
@@ -145,15 +113,8 @@ class TestEnvKnobs:
 
     @pytest.mark.parametrize("name, value", [
         ("REPRO_PREDICT", "maybe"),
-        ("REPRO_PREDICT_TOPK", "eight"),
-        ("REPRO_PREDICT_TOPK", "0"),
-        ("REPRO_PREDICT_EPSILON", "-0.5"),
-        ("REPRO_PREDICT_EPSILON", "lots"),
     ])
     def test_garbage_is_a_config_error(self, monkeypatch, name, value):
         monkeypatch.setenv(name, value)
-        reader = {"REPRO_PREDICT": predict_enabled,
-                  "REPRO_PREDICT_TOPK": predict_top_k,
-                  "REPRO_PREDICT_EPSILON": predict_epsilon}[name]
         with pytest.raises(ConfigError):
-            reader()
+            predict_enabled()

@@ -216,7 +216,8 @@ class PerStepCampaign:
             raise ConfigError(f"unknown serving mode {mode!r}; known: {MODES}")
         self.spec = spec
         self.mode = mode
-        self.policy, self.max_batch, kv_fraction = spec.resolved()
+        self.policy, self.max_batch, kv_fraction = (
+            spec.policy, spec.max_batch, spec.kv_fraction)
         self.cost = cost_model if cost_model is not None else StepCostModel(
             spec.model, spec.core, dtype=spec.dtype)
         self.capacity = KvCapacity.for_design_point(

@@ -108,9 +108,7 @@ class TestServeBenchmarkDesign:
 
     def test_pinned_digests(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        for knob in ("REPRO_CACHE", "REPRO_SERVE_POLICY",
-                     "REPRO_SERVE_MAX_BATCH", "REPRO_SERVE_KV_FRACTION",
-                     "REPRO_SERVE_PREDICT"):
+        for knob in ("REPRO_CACHE", "REPRO_SERVE_PREDICT"):
             monkeypatch.delenv(knob, raising=False)
         core = SOC.core_groups[0][0]
         assert core.name == "ascend-mini"
