@@ -25,11 +25,14 @@ test-faults:
 # loop in tests/serving/oracle.py (its own admission and KV ledger, so
 # it covers admission too); the one-pass cache
 # key encoder (layer, model and sweep-job keys) vs the dict-then-json
-# encoder in tests/compiler/key_oracle.py; the bulk request draws of
-# the traffic generator vs one numpy generator per request in
-# tests/serving/traffic_oracle.py; and the batched predictor feature
-# extractor vs the per-layer scalar extractor in
-# tests/perf/features_oracle.py.
+# encoder in tests/compiler/key_oracle.py; the bulk request draws and
+# the columnar arrivals and length picks of the traffic generator vs
+# one numpy generator and scalar arithmetic per request in
+# tests/serving/traffic_oracle.py; the step-cost model's counters from
+# per-bucket sums vs adding every layer of every charged bucket in
+# tests/serving/counters_oracle.py, with the perfbench serve counters
+# pinned by digest; and the batched predictor feature extractor vs the
+# per-layer scalar extractor in tests/perf/features_oracle.py.
 test-equiv:
 	$(PY) -m pytest -q tests/core/test_trace_columnar.py \
 		tests/core/test_engine_equivalence.py \
@@ -41,6 +44,7 @@ test-equiv:
 		tests/compiler/test_key_equivalence.py \
 		tests/serving/test_scheduler_equivalence.py \
 		tests/serving/test_traffic_equivalence.py \
+		tests/serving/test_stepcost_counters.py \
 		tests/perf/test_batch_features.py
 
 bench:

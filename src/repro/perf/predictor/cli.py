@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ...config.env import check_knob_names, env_scope
+from ...errors import ReproError
 from .dataset import SMOKE_CORPUS
 from .sweep import (DEFAULT_EPSILON, DEFAULT_TOP_K, clear_memo_tiers,
                     triage_design_sweep)
@@ -202,8 +203,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     smoke.set_defaults(func=_cmd_smoke)
 
     args = parser.parse_args(argv)
-    check_knob_names()
-    return args.func(args)
+    try:
+        check_knob_names()
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

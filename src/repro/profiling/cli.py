@@ -27,6 +27,7 @@ from ..core.costs import CostModel
 from ..core.engine import schedule
 from ..core.trace import ExecutionTrace
 from ..compiler.lowering import lower_workload
+from ..errors import ReproError
 from ..isa.pipes import Pipe
 from ..models import build_model
 from ..models.zoo import MODEL_BUILDERS
@@ -182,8 +183,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     lister.set_defaults(func=_cmd_list)
 
     args = parser.parse_args(argv)
-    check_knob_names()
-    return args.func(args)
+    try:
+        check_knob_names()
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -42,13 +42,14 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..compiler import cache
-from ..compiler.graph_engine import GraphEngine, _observed
+from ..compiler.graph_engine import GraphEngine
 from ..config.core_configs import CoreConfig
 from ..dtypes import DType, FP16
 from ..errors import ConfigError
 from ..graph import Graph
 from ..models.gpt import GptConfig, build_gpt, build_gpt_decode
 from ..profiling.counters import PerfCounters
+from ..profiling.session import active_session
 from .settings import serve_predict
 
 __all__ = ["StepCostModel", "bucket_pow2"]
@@ -59,12 +60,20 @@ _Priced = Tuple[int, Optional[List[Dict[str, Any]]]]
 
 
 class _Bucket:
-    """A priced bucket and how many steps have been charged to it."""
+    """A priced bucket and how many steps have been charged to it.
 
-    __slots__ = ("cycles", "rows", "count")
+    ``sums`` holds each :data:`cache.LAYER_FIELDS` field summed over the
+    bucket's layers and ``layers`` their number, or ``None`` and 0 for
+    a predictor-priced bucket, which has no layers to attribute.
+    """
+
+    __slots__ = ("cycles", "sums", "layers", "count")
 
     def __init__(self, priced: _Priced) -> None:
-        self.cycles, self.rows = priced
+        self.cycles, rows = priced
+        self.sums = None if rows is None else tuple(
+            sum(row[field] for row in rows) for field in cache.LAYER_FIELDS)
+        self.layers = 0 if rows is None else len(rows)
         self.count = 0
 
 
@@ -104,6 +113,8 @@ class StepCostModel:
         self._key_prefix = (None if self.use_predictor
                             else cache.bucket_key_prefix(model, core, dtype))
         self._memo: Dict[Tuple[str, int, int], _Bucket] = {}
+        # (batch, max_context) as the serving loop asks -> its bucket.
+        self._decode_memo: Dict[Tuple[int, int], _Bucket] = {}
 
     def _load_predictor(self):
         # Strict by design: REPRO_SERVE_PREDICT=1 with no loadable
@@ -144,14 +155,19 @@ class StepCostModel:
         invocation count: the serving loop charges a run of identical
         decode steps in one call, and 0 prices without charging.
         """
-        if batch < 1:
-            raise ConfigError(f"decode batch of {batch}")
         if steps < 0:
             raise ConfigError(f"charging {steps} decode steps")
-        # The serving loop's hottest call: bucket_pow2, inline.
-        b = max(self.MIN_BATCH_BUCKET, 1 << (batch - 1).bit_length())
-        return self._priced("decode", b, self._context_bucket(max_context),
-                            steps)
+        # The serving loop's hottest call: one lookup once the pair has
+        # been asked for.
+        bucket = self._decode_memo.get((batch, max_context))
+        if bucket is None:
+            if batch < 1:
+                raise ConfigError(f"decode batch of {batch}")
+            bucket = self._decode_memo[batch, max_context] = self._bucket(
+                "decode", bucket_pow2(batch, self.MIN_BATCH_BUCKET),
+                self._context_bucket(max_context))
+        bucket.count += steps
+        return bucket.cycles
 
     def decode_bucket_end(self, max_context: int) -> Optional[int]:
         """The longest context priced in the same decode bucket as
@@ -168,12 +184,16 @@ class StepCostModel:
 
     def _priced(self, phase: str, batch: int, tokens: int,
                 steps: int = 1) -> int:
+        bucket = self._bucket(phase, batch, tokens)
+        bucket.count += steps
+        return bucket.cycles
+
+    def _bucket(self, phase: str, batch: int, tokens: int) -> _Bucket:
         bucket = self._memo.get((phase, batch, tokens))
         if bucket is None:
             bucket = self._memo[phase, batch, tokens] = _Bucket(
                 self._compile(phase, batch, tokens))
-        bucket.count += steps
-        return bucket.cycles
+        return bucket
 
     def _graph(self, phase: str, batch: int, tokens: int) -> Graph:
         if phase == "prefill":
@@ -198,9 +218,12 @@ class StepCostModel:
             key = cache.bucket_key(self._key_prefix, phase, batch, tokens)
             entry = cache.load_bucket(key)
             if entry is not None:
-                # Reported to a profiling session as a model-tier hit is.
-                for row in entry["layers"]:
-                    _observed(SimpleNamespace(**row))
+                # Reported to a profiling session as a model-tier hit
+                # is; the per-layer views are built only for one.
+                session = active_session()
+                if session is not None:
+                    for row in entry["layers"]:
+                        session.observe_layer(SimpleNamespace(**row))
                 return entry["cycles"], entry["layers"]
         compiled = self.engine.compile_graph(self._graph(phase, batch, tokens))
         cycles = max(1, compiled.total_cycles)
@@ -227,7 +250,10 @@ class StepCostModel:
             self, since: Optional[Dict[str, int]] = None) -> PerfCounters:
         """Campaign-wide :class:`PerfCounters`: every priced step's
         compiled per-pipe busy cycles and traffic, scaled by how many
-        times its bucket ran.  Predictor-priced buckets contribute only
+        times its bucket ran.  A charged bucket adds one
+        :class:`PerfCounters`, its layers' field sums times that count,
+        with its layer count as ``layers``: what adding each scaled
+        layer would give.  Predictor-priced buckets contribute only
         total cycles (nothing was scheduled to attribute).
 
         ``since`` is an earlier :meth:`invocations` snapshot; pass it to
@@ -235,21 +261,17 @@ class StepCostModel:
         its compiled buckets) are shared across several."""
         baseline = since or {}
         total = PerfCounters()
-        for key in sorted(self._memo):
-            bucket = self._memo[key]
-            cycles, rows = bucket.cycles, bucket.rows
-            p, b, t = key
+        for (p, b, t), bucket in self._memo.items():
             count = bucket.count - baseline.get(f"{p}_b{b}_t{t}", 0)
             if count <= 0:
                 continue
-            if rows is None:
+            if bucket.sums is None:
                 scaled = PerfCounters()
-                scaled.total_cycles = cycles * count
-                total.add(scaled)
-                continue
-            for row in rows:
-                total.add(PerfCounters.from_layer(SimpleNamespace(**{
-                    field: row[field] * count
-                    for field in cache.LAYER_FIELDS
-                })))
+                scaled.total_cycles = bucket.cycles * count
+            else:
+                scaled = PerfCounters.from_layer(SimpleNamespace(**{
+                    field: value * count for field, value
+                    in zip(cache.LAYER_FIELDS, bucket.sums)}))
+                scaled.layers = bucket.layers
+            total.add(scaled)
         return total

@@ -31,7 +31,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from itertools import repeat
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -124,14 +125,6 @@ def checked_seed(seed: int) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return int(seed)
-
-
-def _pick(choices: Sequence[int], cumulative: Sequence[float],
-          draw: float) -> int:
-    for value, edge in zip(choices, cumulative):
-        if draw < edge:
-            return value
-    return choices[-1]
 
 
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 constants.
@@ -256,6 +249,33 @@ def request_draws(seed: int, key: int, count: int) -> np.ndarray:
     return draws
 
 
+def _picks(choices: Sequence[int], cumulative: np.ndarray,
+           draws: np.ndarray) -> np.ndarray:
+    """For each draw, the choice at the first cumulative edge above it,
+    or the last choice when no edge is (the edges of float weights may
+    end just below 1.0).  ``searchsorted(..., side="right")`` finds the
+    first ``edge`` with ``draw < edge``, the test of a scalar walk over
+    the edges."""
+    index = np.searchsorted(cumulative, draws, side="right")
+    return np.asarray(choices)[np.minimum(index, len(choices) - 1)]
+
+
+def _gap_cycles(gaps: np.ndarray) -> np.ndarray:
+    """``max(1, int(round(gap)))`` of every inter-arrival gap in cycles,
+    as int64: ``np.rint`` rounds half to even, as ``round`` does.
+
+    Gaps that sum to 2**62 cycles or more (or are not finite) raise
+    :class:`ConfigError`, so the arrival clock's int64 running sum
+    cannot overflow.
+    """
+    cycles = np.maximum(1.0, np.rint(gaps))
+    total = float(cycles.sum())
+    if not total < 2.0 ** 62:
+        raise ConfigError(f"inter-arrival gaps total {total!r} cycles; "
+                          "the arrival clock must stay below 2**62")
+    return cycles.astype(np.int64)
+
+
 def tenant_trace(spec: TenantSpec, seed: int,
                  frequency_hz: float) -> List[Request]:
     """Generate one tenant's request trace on the device clock.
@@ -264,30 +284,24 @@ def tenant_trace(spec: TenantSpec, seed: int,
     ``default_rng([seed, tenant_key, index])`` stream, in fixed order:
     exponential inter-arrival gap, prefill length, decode length
     (computed for all requests at once by :func:`request_draws`).
+    Everything after the draws is column arithmetic, except
+    ``math.log1p``: numpy's ``log1p`` is not guaranteed to round as
+    libm's does, and one ulp can move an arrival cycle.  The division
+    and the product are the same IEEE operations as scalar ones.
     """
     p_weights = _normalized(spec.name, spec.prefill_choices,
                             spec.prefill_weights)
     d_weights = _normalized(spec.name, spec.decode_choices,
                             spec.decode_weights)
-    p_cum = tuple(np.cumsum(p_weights))
-    d_cum = tuple(np.cumsum(d_weights))
-    draws = request_draws(seed, tenant_key(spec.name), spec.requests)
-    trace: List[Request] = []
-    clock = 0
-    for index, (u_gap, u_prefill, u_decode) in enumerate(
-            zip(*draws.tolist())):
-        # math.log1p, not np.log1p: numpy's is not guaranteed to round
-        # as libm's does, and one ulp can move an arrival cycle.
-        gap_s = -math.log1p(-u_gap) / spec.rate_rps
-        clock += max(1, int(round(gap_s * frequency_hz)))
-        trace.append(Request(
-            tenant=spec.name,
-            index=index,
-            arrival_cycles=clock,
-            prefill_tokens=_pick(spec.prefill_choices, p_cum, u_prefill),
-            decode_tokens=_pick(spec.decode_choices, d_cum, u_decode),
-        ))
-    return trace
+    u_gap, u_prefill, u_decode = request_draws(
+        seed, tenant_key(spec.name), spec.requests)
+    log_gaps = np.array([math.log1p(-u) for u in u_gap.tolist()])
+    gaps = -log_gaps / spec.rate_rps * frequency_hz
+    arrivals = np.cumsum(_gap_cycles(gaps))
+    prefill = _picks(spec.prefill_choices, np.cumsum(p_weights), u_prefill)
+    decode = _picks(spec.decode_choices, np.cumsum(d_weights), u_decode)
+    return list(map(Request, repeat(spec.name), range(spec.requests),
+                    arrivals.tolist(), prefill.tolist(), decode.tolist()))
 
 
 def generate_trace(tenants: Sequence[TenantSpec], seed: int,

@@ -60,6 +60,6 @@ class TestRun:
         assert "busy cycles" in out
         assert "binding resource tally" in out
 
-    def test_unknown_model_fails_loudly(self):
-        with pytest.raises(Exception):
-            main(["run", "not-a-model"])
+    def test_unknown_model_fails_loudly(self, capsys):
+        assert main(["run", "not-a-model"]) == 2
+        assert "error: unknown model 'not-a-model'" in capsys.readouterr().err

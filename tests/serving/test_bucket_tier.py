@@ -233,6 +233,20 @@ def test_profiling_sees_a_bucket_hit_as_a_model_hit(isolated):
     assert bucket_hit.counters == model_hit.counters
 
 
+def test_a_hit_outside_a_session_builds_no_layer_views(isolated,
+                                                       monkeypatch):
+    StepCostModel(TINY, CORE, use_predictor=False).decode_cycles(2, 32)
+
+    def refuse(**row):
+        raise AssertionError("a bucket hit built a layer view that no "
+                             "profiling session reads")
+
+    monkeypatch.setattr(stepcost, "SimpleNamespace", refuse)
+    before = cache.snapshot()
+    StepCostModel(TINY, CORE, use_predictor=False).decode_cycles(2, 32)
+    assert _delta(before, "bucket_hits") == 1
+
+
 def _graph_text(model, phase, batch, tokens):
     """What a bucket's graph hands the compiler, minus the core (which
     the bucket key already holds)."""

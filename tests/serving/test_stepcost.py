@@ -6,6 +6,8 @@ machinery, not about absolute cycle numbers.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.core_configs import core_config_by_name
 from repro.errors import ConfigError
@@ -82,6 +84,34 @@ class TestDecodeRuns:
         assert cost.invocations()["decode_b8_t128"] == before + 5
         with pytest.raises(ConfigError):
             cost.decode_cycles(8, 100, steps=-1)
+
+
+class TestDecodeLookup:
+    """``decode_cycles`` memoizes by the raw (batch, max_context) it is
+    asked for; it must price and charge as bucketing every call does."""
+
+    @given(calls=st.lists(st.tuples(st.integers(1, 40),
+                                    st.integers(-2, 300),
+                                    st.integers(0, 5)), max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_charges_match_bucketing_every_call(self, calls):
+        cost = StepCostModel(TINY, CORE, use_predictor=False)
+        cost._compile = lambda phase, batch, tokens: (
+            1000 * batch + tokens, None)
+        expected = {}
+        for batch, context, steps in calls:
+            b = bucket_pow2(batch)
+            t = bucket_pow2(max(1, context), StepCostModel.MIN_TOKEN_BUCKET,
+                            TINY.max_context)
+            assert cost.decode_cycles(batch, context, steps) == 1000 * b + t
+            label = f"decode_b{b}_t{t}"
+            expected[label] = expected.get(label, 0) + steps
+        assert cost.invocations() == expected
+
+    def test_a_bad_batch_is_refused_on_every_call(self, cost):
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="decode batch of 0"):
+                cost.decode_cycles(0, 16)
 
 
 class TestPrefillChunking:

@@ -1,25 +1,44 @@
-"""The per-request generator loop: the oracle the bulk draws are checked
-against.
+"""The per-request generator loop: the oracle the bulk draws and the
+columnar trace are checked against.
 
 :func:`oracle_tenant_trace` is the traffic generator as it was before
 :func:`repro.serving.traffic.request_draws` computed a tenant's draws in
-one numpy pass: one ``np.random.default_rng([seed, key, index])`` per
-request, three ``random()`` calls each, in the fixed order (gap,
-prefill, decode).  It shares the tenant key, the weight normalization,
-``_pick`` and ``Request`` with production; the draws are its own.
+one numpy pass and :func:`repro.serving.traffic.tenant_trace` turned
+them into arrivals and lengths as columns: one
+``np.random.default_rng([seed, key, index])`` per request, three
+``random()`` calls each, in the fixed order (gap, prefill, decode), then
+scalar arithmetic per request (``math.log1p``, ``round``, a running
+clock and :func:`pick`, a walk over the cumulative edges).  It shares
+the tenant key, the weight normalization and ``Request`` with
+production; the draws and the arithmetic are its own.
 ``tests/serving/test_traffic_equivalence.py`` asserts agreement.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.serving.request import Request
-from repro.serving.traffic import (TenantSpec, _normalized, _pick,
-                                   tenant_key)
+from repro.serving.traffic import TenantSpec, _normalized, tenant_key
+
+
+def pick(choices: Sequence[int], cumulative: Sequence[float],
+         draw: float) -> int:
+    """The choice at the first cumulative edge above ``draw``, else the
+    last choice."""
+    for value, edge in zip(choices, cumulative):
+        if draw < edge:
+            return value
+    return choices[-1]
+
+
+def gap_cycles(gap: float) -> int:
+    """One inter-arrival gap in cycles, rounded to an integer of at
+    least one cycle."""
+    return max(1, int(round(gap)))
 
 
 def oracle_draws(seed: int, key: int, count: int) -> np.ndarray:
@@ -49,12 +68,12 @@ def oracle_tenant_trace(spec: TenantSpec, seed: int,
         u_prefill = rng.random()
         u_decode = rng.random()
         gap_s = -math.log1p(-u_gap) / spec.rate_rps
-        clock += max(1, int(round(gap_s * frequency_hz)))
+        clock += gap_cycles(gap_s * frequency_hz)
         trace.append(Request(
             tenant=spec.name,
             index=index,
             arrival_cycles=clock,
-            prefill_tokens=_pick(spec.prefill_choices, p_cum, u_prefill),
-            decode_tokens=_pick(spec.decode_choices, d_cum, u_decode),
+            prefill_tokens=pick(spec.prefill_choices, p_cum, u_prefill),
+            decode_tokens=pick(spec.decode_choices, d_cum, u_decode),
         ))
     return trace
