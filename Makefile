@@ -3,7 +3,7 @@
 PY := PYTHONPATH=src python
 
 .PHONY: test test-equiv test-faults bench bench-speed bench-gate \
-	profile-smoke predict-smoke dse-smoke chaos-smoke serve-smoke ci
+	profile-smoke predict-smoke dse-smoke chaos-smoke serve-smoke ci reach
 
 test:
 	$(PY) -m pytest -x -q
@@ -107,3 +107,13 @@ serve-smoke:
 # run.
 ci: test test-equiv test-faults bench-speed bench-gate predict-smoke \
 	dse-smoke chaos-smoke serve-smoke profile-smoke
+
+# Reach report: which src/ functions the entry points run.  Runs the
+# examples, the smokes, the README's CLI commands, pytest benchmarks/
+# and the four perfbench workloads under a call-only trace hook, then
+# tier-1, all in a temporary copy of the tree (this checkout is left
+# byte-identical), and prints each function's class: entry, test-only
+# or never.  ~9 min on a 2-CPU host.  Not part of ci.  The committed
+# report is benchmarks/results/reach.txt.
+reach:
+	python benchmarks/reach.py

@@ -67,7 +67,7 @@ from .compiler import (
 )
 from .soc import AscendSoc, AutomotiveSoc, MobileSoc, TrainingSoc
 from .cluster import DataParallelTrainer, FatTreeCluster
-from .analysis import cube_vector_ratios, l1_bandwidth_profile, memory_wall_table
+from .analysis import l1_bandwidth_profile, memory_wall_table
 from .graph.reference import ReferenceBackend
 from .runtime import Device, ModelRunner, Stream
 
@@ -98,7 +98,7 @@ __all__ = [
     "AscendSoc", "TrainingSoc", "MobileSoc", "AutomotiveSoc",
     "DataParallelTrainer", "FatTreeCluster",
     # analysis
-    "cube_vector_ratios", "l1_bandwidth_profile", "memory_wall_table",
+    "l1_bandwidth_profile", "memory_wall_table",
     # reference backend & runtime
     "ReferenceBackend", "Device", "ModelRunner", "Stream",
 ]

@@ -14,16 +14,12 @@ numbers are unchanged by the indirection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..compiler.graph_engine import GraphEngine
-from ..config.core_configs import CoreConfig
-from ..graph import Graph
-from ..graph.workload import OpWorkload
 from ..isa.pipes import Pipe
-from ..profiling.counters import PerfCounters, model_counters
+from ..profiling.counters import PerfCounters
 
-__all__ = ["RatioPoint", "cube_vector_ratios", "ratio_points"]
+__all__ = ["RatioPoint", "ratio_points"]
 
 
 @dataclass(frozen=True)
@@ -39,22 +35,6 @@ class RatioPoint:
     def vector_hidden(self) -> bool:
         """True when vector time fully hides under cube time."""
         return self.ratio >= 1.0
-
-
-def cube_vector_ratios(
-    graph: Graph,
-    config: CoreConfig,
-    workloads: Optional[Sequence[Tuple[str, OpWorkload]]] = None,
-    engine: Optional[GraphEngine] = None,
-) -> List[RatioPoint]:
-    """Per-layer cube/vector busy-cycle ratios for a model on a core.
-
-    Pass ``workloads`` from :func:`repro.models.training.training_workloads`
-    to profile the training variant (Figure 5).
-    """
-    engine = engine or GraphEngine(config)
-    compiled = engine.compile_graph(graph, workloads=workloads)
-    return ratio_points(model_counters(compiled))
 
 
 def ratio_points(

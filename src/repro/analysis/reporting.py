@@ -29,8 +29,7 @@ def ascii_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
 
 
 def ascii_chart(series: Sequence[Tuple[str, float]], width: int = 50,
-                title: str = "", log_scale: bool = False,
-                marker_at: Optional[float] = None) -> str:
+                title: str = "", marker_at: Optional[float] = None) -> str:
     """Horizontal bar chart: one labeled bar per point.
 
     ``marker_at`` draws a vertical reference line (e.g. ratio = 1 in the
@@ -40,18 +39,9 @@ def ascii_chart(series: Sequence[Tuple[str, float]], width: int = 50,
     if not finite:
         return title
     top = max(max(finite), marker_at or 0.0)
-    if log_scale:
-        floor = min((v for v in finite if v > 0), default=1e-3)
 
-        def scale(v: float) -> float:
-            if v <= 0:
-                return 0.0
-            return (math.log10(v / floor) / math.log10(top / floor)
-                    if top > floor else 1.0)
-    else:
-
-        def scale(v: float) -> float:
-            return v / top if top else 0.0
+    def scale(v: float) -> float:
+        return v / top if top else 0.0
 
     label_w = max(len(name) for name, _ in series)
     marker_col = int(scale(marker_at) * width) if marker_at else None

@@ -11,7 +11,7 @@ exposed.  One instruction per line::
     matmul L0A@0:64x32:fp16 L0B@0:32x16:fp16 L0C@0:64x16:fp32 acc
     vec relu UB@0:1024:fp16 UB@0:1024:fp16
     vec muls UB@0:64:fp16 UB@0:64:fp16 scalar=2.0
-    img2col L0A@0:196x27:fp16 L1@0:16x16x3:fp16 k=3x3 s=1x1 p=1x1
+    img2col L0A@0:196x27:fp16 L1@0:16x16x3:fp16 k=3x3 s=1x1 p=0x0
     scalar nop 2
     barrier M
 

@@ -49,30 +49,6 @@ class CompiledLayer:
     gm_write_bytes: int
     instr_count: int
 
-    @property
-    def cube_vector_ratio(self) -> float:
-        """The paper's Figures 4-8 metric: cube busy / vector busy time.
-
-        Layers with no vector work at all report ``inf``; layers with no
-        cube work report 0.
-        """
-        if self.vector_cycles == 0:
-            return math.inf if self.cube_cycles else 0.0
-        return self.cube_cycles / self.vector_cycles
-
-    @property
-    def l1_read_bits_per_cycle(self) -> float:
-        """Figure 9's metric (demand averaged over the layer)."""
-        if self.cycles == 0:
-            return 0.0
-        return self.l1_read_bytes * 8 / self.cycles
-
-    @property
-    def l1_write_bits_per_cycle(self) -> float:
-        if self.cycles == 0:
-            return 0.0
-        return self.l1_write_bytes * 8 / self.cycles
-
 
 @dataclass
 class CompiledModel:
@@ -98,12 +74,6 @@ class CompiledModel:
         """Achieved / peak MACs over the whole model."""
         peak = self.config.cube.macs_per_cycle * self.total_cycles
         return self.total_macs / peak if peak else 0.0
-
-    def gm_traffic_bytes(self) -> Tuple[int, int]:
-        return (
-            sum(l.gm_read_bytes for l in self.layers),
-            sum(l.gm_write_bytes for l in self.layers),
-        )
 
 
 def _observed(layer: CompiledLayer) -> CompiledLayer:

@@ -44,10 +44,6 @@ class Task:
     workload: Optional[OpWorkload] = None
 
     @property
-    def total_cycles(self) -> int:
-        return sum(b.cycles for b in self.blocks)
-
-    @property
     def critical_cycles(self) -> int:
         """Lower bound on task latency given unlimited cores."""
         return max((b.cycles for b in self.blocks), default=0)
@@ -62,7 +58,3 @@ class Stream:
 
     def __len__(self) -> int:
         return len(self.tasks)
-
-    @property
-    def total_cycles(self) -> int:
-        return sum(t.total_cycles for t in self.tasks)

@@ -43,7 +43,7 @@ if TYPE_CHECKING:
     from ..core.costs import CostModel
 
 __all__ = ["Tiling", "TilingSpace", "tiling_space", "legal_tilings",
-           "choose_tiling", "estimate_gemm_cycles"]
+           "choose_tiling"]
 
 _DOUBLE_BUFFER = 2
 # How much of K one L1 stage holds, in multiples of tk.
@@ -72,7 +72,7 @@ class TilingSpace:
     """The legal mapping space of one GEMM, priced: one row per tiling.
 
     Rows are in lexicographic (tm, tk, tn, k_stage) order; ``cycles`` is
-    each row's :func:`estimate_gemm_cycles`.
+    each row's analytic cycle estimate (:func:`_gemm_cycles`).
     """
 
     tm: np.ndarray
@@ -213,16 +213,6 @@ def _gemm_cycles(m: int, k: int, n: int, tm: np.ndarray, tk: np.ndarray,
 
     fill = (a_stage + b_stage) / gm_bw + a_feed / l0a_bw
     return np.maximum.reduce([cube, mte1, mte2, vec, mte3]) + fill
-
-
-def estimate_gemm_cycles(m: int, k: int, n: int, tiling: Tiling,
-                         config: CoreConfig, dtype: DType = FP16) -> float:
-    """Analytic cycle estimate for one GEMM under one tiling: the
-    tiling-space cost model on a batch of one row."""
-    tm, tk, tn, k_stage = (np.array([v], np.int64) for v in (
-        tiling.tm, tiling.tk, tiling.tn, tiling.k_stage))
-    return float(_gemm_cycles(m, k, n, tm, tk, tn, k_stage,
-                              _cost_model_for(config), dtype)[0])
 
 
 @lru_cache(maxsize=4096)

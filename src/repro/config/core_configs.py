@@ -166,9 +166,6 @@ class CoreConfig:
         """Number of fp16 elements the vector unit processes per cycle."""
         return max(1, self.vector_width_bytes // 2)
 
-    def vector_elems_per_cycle(self, dtype: DType) -> float:
-        return self.vector_width_bytes / dtype.bytes
-
 
 _BIG_CORE_COMMON: Dict[str, object] = dict(
     frequency_hz=1.0e9,

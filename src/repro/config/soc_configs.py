@@ -103,10 +103,6 @@ class SocConfig:
                 total += count * core.peak_ops(dtype)
         return total
 
-    @property
-    def llc_bw_per_core(self) -> float:
-        return self.llc_bw_total / self.ai_core_count
-
 
 ASCEND_910 = SocConfig(
     name="ascend-910",

@@ -19,20 +19,7 @@ import numpy as np
 
 from ..config.core_configs import CoreConfig
 from ..errors import IsaError
-from ..isa.instructions import (
-    CopyInstr,
-    CubeMatmul,
-    DecompressInstr,
-    Img2ColInstr,
-    Instruction,
-    PipeBarrier,
-    ScalarInstr,
-    SetFlag,
-    TransposeInstr,
-    VectorInstr,
-    VectorOpcode,
-    WaitFlag,
-)
+from ..isa.instructions import VectorOpcode
 from ..isa.memref import MemSpace
 from ..memory.bandwidth import DatapathModel
 
@@ -41,18 +28,6 @@ __all__ = ["CostModel"]
 _CUBE_STARTUP = 4
 _VEC_STARTUP = 2
 _FLAG_COST = 1
-
-# Exact-type dispatch classes for the two most frequent cost shapes:
-# 1 = bus move priced by the datapath, 2 = unit-cost synchronization.
-_COST_KIND = {
-    CopyInstr: 1,
-    Img2ColInstr: 1,
-    TransposeInstr: 1,
-    DecompressInstr: 1,
-    SetFlag: 2,
-    WaitFlag: 2,
-    PipeBarrier: 2,
-}
 
 # Columnar lookups for cost_columns: vector passes by vop id, plus the
 # two vop ids with the L0C special case.
@@ -70,9 +45,6 @@ class CostModel:
     def __init__(self, config: CoreConfig) -> None:
         self.config = config
         self.datapath = DatapathModel(config)
-        # GEMM tile shapes repeat across a compiled graph; price each
-        # distinct (m, k, n, dtype) once.
-        self._cube_memo: dict = {}
         # Whole-arena cost columns repeat too: retagged memo siblings
         # share every priced column, so one pricing serves all of them.
         # Keyed by column identity; the stored arena reference pins the
@@ -97,20 +69,11 @@ class CostModel:
                 dtype.name, 1.0)
         return (shape.m, max(1, int(shape.k * k_scale)), shape.n)
 
-    def cube_cycles(self, m: int, k: int, n: int, dtype) -> int:
-        key = (m, k, n, dtype.name)
-        cycles = self._cube_memo.get(key)
-        if cycles is None:
-            m0, k0, n0 = self.cube_tile_shape(dtype)
-            tiles = math.ceil(m / m0) * math.ceil(k / k0) * math.ceil(n / n0)
-            cycles = _CUBE_STARTUP + tiles
-            self._cube_memo[key] = cycles
-        return cycles
-
     def cube_cycle_columns(self, m: np.ndarray, k: np.ndarray, n: np.ndarray,
                            dtype) -> np.ndarray:
-        """:meth:`cube_cycles` over columns of (m, k, n) for one dtype:
-        the same float64 ceil divisions, row for row."""
+        """Cycles of one CubeMatmul per row of (m, k, n) columns, for one
+        dtype: startup plus one cycle per native tile, every dimension
+        rounded up by a float64 ceil division."""
         m0, k0, n0 = self.cube_tile_shape(dtype)
         tiles = np.ceil(m / m0) * np.ceil(k / k0) * np.ceil(n / n0)
         return _CUBE_STARTUP + tiles.astype(np.int64)
@@ -126,9 +89,10 @@ class CostModel:
     def cost_columns(self, arena) -> np.ndarray:
         """Per-row cycle costs for a whole arena, fully vectorized.
 
-        Equal row-for-row to ``[self.cost(i) for i in materialize()]``
-        (asserted by tests): the ceil-of-float-division expressions below
-        are the *same* float64 divisions :meth:`cost` performs, so no
+        The one production pricing path.  Tests assert it equals the
+        scalar per-instruction oracle (``tests/core/cost_oracle.py::cost``)
+        row for row: the ceil-of-float-division expressions below are
+        the *same* float64 divisions the oracle performs, so no
         integer-vs-float rounding divergence is possible.  Works on
         inexact arenas too — every priced quantity (cycles, nbytes, elems)
         is column-encoded even for rows whose full semantics are not.
@@ -214,37 +178,3 @@ class CostModel:
         while len(self._column_memo) > _COLUMN_MEMO_CAP:
             self._column_memo.pop(next(iter(self._column_memo)))
         return cost
-
-    def cost(self, instr: Instruction) -> int:
-        """Cycles the instruction occupies its pipe."""
-        # Exact-type fast path (every ISA class is final in practice);
-        # the isinstance chain below remains as the subclass fallback.
-        kind = _COST_KIND.get(type(instr))
-        if kind == 1:
-            return self.datapath.cycles_for(
-                instr.src.space, instr.dst.space, instr.nbytes)
-        if kind == 2:
-            return _FLAG_COST
-        if isinstance(instr, CubeMatmul):
-            return self.cube_cycles(instr.m, instr.k, instr.n, instr.a.dtype)
-        if isinstance(instr, VectorInstr):
-            elem_bytes = (instr.srcs[0].dtype if instr.srcs else instr.dst.dtype).bytes
-            if instr.op in (VectorOpcode.COPY, VectorOpcode.CAST) and (
-                instr.dst.space is MemSpace.L0C
-                or any(s.space is MemSpace.L0C for s in instr.srcs)
-            ):
-                # Moving cube results L0C <-> UB rides the wide UB port
-                # (Table 5's UB bus), not the vector ALU datapath.
-                nbytes = instr.elems * elem_bytes
-                return _VEC_STARTUP + math.ceil(
-                    nbytes / self.config.ub_bytes_per_cycle
-                )
-            return self.vector_cycles(instr.elems, elem_bytes, instr.op.passes)
-        if isinstance(instr, (CopyInstr, Img2ColInstr, TransposeInstr, DecompressInstr)):
-            src, dst = instr.src.space, instr.dst.space
-            return self.datapath.cycles_for(src, dst, instr.nbytes)
-        if isinstance(instr, ScalarInstr):
-            return instr.cycles
-        if isinstance(instr, (SetFlag, WaitFlag, PipeBarrier)):
-            return _FLAG_COST
-        raise IsaError(f"no cost model for {type(instr).__name__}")

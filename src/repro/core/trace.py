@@ -7,10 +7,11 @@ profiles (Figure 9).
 Storage is *columnar*: parallel numpy arrays (program index, pipe,
 start, end, interned tag id, move route and byte counts) instead of a
 Python list of event objects.  Every aggregate query — ``total_cycles``,
-``busy_cycles``, ``span``, L1/GM traffic, per-tag breakdowns — is a
-masked reduction over those columns, and the scheduler emits the columns
-directly (:meth:`ExecutionTrace.from_columns`, the one construction
-path), so no per-event Python objects exist on the hot path.
+``busy_cycles``, ``span``, ``moved_bytes``, the L1/GM traffic of
+``summary`` — is a masked reduction over those columns, and the
+scheduler emits the columns directly
+(:meth:`ExecutionTrace.from_columns`, the one construction path), so no
+per-event Python objects exist on the hot path.
 :class:`TraceEvent` survives as a lazy *view*: ``trace.events`` is a
 sequence that materializes events on demand for consumers that want the
 row-oriented picture (functional replay debugging, tests, examples).
@@ -338,8 +339,10 @@ class ExecutionTrace:
     def summary(self) -> "TraceSummary":
         """Makespan, per-pipe busy cycles and L1/GM traffic, vectorized.
 
-        Equivalent to ``total_cycles`` + six ``busy_cycles`` calls +
-        ``l1_traffic_bytes`` + ``gm_traffic_bytes`` over the event list.
+        ``busy_by_pipe[p]`` equals ``busy_cycles(Pipe(p))``.  L1 reads are
+        the L1 -> L0A/L0B/UB feeds (MTE1); L1 writes are inbound GM -> L1
+        (MTE2) and UB -> L1 write-backs (MTE3), the quantity Figure 9
+        profiles.  GM reads and writes are the BIU/LLC traffic.
         """
         cycles = self._end - self._start
         pipes = self._pipe
@@ -373,25 +376,6 @@ class ExecutionTrace:
             return ExecutionTrace._TAG_ABSENT
         return self._tag_id == tag_id
 
-    def l1_traffic_bytes(self, tag: Optional[str] = None) -> Tuple[int, int]:
-        """(bytes read from L1, bytes written to L1) by data movement.
-
-        Reads: L1 -> L0A/L0B/UB feeds (MTE1).  Writes: inbound GM -> L1
-        (MTE2) and UB -> L1 write-backs (MTE3).  This is the quantity
-        Figure 9 profiles.
-        """
-        selector = self._tag_mask(tag)
-        if selector is ExecutionTrace._TAG_ABSENT:
-            return (0, 0)
-        l1 = int(MemSpace.L1)
-        read_mask = self._src_space == l1
-        write_mask = self._dst_space == l1
-        if selector is not None:
-            read_mask &= selector
-            write_mask &= selector
-        return (int(self._src_nbytes[read_mask].sum()),
-                int(self._dst_nbytes[write_mask].sum()))
-
     def moved_bytes(self, src: MemSpace, dst: MemSpace,
                     tag: Optional[str] = None) -> int:
         """Bytes moved along one (src, dst) space pair."""
@@ -404,55 +388,6 @@ class ExecutionTrace:
             mask &= selector
         column = self._src_nbytes if src is not MemSpace.GM else self._dst_nbytes
         return int(column[mask].sum())
-
-    def gm_traffic_bytes(self, tag: Optional[str] = None) -> Tuple[int, int]:
-        """(bytes read from GM, bytes written to GM) — BIU/LLC traffic."""
-        selector = self._tag_mask(tag)
-        if selector is ExecutionTrace._TAG_ABSENT:
-            return (0, 0)
-        gm = int(MemSpace.GM)
-        read_mask = self._src_space == gm
-        write_mask = self._dst_space == gm
-        if selector is not None:
-            read_mask &= selector
-            write_mask &= selector
-        return (int(self._dst_nbytes[read_mask].sum()),
-                int(self._src_nbytes[write_mask].sum()))
-
-    def traffic_by_tag(self) -> Dict[str, Tuple[int, int, int, int]]:
-        """Per-tag ``(l1_read, l1_write, gm_read, gm_write)`` bytes.
-
-        A *complete partition* of the summary totals: every event lands
-        in exactly one bucket, with untagged events under the ``""`` key,
-        so summing any column over the returned dict equals the matching
-        :meth:`summary` total.  (``tags()`` deliberately excludes the
-        empty tag; per-tag consumers that dropped the untagged bucket
-        used to under-report traffic against the one-pass summary —
-        the equivalence is now pinned by tests.)
-
-        Buckets are keyed by tag name in first-appearance order; only
-        tags that actually carry events appear.
-        """
-        tag_ids = self._tag_id
-        n_tags = len(self._tag_names)
-        sums = np.zeros((4, n_tags), np.int64)
-        l1 = int(MemSpace.L1)
-        gm = int(MemSpace.GM)
-        src_space = self._src_space
-        dst_space = self._dst_space
-        for row, (space_col, byte_col) in enumerate((
-                (src_space == l1, self._src_nbytes),   # read from L1
-                (dst_space == l1, self._dst_nbytes),   # written to L1
-                (src_space == gm, self._dst_nbytes),   # read from GM
-                (dst_space == gm, self._src_nbytes))):  # written to GM
-            mask = space_col
-            np.add.at(sums[row], tag_ids[mask], byte_col[mask])
-        distinct, first = np.unique(tag_ids, return_index=True)
-        names = self._tag_names
-        return {
-            names[tag_id]: tuple(int(sums[row, tag_id]) for row in range(4))
-            for tag_id in distinct[np.argsort(first)]
-        }
 
     # -- flag-channel columns ---------------------------------------------------
 
@@ -495,23 +430,6 @@ class ExecutionTrace:
                 wait[i], set_[i], packed[i] = rec
         self._flag_cols = (wait, set_, packed)
         return self._flag_cols
-
-    def per_tag_busy(self, pipe: Pipe) -> Dict[str, int]:
-        mask = self._pipe == int(pipe)
-        tag_ids = self._tag_id[mask]
-        if tag_ids.size == 0:
-            return {}
-        cycles = (self._end - self._start)[mask]
-        sums = np.zeros(len(self._tag_names), np.int64)
-        np.add.at(sums, tag_ids, cycles)
-        # Report tags in first-occurrence order among this pipe's events.
-        distinct, first = np.unique(tag_ids, return_index=True)
-        names = self._tag_names
-        return {
-            names[tag_id]: int(sums[tag_id])
-            for tag_id in distinct[np.argsort(first)]
-            if tag_id != 0
-        }
 
     # -- columnar access ------------------------------------------------------
     #

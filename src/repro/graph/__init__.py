@@ -23,8 +23,6 @@ from .ops import (
     GlobalAvgPool,
     Add,
     Embedding,
-    Quantize,
-    Dequantize,
 )
 from .graph import Graph
 from .builder import GraphBuilder
@@ -49,8 +47,6 @@ __all__ = [
     "GlobalAvgPool",
     "Add",
     "Embedding",
-    "Quantize",
-    "Dequantize",
     "Graph",
     "GraphBuilder",
     "ReferenceBackend",

@@ -21,13 +21,11 @@ from .ops import (
     Conv2D,
     Dense,
     DepthwiseConv2D,
-    Dequantize,
     Embedding,
     GlobalAvgPool,
     Input,
     LayerNorm,
     Pool2D,
-    Quantize,
     Softmax,
 )
 from .tensor import TensorSpec
@@ -205,22 +203,6 @@ class GraphBuilder:
         self.graph.add(Embedding(name=name, inputs=(ids,), output=out,
                                  group=self._group, vocab_size=vocab_size,
                                  dim=dim))
-        return out
-
-    def quantize(self, x: TensorSpec, dtype: DType, scale: float = 1.0,
-                 name: Optional[str] = None) -> TensorSpec:
-        name = name or self._auto("quant")
-        out = TensorSpec(f"{name}_out", x.shape, dtype)
-        self.graph.add(Quantize(name=name, inputs=(x,), output=out,
-                                group=self._group, scale=scale))
-        return out
-
-    def dequantize(self, x: TensorSpec, dtype: DType = FP16, scale: float = 1.0,
-                   name: Optional[str] = None) -> TensorSpec:
-        name = name or self._auto("dequant")
-        out = TensorSpec(f"{name}_out", x.shape, dtype)
-        self.graph.add(Dequantize(name=name, inputs=(x,), output=out,
-                                  group=self._group, scale=scale))
         return out
 
     def build(self) -> Graph:

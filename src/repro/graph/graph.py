@@ -68,10 +68,6 @@ class Graph:
             raise GraphError(f"no tensor named {name!r}") from None
 
     @property
-    def inputs(self) -> List[Op]:
-        return [op for op in self.nodes if isinstance(op, Input)]
-
-    @property
     def outputs(self) -> List[TensorSpec]:
         """Tensors nothing consumes — the graph's results."""
         consumed = {t.name for op in self.nodes for t in op.inputs}
@@ -105,4 +101,3 @@ class Graph:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph({self.name!r}, {len(self.nodes)} nodes)"
-

@@ -37,8 +37,6 @@ __all__ = [
     "Upsample2D",
     "CvOp",
     "CV_OP_PASSES",
-    "Quantize",
-    "Dequantize",
     "ACTIVATION_PASSES",
 ]
 
@@ -437,36 +435,6 @@ class Reshape(Op):
         return OpWorkload(
             name=self.name,
             vector=(VectorWork(self.output.elems, 1, self.output.dtype),),
-            input_bytes=self.input_bytes,
-            output_bytes=self.output.nbytes,
-        )
-
-
-@dataclass(frozen=True)
-class Quantize(Op):
-    """fp -> int precision conversion on the vector unit (Section 2.2)."""
-
-    scale: float = 1.0
-
-    def workload(self) -> OpWorkload:
-        return OpWorkload(
-            name=self.name,
-            vector=(VectorWork(self.output.elems, 2, self.inputs[0].dtype),),
-            input_bytes=self.input_bytes,
-            output_bytes=self.output.nbytes,
-        )
-
-
-@dataclass(frozen=True)
-class Dequantize(Op):
-    """int -> fp precision conversion on the vector unit."""
-
-    scale: float = 1.0
-
-    def workload(self) -> OpWorkload:
-        return OpWorkload(
-            name=self.name,
-            vector=(VectorWork(self.output.elems, 2, self.output.dtype),),
             input_bytes=self.input_bytes,
             output_bytes=self.output.nbytes,
         )

@@ -28,14 +28,12 @@ from .ops import (
     Conv2D,
     Dense,
     DepthwiseConv2D,
-    Dequantize,
     Embedding,
     GlobalAvgPool,
     Input,
     LayerNorm,
     Op,
     Pool2D,
-    Quantize,
     Reshape,
     Softmax,
     Upsample2D,
@@ -254,11 +252,4 @@ class ReferenceBackend:
         if isinstance(op, Upsample2D):
             x = srcs[0]
             return x.repeat(op.factor, axis=1).repeat(op.factor, axis=2)
-        if isinstance(op, Quantize):
-            from ..dtypes import quantize
-
-            return quantize(srcs[0], op.output.dtype, op.scale).astype(
-                np.float32)
-        if isinstance(op, Dequantize):
-            return srcs[0].astype(np.float32) * op.scale
         raise GraphError(f"no reference semantics for {type(op).__name__}")

@@ -94,10 +94,6 @@ class OpWorkload:
     def vector_elem_passes(self) -> int:
         return sum(v.elem_passes for v in self.vector)
 
-    @property
-    def is_cube_heavy(self) -> bool:
-        return self.macs > 0
-
     @staticmethod
     def fused(name: str, works: Sequence["OpWorkload"]) -> "OpWorkload":
         """Fuse workloads in order (e.g. conv + folded BN + activation).

@@ -362,9 +362,6 @@ class InstructionArena:
         self._objects = out
         return out
 
-    def instruction_at(self, i: int) -> Instruction:
-        return self.materialize()[i]
-
     def _kind_set(self) -> List[int]:
         return [int(k) for k in np.unique(self.kind)]
 

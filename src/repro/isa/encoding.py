@@ -21,7 +21,6 @@ import struct
 from collections import Counter
 from typing import Dict, List, Tuple
 
-from ..dtypes import dtype_by_name
 from ..errors import IsaError
 from .instructions import (
     OPCODE_OF,
@@ -76,14 +75,6 @@ def _pack_region(region: Region) -> Tuple[int, int, int, int, int]:
         raise IsaError("binary encoding supports rank-1/2 regions")
     return (_SPACES.index(region.space), region.offset, d0, d1,
             _DTYPES.index(region.dtype.name))
-
-
-def _unpack_region(space_i: int, offset: int, d0: int, d1: int,
-                   dtype_i: int, pitch: int = 0) -> Region:
-    shape = (d0,) if d1 == 0 else (d0, d1)
-    return Region(_SPACES[space_i], offset, shape,
-                  dtype_by_name(_DTYPES[dtype_i]),
-                  pitch=pitch or None)
 
 
 def _encode_one(instr: Instruction) -> bytes:

@@ -36,11 +36,3 @@ class Pipe(enum.IntEnum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
-
-    @classmethod
-    def compute_pipes(cls) -> tuple:
-        return (cls.M, cls.V)
-
-    @classmethod
-    def mte_pipes(cls) -> tuple:
-        return (cls.MTE1, cls.MTE2, cls.MTE3)

@@ -32,7 +32,6 @@ from .arena import InstructionArena
 from .instructions import (
     OP_CUBE,
     OP_SET,
-    OP_VECTOR,
     OP_WAIT,
     CopyInstr,
     CubeMatmul,
@@ -160,15 +159,6 @@ class Program:
         # m*k from A (slot 1), n from B (slot 2).
         return int(np.sum(arena.r_d0[cube, 1] * arena.r_d1[cube, 1]
                           * arena.r_d1[cube, 2]))
-
-    def total_vector_elems(self) -> int:
-        arena = self.arena
-        vec = arena.kind == OP_VECTOR
-        # Source elements when there is a source, else dst (matches
-        # VectorInstr.elems: reductions shrink the destination).
-        elems = np.where(arena.r_space[:, 1] >= 0,
-                         arena.elems[:, 1], arena.elems[:, 0])
-        return int(np.sum(elems[vec]))
 
     # -- validation -----------------------------------------------------------
 

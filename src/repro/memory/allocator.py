@@ -128,7 +128,3 @@ class FreeListAllocator:
             else:
                 merged.append((off, sz))
         self._free = merged
-
-    def reset(self) -> None:
-        self._free = [(0, self.capacity)]
-        self._live.clear()

@@ -1,15 +1,15 @@
-"""Datapath bandwidth model: cycles to move bytes over each on-core bus.
+"""Datapath bandwidth model: the width of each on-core bus.
 
 Table 5 provisions three buses per core (L1->L0A, L1->L0B, UB) plus an
 LLC allotment per core; Section 2.5 stresses that the A path is wider than
-the B path because feature maps dominate weight traffic.  The timing
-engine charges MTE instructions through this model.
+the B path because feature maps dominate weight traffic.  The cost model
+prices MTE instructions from these widths
+(:meth:`DatapathModel.width_matrix`).
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from typing import Dict, Optional
 
 import numpy as np
@@ -63,12 +63,6 @@ class DatapathModel:
             # SRAM/DDR — model that as the UB-port width.
             Route.GM_PORT: gm if gm is not None else config.ub_bytes_per_cycle,
         }
-        # (src, dst) -> bus width, filled on first use: skips the
-        # route_for branches on the cost model's hottest call.
-        self._pair_bytes_per_cycle: Dict[tuple, float] = {}
-        # (src, dst, nbytes) -> cycles; tiled programs repeat a handful
-        # of distinct transfer shapes thousands of times.
-        self._cycles_cache: Dict[tuple, int] = {}
         self._width_matrix: Optional[np.ndarray] = None
 
     def bytes_per_cycle(self, route: Route) -> float:
@@ -91,18 +85,3 @@ class DatapathModel:
                         pass
             self._width_matrix = mat
         return self._width_matrix
-
-    def cycles_for(self, src: MemSpace, dst: MemSpace, nbytes: int) -> int:
-        """Cycles to move ``nbytes`` from ``src`` to ``dst``."""
-        if nbytes <= 0:
-            return self.TRANSFER_OVERHEAD_CYCLES
-        key = (src, dst, nbytes)
-        cycles = self._cycles_cache.get(key)
-        if cycles is None:
-            width = self._pair_bytes_per_cycle.get((src, dst))
-            if width is None:
-                width = self._bytes_per_cycle[route_for(src, dst)]
-                self._pair_bytes_per_cycle[(src, dst)] = width
-            cycles = self.TRANSFER_OVERHEAD_CYCLES + math.ceil(nbytes / width)
-            self._cycles_cache[key] = cycles
-        return cycles

@@ -40,7 +40,3 @@ class CoreMemory:
 
     def write(self, region: Region, values) -> None:
         self.spaces[region.space].write(region, values)
-
-    def clear(self) -> None:
-        for pad in self.spaces.values():
-            pad.clear()

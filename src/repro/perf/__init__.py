@@ -6,7 +6,6 @@ anchors (see :mod:`repro.config.tech`); everything else is predicted.
 
 from .area import unit_areas, core_area_mm2, cube_perf_density
 from .energy import EnergyModel, UNIT_POWER_TABLE
-from .roofline import roofline_time_s, arithmetic_intensity
 from .ppa import PpaRow, format_table
 
 __all__ = [
@@ -15,8 +14,6 @@ __all__ = [
     "cube_perf_density",
     "EnergyModel",
     "UNIT_POWER_TABLE",
-    "roofline_time_s",
-    "arithmetic_intensity",
     "PpaRow",
     "format_table",
 ]

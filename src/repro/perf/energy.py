@@ -80,16 +80,6 @@ class EnergyModel:
         dram_j = dram_traffic_bytes * self.tech.dram_pj_per_byte * 1e-12
         return cube_j + vec_j + sram_j + dram_j
 
-    def average_power_w(self, workloads: Sequence[OpWorkload],
-                        seconds: float, int8: bool = False,
-                        dram_traffic_bytes: float = 0.0) -> float:
-        if seconds <= 0:
-            return 0.0
-        dynamic = self.workload_energy_j(workloads, int8=int8,
-                                         dram_traffic_bytes=dram_traffic_bytes)
-        peak = self.cube_power_w() + self.vector_power_w()
-        return dynamic / seconds + self.static_fraction * peak
-
     def tops_per_watt_int8(self, utilization: float = 0.85) -> float:
         """Peak-mode int8 efficiency — the Table 8 metric."""
         from ..dtypes import INT8

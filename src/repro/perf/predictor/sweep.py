@@ -94,12 +94,6 @@ class TriageSweepReport:
     def best_cycles(self) -> float:
         return self.simulated[self.best_index]
 
-    @property
-    def speedup(self) -> Optional[float]:
-        if self.full_sim_seconds is None or self.triage_seconds <= 0:
-            return None
-        return self.full_sim_seconds / self.triage_seconds
-
     def rows(self) -> List[Dict[str, object]]:
         """Per-candidate report rows (predicted vs simulated where known)."""
         out: List[Dict[str, object]] = []

@@ -330,7 +330,11 @@ class PerfCounters:
 
     @property
     def cube_vector_ratio(self) -> float:
-        """Figures 4-8 metric, same conventions as ``CompiledLayer``."""
+        """The paper's Figures 4-8 metric: cube busy / vector busy time.
+
+        Counts with no vector work report ``inf``; counts with no cube
+        work report 0.
+        """
         vector = self.busy(Pipe.V)
         cube = self.busy(Pipe.M)
         if vector == 0:

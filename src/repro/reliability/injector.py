@@ -171,9 +171,6 @@ class FaultInjector:
             times.append(t)
         return np.asarray(times, np.float64)
 
-    def stats(self) -> Dict[str, int]:
-        return dict(self.counters)
-
 
 _SYNC_COUNTER = {"drop": "dropped", "dup": "duplicated",
                  "reorder": "reordered"}

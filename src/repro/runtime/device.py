@@ -31,10 +31,6 @@ class DeviceBuffer:
     def region(self) -> Region:
         return Region(MemSpace.GM, self.offset, self.shape, self.dtype)
 
-    @property
-    def nbytes(self) -> int:
-        return self.region.nbytes
-
     def _check_live(self) -> None:
         if self.freed:
             raise MemoryError_("use of freed device buffer")
@@ -90,7 +86,3 @@ class Device:
                                validate=False)
         self.total_cycles += result.cycles
         return result
-
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.total_cycles / self.config.frequency_hz

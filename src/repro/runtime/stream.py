@@ -9,7 +9,7 @@ task's dependency events, exactly like the SoC task scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..errors import SchedulingError
 from .device import Device
@@ -38,11 +38,6 @@ class Stream:
         self.name = name
         self.launch_overhead_cycles = launch_overhead_cycles
         self._cursor = 0  # stream-local simulated time
-        self._log: List[str] = []
-
-    @property
-    def cursor_cycles(self) -> int:
-        return self._cursor
 
     def launch(self, program, functional: bool = True,
                wait_for: Optional[List[Event]] = None) -> None:
@@ -58,7 +53,6 @@ class Stream:
             start = max(start, event.cycles)
         result = self.device.run_program(program, functional=functional)
         self._cursor = start + result.cycles
-        self._log.append(f"{program.name}@{start}+{result.cycles}")
 
     def record(self, event: Event) -> Event:
         event.cycles = self._cursor
@@ -67,7 +61,3 @@ class Stream:
     def synchronize(self) -> int:
         """Host-side join; returns the stream's simulated finish time."""
         return self._cursor
-
-    @property
-    def log(self) -> List[str]:
-        return list(self._log)

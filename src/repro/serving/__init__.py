@@ -11,7 +11,7 @@ SLO attainment — byte-identical across repeated runs of a seed.
 """
 
 from .kvcache import KvCapacity, KvLedger, qos_arbiter_for
-from .metrics import exact_percentile, latency_summary
+from .metrics import latency_summary
 from .request import Request, RequestState
 from .scheduler import MODES, ServeReport, ServeSpec, simulate_serving
 from .settings import serve_max_batch, serve_predict
@@ -20,7 +20,7 @@ from .traffic import TenantSpec, generate_trace, tenant_key, tenant_trace
 
 __all__ = [
     "KvCapacity", "KvLedger", "qos_arbiter_for",
-    "exact_percentile", "latency_summary",
+    "latency_summary",
     "Request", "RequestState",
     "MODES", "ServeReport", "ServeSpec", "simulate_serving",
     "serve_max_batch", "serve_predict",

@@ -108,8 +108,8 @@ class KvLedger:
     Reservation is worst-case at admission (prompt + full generation),
     so an admitted request can never be evicted mid-flight — the
     simplest residency discipline that still makes admission a real
-    capacity decision.  ``grow`` tracks the *actual* resident bytes as
-    tokens materialize, for utilization reporting and the
+    capacity decision.  ``grow_all`` tracks the *actual* resident bytes
+    as tokens materialize, for the report's resident peak and the
     resident <= reserved <= capacity invariant chain.
     """
 
@@ -187,12 +187,9 @@ class KvLedger:
     def note_rejected(self) -> None:
         self.rejected += 1
 
-    def grow(self, name: str, nbytes: int) -> None:
-        """Materialize ``nbytes`` of actual KV inside a reservation."""
-        self.grow_all({name: nbytes})
-
     def grow_all(self, grown: Dict[str, int]) -> None:
-        """:meth:`grow` for several tenants at once, checked once.
+        """Materialize actual KV inside reservations: ``grown`` maps a
+        tenant to the bytes its running requests added, checked once.
 
         Every amount is an increase, so the peak after the last one is
         the peak over the sequence."""
@@ -240,6 +237,3 @@ class KvLedger:
     @property
     def in_flight(self) -> int:
         return self.admitted - self.released
-
-    def utilization(self) -> float:
-        return self.total_reserved / self.capacity.total_bytes

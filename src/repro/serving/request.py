@@ -70,14 +70,6 @@ class RequestState:
     kv_need: int = 0       # the worst-case reservation, cached at arrival
     finish_step: int = 0   # the campaign decode-step count it finishes at
 
-    @property
-    def done(self) -> bool:
-        return self.finish_cycles is not None
-
-    @property
-    def rejected(self) -> bool:
-        return self.rejected_cycles is not None
-
     def latency_cycles(self) -> int:
         if self.finish_cycles is None:
             raise SchedulingError(f"{self.request.key}: not finished")

@@ -101,10 +101,6 @@ class TenantSpec:
     def slo_cycles(self, frequency_hz: float) -> int:
         return max(1, int(round(self.slo_ms * 1e-3 * frequency_hz)))
 
-    @property
-    def max_tokens(self) -> int:
-        return max(self.prefill_choices) + max(self.decode_choices)
-
 
 def tenant_key(name: str) -> int:
     """Stable 63-bit integer identity for a tenant name.

@@ -14,7 +14,6 @@ from typing import Optional, Tuple
 from ..config.core_configs import ASCEND_LITE, ASCEND_TINY
 from ..config.soc_configs import KIRIN_990_5G, SocConfig
 from ..dtypes import INT8
-from ..errors import SchedulingError
 from ..models import build_gesture_net, build_mobilenet_v2
 from .dvfs import DvfsGovernor, DvfsPoint
 from .soc import DEFAULT_DEPLOYMENT_EFFICIENCY, AscendSoc, SocRunResult
@@ -65,13 +64,6 @@ class MobileSoc(AscendSoc):
         return ASCEND_TINY.name if always_on else ASCEND_LITE.name
 
     # -- power / energy ------------------------------------------------------------
-
-    def lite_power_w(self, utilization: float = 1.0) -> float:
-        """Power of one Lite core after the governor picks a DVFS point."""
-        if not 0 <= utilization <= 1:
-            raise SchedulingError("utilization must be in [0, 1]")
-        point = self.governor.select(utilization)
-        return self.governor.power_at(point)
 
     def tiny_power_w(self) -> float:
         return _TINY_TYPICAL_POWER_W

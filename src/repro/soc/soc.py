@@ -73,11 +73,6 @@ class SocRunResult:
     def bound(self) -> str:
         return "memory" if self.memory_seconds > self.compute_seconds else "compute"
 
-    @property
-    def achieved_ops(self) -> float:
-        """Achieved FLOPS/OPS (2 per MAC) including all overheads."""
-        return 2 * self.total_macs / self.step_seconds
-
 
 class AscendSoc:
     """An SoC instance with per-core-type graph engines and a memory model."""
@@ -98,10 +93,6 @@ class AscendSoc:
     @property
     def primary_core(self) -> CoreConfig:
         return self.config.core_groups[0][0]
-
-    @property
-    def primary_core_count(self) -> int:
-        return self.config.core_groups[0][1]
 
     def engine(self, core_name: Optional[str] = None) -> GraphEngine:
         name = core_name or self.primary_core.name

@@ -48,9 +48,6 @@ class ScheduleResult:
     def makespan(self) -> int:
         return max((p.end for p in self.placements), default=0)
 
-    def core_busy(self, core: int) -> int:
-        return sum(p.end - p.start for p in self.placements if p.core == core)
-
     def utilization(self) -> float:
         span = self.makespan
         if span == 0:

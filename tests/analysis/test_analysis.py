@@ -7,64 +7,65 @@ import pytest
 from repro.analysis import (
     ascii_chart,
     ascii_table,
-    cube_vector_ratios,
     l1_bandwidth_profile,
     memory_wall_table,
+    ratio_points,
 )
+from repro.compiler import GraphEngine
 from repro.config import ASCEND_910, ASCEND_MAX, ASCEND_TINY
 from repro.models import build_model, training_workloads
+from repro.profiling import model_counters
+
+
+def _ratios(graph, engine, workloads=None):
+    """Figure 4-8 points, as the ratio benchmarks read them."""
+    compiled = engine.compile_graph(graph, workloads=workloads)
+    return ratio_points(model_counters(compiled))
 
 
 class TestRatios:
     def test_resnet_first_layer_near_one(self, max_engine):
         """Figure 7: early ResNet-50 layers have ratio close to 1."""
-        points = cube_vector_ratios(build_model("resnet50", batch=1),
-                                    ASCEND_MAX, engine=max_engine)
+        points = _ratios(build_model("resnet50", batch=1), max_engine)
         conv1 = next(p for p in points if p.layer == "conv1")
         assert 0.7 < conv1.ratio < 2.5
 
     def test_resnet_deep_layers_above_one(self, max_engine):
-        points = cube_vector_ratios(build_model("resnet50", batch=1),
-                                    ASCEND_MAX, engine=max_engine)
+        points = _ratios(build_model("resnet50", batch=1), max_engine)
         conv5 = [p for p in points if p.layer.startswith("conv5")]
         assert all(p.ratio > 5 for p in conv5)
 
     def test_mobilenet_mostly_below_one(self, max_engine):
         """Figure 6: most MobileNet layers sit in (0, 1)."""
-        points = cube_vector_ratios(build_model("mobilenet_v2", batch=1),
-                                    ASCEND_MAX, engine=max_engine)
+        points = _ratios(build_model("mobilenet_v2", batch=1), max_engine)
         in_band = [p for p in points if 0 < p.ratio < 1]
         assert len(in_band) >= 0.7 * len(points)
 
     def test_bert_mostly_above_one(self, max_engine):
         """Figure 4: most BERT layers have ratio much greater than 1."""
-        points = cube_vector_ratios(build_model("bert-base", batch=1,
-                                                seq=128),
-                                    ASCEND_MAX, engine=max_engine)
+        points = _ratios(build_model("bert-base", batch=1,
+                                                seq=128), max_engine)
         above = [p for p in points if p.ratio > 1]
         assert len(above) >= 0.7 * len(points)
 
     def test_bert_training_lower_than_inference(self, max_engine):
         """Figure 5 vs Figure 4: training shifts ratios down."""
         graph = build_model("bert-base", batch=1, seq=128)
-        inf = cube_vector_ratios(graph, ASCEND_MAX, engine=max_engine)
-        tra = cube_vector_ratios(graph, ASCEND_MAX,
-                                 workloads=training_workloads(graph),
-                                 engine=max_engine)
+        inf = _ratios(graph, max_engine)
+        tra = _ratios(graph, max_engine, workloads=training_workloads(graph))
         inf_med = sorted(p.ratio for p in inf)[len(inf) // 2]
         tra_med = sorted(p.ratio for p in tra)[len(tra) // 2]
         assert tra_med < inf_med
 
     def test_gesture_convs_above_one_on_tiny(self):
         """Figure 8: every gesture-net layer ratio exceeds 1 on Tiny."""
-        points = cube_vector_ratios(build_model("gesture", batch=1),
-                                    ASCEND_TINY)
+        points = _ratios(build_model("gesture", batch=1),
+                         GraphEngine(ASCEND_TINY))
         convs = [p for p in points if p.layer.startswith("conv")]
         assert all(p.ratio > 1 for p in convs)
 
     def test_vector_hidden_property(self, max_engine):
-        points = cube_vector_ratios(build_model("resnet50", batch=1),
-                                    ASCEND_MAX, engine=max_engine)
+        points = _ratios(build_model("resnet50", batch=1), max_engine)
         for p in points:
             assert p.vector_hidden == (p.ratio >= 1)
 

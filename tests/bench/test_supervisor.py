@@ -21,6 +21,8 @@ from repro.errors import DegradedSweepWarning, SweepError
 from repro.reliability.chaos import (ChaosPlan, CorruptChaos, HangChaos,
                                      KillChaos, chaos_scope)
 
+from tests.scripts import ROOT
+
 # The verified seed=0 campaign over jobs 0-7: corrupts (0,0), kills
 # (2,0) and (7,0), hangs (7,1) — job 7 survives kill -> hang -> ok.
 CHAOS_PLAN = ChaosPlan(seed=0,
@@ -193,6 +195,34 @@ class TestSalvage:
         # 7 attempts bumped the counter, but the failed attempt's delta
         # must not merge: exactly one successful attempt per job.
         assert after["misses"] - before["misses"] == 6
+
+
+# -- the failure-report artifact ----------------------------------------------
+
+def _documented_failure_report():
+    """The JSON example under docs/RELIABILITY.md's "Failure reports"."""
+    text = (ROOT / "docs" / "RELIABILITY.md").read_text()
+    section = text[text.index("## Failure reports"):]
+    start = section.index("```json") + len("```json")
+    return json.loads(section[start:section.index("```", start)])
+
+
+class TestFailureReportSchema:
+    def test_to_dict_has_exactly_the_documented_keys(self):
+        with pytest.warns(DegradedSweepWarning, match="job 3 quarantined"):
+            outcome = supervise(range(5), _boom_on_3, max_workers=1,
+                                policy=SweepPolicy(retries=0))
+        [report] = outcome.failures
+        payload = json.loads(json.dumps(report.to_dict()))
+        documented = _documented_failure_report()
+        assert set(payload) == set(documented)
+        assert payload["attempts"]
+        for attempt in payload["attempts"]:
+            assert set(attempt) == set(documented["attempts"][0])
+        assert payload["index"] == 3
+        assert payload["job_key"] == sweep_job_key(3)
+        assert payload["attempts"][0]["outcome"] == "exception"
+        assert "poison" in payload["error"]
 
 
 # -- chaos byte-identity ------------------------------------------------------

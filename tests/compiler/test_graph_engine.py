@@ -7,6 +7,7 @@ from repro.compiler.op_library import matmul_op
 from repro.config import ASCEND, ASCEND_MAX
 from repro.graph.workload import GemmWork, OpWorkload, VectorWork
 from repro.models import build_model
+from repro.profiling import PerfCounters
 
 
 class TestCompileWorkload:
@@ -29,12 +30,12 @@ class TestCompileWorkload:
     def test_ratio_semantics(self, max_engine):
         cube_only = max_engine.compile_workload(
             OpWorkload(name="c", gemms=(GemmWork(512, 512, 512),)))
-        assert cube_only.cube_vector_ratio > 1
+        assert PerfCounters.from_layer(cube_only).cube_vector_ratio > 1
 
     def test_vector_only_layer_has_zero_ratio(self, max_engine):
         vec_only = max_engine.compile_workload(
             OpWorkload(name="v", vector=(VectorWork(100000, 4),)))
-        assert vec_only.cube_vector_ratio == 0.0
+        assert PerfCounters.from_layer(vec_only).cube_vector_ratio == 0.0
 
 
 class TestCompileGraph:

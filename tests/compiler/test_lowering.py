@@ -119,8 +119,8 @@ class TestProgramStructure:
         scaled = lower_gemm(512, 512, 64, ASCEND_MAX, tag="t",
                             a_bytes_scale=0.25)
         costs = CostModel(ASCEND_MAX)
-        assert (schedule(scaled, costs).gm_traffic_bytes()[0]
-                < schedule(full, costs).gm_traffic_bytes()[0])
+        assert (schedule(scaled, costs).summary().gm_read_bytes
+                < schedule(full, costs).summary().gm_read_bytes)
 
     def test_bad_a_scale_rejected(self):
         with pytest.raises(CompileError):

@@ -29,6 +29,7 @@ from repro.isa.instructions import DecompressInstr, SetFlag, VectorOpcode
 from repro.models.zoo import build_model
 
 from tests.compiler import lowering_oracle as oracle
+from tests.core import cost_oracle
 from tests.core.oracle import schedule_fixpoint
 
 
@@ -252,14 +253,15 @@ class TestCostColumns:
             return
         costs = CostModel(config)
         per_row = costs.cost_columns(prog._arena)
-        assert per_row.tolist() == [costs.cost(i) for i in prog.instructions]
+        assert per_row.tolist() == [cost_oracle.cost(costs, i)
+                                    for i in prog.instructions]
 
     def test_object_built_arena_prices_identically(self):
         prog = oracle.lower_gemm(80, 224, 96, ASCEND_MAX)
         arena = InstructionArena.from_instructions(prog.instructions)
         costs = CostModel(ASCEND_MAX)
         assert costs.cost_columns(arena).tolist() \
-            == [costs.cost(i) for i in prog.instructions]
+            == [cost_oracle.cost(costs, i) for i in prog.instructions]
 
 
 class TestSchedulerEquivalence:

@@ -1,9 +1,11 @@
 """Auto-tiling search tests."""
 
 from repro.compiler import choose_tiling, legal_tilings
-from repro.compiler.tiling import estimate_gemm_cycles
+from repro.compiler.tiling import tiling_space
 from repro.config import ASCEND_MAX, ASCEND_TINY
 from repro.dtypes import INT8
+
+from tests.compiler.tiling_oracle import estimate_gemm_cycles
 
 
 class TestLegalTilings:
@@ -36,7 +38,9 @@ class TestLegalTilings:
 class TestChooseTiling:
     def test_picks_lowest_modeled_cost(self):
         best = choose_tiling(1024, 768, 768, ASCEND_MAX)
-        best_cost = estimate_gemm_cycles(1024, 768, 768, best, ASCEND_MAX)
+        space = tiling_space(1024, 768, 768, ASCEND_MAX)
+        best_cost = space.cycles[space.tilings().index(best)]
+        assert best_cost == space.cycles.min()
         for other in legal_tilings(1024, 768, 768, ASCEND_MAX):
             other_cost = estimate_gemm_cycles(1024, 768, 768, other,
                                               ASCEND_MAX)

@@ -98,11 +98,6 @@ def _assert_matches_oracle(m, k, n, config, dtype):
     costs = [oracle.estimate_gemm_cycles(m, k, n, t, config, dtype)
              for t in want]
     assert space.cycles.tolist() == costs, case
-    # The public one-tiling estimate is the same formula on a batch of
-    # one; check it at both ends of the cost range.
-    for row in (int(np.argmin(space.cycles)), int(np.argmax(space.cycles))):
-        assert tiling.estimate_gemm_cycles(m, k, n, want[row], config,
-                                           dtype) == costs[row], case
     return None
 
 

@@ -10,8 +10,10 @@ and ``worst_tiling`` is the first maximum, as the Auto-Tiling ablation
 picks it.  tests/compiler/test_tiling_equivalence.py asserts production
 agrees with every one of them, cost for cost with ``==``.
 
-Besides a memo on ``legal_tilings``, the only addition to the copied
-code is :data:`K_STAGE_SKIPS`: the
+The cube price comes from the scalar cost oracle
+(``tests/core/cost_oracle.py::cube_cycles``).  Besides a memo on
+``legal_tilings``, the only addition to the copied code is
+:data:`K_STAGE_SKIPS`: the
 ``k_stage % tk and k_stage != k`` skip can never fire, because
 ``k_stage = min(k, tk * mult)`` is either a multiple of ``tk`` or ``k``
 itself.  Production has no such branch; the equivalence test asserts
@@ -30,6 +32,8 @@ from repro.config.core_configs import CoreConfig
 from repro.dtypes import DType, FP16, accumulator_for
 from repro.errors import CompileError
 from repro.memory.bandwidth import DatapathModel, Route
+
+from tests.core.cost_oracle import cube_cycles
 
 _DOUBLE_BUFFER = 2
 
@@ -143,8 +147,8 @@ def estimate_gemm_cycles(m: int, k: int, n: int, tiling: Tiling,
     k_feeds = math.ceil(k / tiling.tk)
 
     # Cube: one instruction per (output tile, k feed).
-    cube = out_tiles * k_feeds * costs.cube_cycles(tiling.tm, tiling.tk,
-                                                   tiling.tn, dtype)
+    cube = out_tiles * k_feeds * cube_cycles(costs, tiling.tm, tiling.tk,
+                                             tiling.tn, dtype)
     # MTE2: per (output tile, k stage) load A strip + B panel from GM.
     a_stage = tiling.tm * tiling.k_stage * dtype.bytes
     b_stage = tiling.k_stage * tiling.tn * dtype.bytes

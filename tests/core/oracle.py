@@ -6,7 +6,8 @@ pipe's head until it hits a ``wait_flag`` whose channel FIFO is empty,
 and repeats until no pipe makes progress.  It shares nothing with
 :mod:`repro.core.engine` but the PSQ dispatch rate and the deadlock
 report builder, so agreement with the production drain is evidence, not
-tautology.  It models no injected faults.
+tautology; it prices each instruction with the scalar cost oracle in
+``tests/core/cost_oracle.py``, not the drain's cost columns.  It models no injected faults.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.errors import DeadlockError
 from repro.isa import Instruction, Pipe, Program, SetFlag, WaitFlag
 from repro.isa.channels import pack_channel
 from repro.reliability.deadlock import PipeStall, build_report
+
+from tests.core.cost_oracle import cost
 
 __all__ = ["schedule_fixpoint"]
 
@@ -52,7 +55,7 @@ def schedule_fixpoint(program: Program, costs: CostModel) -> ExecutionTrace:
                     if not pending:
                         break  # stalled: producer has not signalled yet
                     start = max(start, pending.popleft())
-                end = start + costs.cost(instr)
+                end = start + cost(costs, instr)
                 if isinstance(instr, SetFlag):
                     channel = (instr.src_pipe, instr.dst_pipe, instr.event_id)
                     flags.setdefault(channel, deque()).append(end)

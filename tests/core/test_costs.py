@@ -1,5 +1,11 @@
-"""Cycle-cost model tests against the Table 5 throughput anchors."""
+"""Cycle-cost model tests against the Table 5 throughput anchors.
 
+Each hand-computed price pins the production columns (``cost_columns``
+on a one-row program, ``cube_cycle_columns``) and the scalar oracle in
+``tests/core/cost_oracle.py`` alike.
+"""
+
+import numpy as np
 import pytest
 
 from repro.config import ASCEND_LITE, ASCEND_MAX, ASCEND_TINY
@@ -13,25 +19,45 @@ from repro.isa import (
     Region,
     SetFlag,
     Pipe,
+    Program,
     VectorInstr,
     VectorOpcode,
 )
 from repro.core.costs import _CUBE_STARTUP, _VEC_STARTUP
 
+from tests.core import cost_oracle
+
+
+def _cube(costs, m, k, n, dtype):
+    """One tile's price by the production columns, checked against the
+    scalar oracle."""
+    (cycles,) = costs.cube_cycle_columns(
+        np.array([m]), np.array([k]), np.array([n]), dtype).tolist()
+    assert cycles == cost_oracle.cube_cycles(costs, m, k, n, dtype)
+    return cycles
+
+
+def _price(costs, instr):
+    """One instruction's price by ``cost_columns`` on a one-row program,
+    checked against the scalar oracle."""
+    (cycles,) = costs.cost_columns(Program([instr]).arena).tolist()
+    assert cycles == cost_oracle.cost(costs, instr)
+    return cycles
+
 
 class TestCubeCosts:
     def test_native_tile_is_one_cycle(self):
         costs = CostModel(ASCEND_MAX)
-        assert costs.cube_cycles(16, 16, 16, FP16) == _CUBE_STARTUP + 1
+        assert _cube(costs, 16, 16, 16, FP16) == _CUBE_STARTUP + 1
 
     def test_tiles_multiply(self):
         costs = CostModel(ASCEND_MAX)
-        assert costs.cube_cycles(32, 32, 32, FP16) == _CUBE_STARTUP + 8
+        assert _cube(costs, 32, 32, 32, FP16) == _CUBE_STARTUP + 8
 
     def test_partial_tiles_round_up(self):
         costs = CostModel(ASCEND_MAX)
         # 17 in every dim -> 2 tiles per dim.
-        assert costs.cube_cycles(17, 17, 17, FP16) == _CUBE_STARTUP + 8
+        assert _cube(costs, 17, 17, 17, FP16) == _CUBE_STARTUP + 8
 
     def test_int8_doubles_k_dim(self):
         costs = CostModel(ASCEND_MAX)
@@ -75,7 +101,7 @@ class TestInstructionDispatch:
             b=Region(MemSpace.L0B, 0, (16, 16), FP16),
             c=Region(MemSpace.L0C, 0, (32, 16), FP32),
         )
-        assert costs.cost(mm) == _CUBE_STARTUP + 2
+        assert _price(costs, mm) == _CUBE_STARTUP + 2
 
     def test_l0c_move_uses_ub_port(self):
         costs = CostModel(ASCEND_MAX)
@@ -83,13 +109,13 @@ class TestInstructionDispatch:
         dst = Region(MemSpace.UB, 0, (64, 64), FP16)
         move = VectorInstr(op=VectorOpcode.CAST, dst=dst, srcs=(src,))
         # 16384 B over the 2000 B/cycle UB port, not the 256 B ALU.
-        assert costs.cost(move) == _VEC_STARTUP + 9
+        assert _price(costs, move) == _VEC_STARTUP + 9
 
     def test_vector_alu_op_uses_datapath_width(self):
         costs = CostModel(ASCEND_MAX)
         buf = Region(MemSpace.UB, 0, (64, 64), FP16)
         relu = VectorInstr(op=VectorOpcode.RELU, dst=buf, srcs=(buf,))
-        assert costs.cost(relu) == _VEC_STARTUP + 32  # 8 KB / 256 B
+        assert _price(costs, relu) == _VEC_STARTUP + 32  # 8 KB / 256 B
 
     def test_copy_cost_from_route(self):
         costs = CostModel(ASCEND_MAX)
@@ -97,9 +123,9 @@ class TestInstructionDispatch:
             dst=Region(MemSpace.L0A, 0, (64, 64), FP16),
             src=Region(MemSpace.L1, 0, (64, 64), FP16),
         )
-        assert costs.cost(copy) == 8 + 3  # overhead + ceil(8192/4000)
+        assert _price(costs, copy) == 8 + 3  # overhead + ceil(8192/4000)
 
     def test_flag_cost_is_one(self):
         costs = CostModel(ASCEND_MAX)
-        assert costs.cost(SetFlag(src_pipe=Pipe.M, dst_pipe=Pipe.V,
-                                  event_id=0)) == 1
+        assert _price(costs, SetFlag(src_pipe=Pipe.M, dst_pipe=Pipe.V,
+                                     event_id=0)) == 1

@@ -110,7 +110,8 @@ class TestTraceAccounting:
 
     def test_busy_cycles_by_pipe(self, costs):
         trace = schedule(Program([_mm(), _mm()]), costs)
-        assert trace.busy_cycles(Pipe.M) == 2 * costs.cost(_mm())
+        one = costs.cost_columns(Program([_mm()]).arena)[0]
+        assert trace.busy_cycles(Pipe.M) == 2 * one
         assert trace.busy_cycles(Pipe.V) == 0
 
     def test_events_sorted_causally(self, costs):
@@ -125,10 +126,9 @@ class TestTraceAccounting:
         assert starts == sorted(starts)
 
     def test_l1_traffic_accounting(self, costs):
-        trace = schedule(Program([_load()]), costs)
-        read, written = trace.l1_traffic_bytes()
-        assert read == 512  # 16x16 fp16
-        assert written == 0
+        summary = schedule(Program([_load()]), costs).summary()
+        assert summary.l1_read_bytes == 512  # 16x16 fp16
+        assert summary.l1_write_bytes == 0
 
     def test_empty_program(self, costs):
         trace = schedule(Program([]), costs)

@@ -41,6 +41,7 @@ from repro.isa import (
 from repro.isa.instructions import COPY_ROUTES
 from repro.models import build_model
 
+from . import cost_oracle
 from .oracle import schedule_fixpoint
 
 _COSTS = CostModel(ASCEND_MAX)
@@ -209,14 +210,14 @@ class TestSchedulerEquivalence:
         program = _random_flagged_program(rng, n, allow_deadlock=False)
         costs = CostModel(config)
         assert costs.cost_columns(program.arena).tolist() \
-            == [costs.cost(i) for i in program]
+            == [cost_oracle.cost(costs, i) for i in program]
 
 
 class TestCompiledCorpusEquivalence:
     def test_resnet50_corpus_bit_identical(self):
         """Every compiled ResNet-50 layer program schedules identically
         under the drain and the oracle, and the one-pass summary agrees
-        with the per-query aggregates."""
+        with the trace's own aggregates."""
         graph = build_model("resnet50", batch=1)
         costs = CostModel(ASCEND)
         for _, work in graph.grouped_workloads():
@@ -228,7 +229,8 @@ class TestCompiledCorpusEquivalence:
             assert summary.total_cycles == oracle.total_cycles
             for pipe in Pipe:
                 assert summary.busy_cycles(pipe) == oracle.busy_cycles(pipe)
+            traffic = oracle.summary()
             assert (summary.l1_read_bytes, summary.l1_write_bytes) \
-                == oracle.l1_traffic_bytes()
+                == (traffic.l1_read_bytes, traffic.l1_write_bytes)
             assert (summary.gm_read_bytes, summary.gm_write_bytes) \
-                == oracle.gm_traffic_bytes()
+                == (traffic.gm_read_bytes, traffic.gm_write_bytes)

@@ -31,8 +31,10 @@ class TestInt4Cube:
         costs = CostModel(ASCEND)
         from repro.dtypes import FP16
 
-        c16 = costs.cube_cycles(16, 256, 16, FP16)
-        c4 = costs.cube_cycles(16, 256, 16, INT4)
+        c16, = costs.cube_cycle_columns(
+            np.array([16]), np.array([256]), np.array([16]), FP16)
+        c4, = costs.cube_cycle_columns(
+            np.array([16]), np.array([256]), np.array([16]), INT4)
         # 256-deep K: fp16 needs 16 k-tiles, int4 needs 4.
         assert (c16 - 4) == 4 * (c4 - 4)
 

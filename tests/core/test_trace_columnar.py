@@ -27,6 +27,7 @@ from repro.isa import (
     VectorInstr,
     VectorOpcode,
 )
+from repro.reliability import clear_plan, fault_scope, parse_fault_spec
 
 from .test_engine_equivalence import _random_flagged_program
 
@@ -59,12 +60,10 @@ def _ref_span(events, tag):
     return (min(e.start for e in matching), max(e.end for e in matching))
 
 
-def _ref_l1_traffic(events, tag=None):
+def _ref_l1_traffic(events):
     read = write = 0
     for e in events:
         if not isinstance(e.instr, _MOVE_TYPES):
-            continue
-        if tag is not None and e.tag != tag:
             continue
         if e.instr.src.space is MemSpace.L1:
             read += e.instr.src.nbytes
@@ -73,12 +72,10 @@ def _ref_l1_traffic(events, tag=None):
     return (read, write)
 
 
-def _ref_gm_traffic(events, tag=None):
+def _ref_gm_traffic(events):
     read = write = 0
     for e in events:
         if not isinstance(e.instr, _MOVE_TYPES):
-            continue
-        if tag is not None and e.tag != tag:
             continue
         if e.instr.src.space is MemSpace.GM:
             read += e.instr.dst.nbytes
@@ -100,14 +97,6 @@ def _ref_moved_bytes(events, src, dst, tag=None):
     return total
 
 
-def _ref_per_tag_busy(events, pipe):
-    sums = {}
-    for e in events:
-        if e.pipe is pipe and e.tag:
-            sums[e.tag] = sums.get(e.tag, 0) + e.cycles
-    return sums
-
-
 def _assert_all_aggregates_match(trace):
     events = list(trace.events)
     assert trace.total_cycles == _ref_total_cycles(events)
@@ -120,16 +109,13 @@ def _assert_all_aggregates_match(trace):
             got = trace.busy_cycles(pipe, tag=tag)
             assert got == _ref_busy(events, pipe, tag)
             assert type(got) is int
-        assert trace.per_tag_busy(pipe) == _ref_per_tag_busy(events, pipe)
     for tag in tags + ["no-such-tag"]:
         assert trace.span(tag) == _ref_span(events, tag)
     for tag in probes:
-        assert trace.l1_traffic_bytes(tag) == _ref_l1_traffic(events, tag)
-        assert trace.gm_traffic_bytes(tag) == _ref_gm_traffic(events, tag)
-    for src in (MemSpace.GM, MemSpace.L1, MemSpace.UB):
-        for dst in (MemSpace.L1, MemSpace.L0A, MemSpace.GM, MemSpace.UB):
-            assert trace.moved_bytes(src, dst) \
-                == _ref_moved_bytes(events, src, dst)
+        for src in (MemSpace.GM, MemSpace.L1, MemSpace.UB):
+            for dst in (MemSpace.L1, MemSpace.L0A, MemSpace.GM, MemSpace.UB):
+                assert trace.moved_bytes(src, dst, tag) \
+                    == _ref_moved_bytes(events, src, dst, tag)
     summary = trace.summary()
     assert summary.total_cycles == trace.total_cycles
     assert summary.busy_by_pipe \
@@ -194,6 +180,24 @@ class TestAggregatesBitIdentical:
         trace = schedule(program, _COSTS)
         _assert_all_aggregates_match(trace)
 
+    @pytest.mark.faults
+    @pytest.mark.parametrize("spec", [
+        "seed=3;sync:action=dup,p=1",
+        "seed=5;sync:action=reorder,p=0.5",
+    ])
+    def test_aggregates_survive_sync_faults(self, spec):
+        """Duplicated or reordered flag traffic changes the schedule, not
+        the bookkeeping: flags carry no bytes, and every aggregate still
+        matches the event walk."""
+        rng = np.random.default_rng(11)
+        program = _random_flagged_program(rng, 40, allow_deadlock=False)
+        try:
+            with fault_scope(parse_fault_spec(spec)):
+                trace = schedule(program, _COSTS)
+        finally:
+            clear_plan()
+        _assert_all_aggregates_match(trace)
+
     @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(0, 120))
     @settings(max_examples=50, deadline=None)
     def test_synthetic_event_aggregates(self, seed, n):
@@ -207,9 +211,9 @@ class TestAggregatesBitIdentical:
         assert trace.busy_cycles(Pipe.M) == 0
         assert trace.tags() == []
         assert trace.span("x") == (0, 0)
-        assert trace.l1_traffic_bytes() == (0, 0)
-        assert trace.gm_traffic_bytes() == (0, 0)
-        assert trace.per_tag_busy(Pipe.V) == {}
+        summary = trace.summary()
+        assert (summary.l1_read_bytes, summary.l1_write_bytes,
+                summary.gm_read_bytes, summary.gm_write_bytes) == (0, 0, 0, 0)
         assert len(trace.events) == 0
 
 

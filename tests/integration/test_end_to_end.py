@@ -52,12 +52,12 @@ class TestCompilerAgainstSimulator:
         """The tiling cost model and the event engine must agree within
         a small factor — otherwise auto-tiling optimizes the wrong thing."""
         from repro.compiler import lower_gemm
-        from repro.compiler.tiling import choose_tiling, estimate_gemm_cycles
+        from repro.compiler.tiling import tiling_space
 
         costs = CostModel(ASCEND_MAX)
         for m, k, n in [(256, 256, 256), (1024, 768, 768), (64, 2048, 64)]:
-            tiling = choose_tiling(m, k, n, ASCEND_MAX)
-            est = estimate_gemm_cycles(m, k, n, tiling, ASCEND_MAX)
+            # The chosen tiling's estimate: the cheapest row of the space.
+            est = float(tiling_space(m, k, n, ASCEND_MAX).cycles.min())
             sim = schedule(lower_gemm(m, k, n, ASCEND_MAX, tag="t"),
                            costs).total_cycles
             assert sim == pytest.approx(est, rel=0.6), (m, k, n)

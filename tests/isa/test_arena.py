@@ -23,6 +23,8 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import Program
 
+from tests.core import cost_oracle
+
 
 def _gemm_program(**kw):
     return lower_gemm(96, 160, 64, ASCEND_MAX, **kw)
@@ -129,7 +131,8 @@ class TestExactness:
             [ScalarInstr(op="loop", cycles=7)] + _sample_instrs())
         costs = CostModel(ASCEND_MAX)
         cols = costs.cost_columns(arena)
-        assert cols.tolist() == [costs.cost(i) for i in arena.materialize()]
+        assert cols.tolist() == [cost_oracle.cost(costs, i)
+                                 for i in arena.materialize()]
 
 
 class TestConcat:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.config import ASCEND_MAX, ASCEND_TINY
+from repro.compiler import CceAssembler
+from repro.config import ASCEND, ASCEND_LITE, ASCEND_MAX, ASCEND_TINY
 from repro.dtypes import FP16, FP32
 from repro.errors import IsaError
 from repro.isa import (
@@ -88,3 +89,32 @@ class TestValidation:
             src=Region(MemSpace.GM, 10 ** 9, (16,), FP16),
         )
         Program([huge]).validate(ASCEND_MAX)
+
+
+class TestInexactProgramValidation:
+    """Programs the arena cannot describe column for column (an img2col
+    with its 3-D source, here written as CCE text) validate through the
+    per-object walk."""
+
+    # 16x16x3 fp16 image, 3x3 kernel, no padding: a 196 x 27 A-tile
+    # (10,584 B) at an L0A offset that fits a 64 KB L0A but not 32 KB.
+    TEXT = ("img2col L0A@24576:196x27:fp16 L1@0:16x16x3:fp16 "
+            "k=3x3 s=1x1 p=0x0\n"
+            "scalar nop 2\n")
+
+    def _program(self):
+        asm = CceAssembler()
+        program = asm.assemble(self.TEXT, name="img2col")
+        assert asm.assemble(asm.disassemble(program), name="img2col") \
+            == program
+        assert not program.arena.exact
+        return program
+
+    def test_fits_where_l0a_is_large_enough(self):
+        self._program().validate(ASCEND)
+
+    def test_overrun_names_index_class_and_space(self):
+        with pytest.raises(IsaError, match=r"instruction #0 \(Img2ColInstr\)"
+                                           r" overruns L0A: needs "
+                                           r"\[24576, 35160\)"):
+            self._program().validate(ASCEND_LITE)

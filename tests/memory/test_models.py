@@ -3,9 +3,13 @@
 import pytest
 
 from repro.config import ASCEND_MAX, ASCEND_TINY
+from repro.core import CostModel
+from repro.dtypes import FP16
 from repro.errors import ConfigError
-from repro.isa import MemSpace
+from repro.isa import CopyInstr, MemSpace, Program, Region
 from repro.memory import DatapathModel, DramModel, LlcModel, Route
+
+from tests.core import cost_oracle
 
 
 class TestLlcModel:
@@ -62,8 +66,14 @@ class TestDatapathModel:
 
     def test_cycles_include_overhead(self):
         dp = DatapathModel(ASCEND_MAX)
-        c = dp.cycles_for(MemSpace.L1, MemSpace.L0A, 4000)
-        assert c == DatapathModel.TRANSFER_OVERHEAD_CYCLES + 1
+        assert dp.width_matrix()[MemSpace.L1, MemSpace.L0A] == 4000
+        move = CopyInstr(dst=Region(MemSpace.L0A, 0, (2000,), FP16),
+                         src=Region(MemSpace.L1, 0, (2000,), FP16))
+        (cycles,) = CostModel(ASCEND_MAX).cost_columns(
+            Program([move]).arena).tolist()
+        assert cycles == DatapathModel.TRANSFER_OVERHEAD_CYCLES + 1
+        assert cycles == cost_oracle.transfer_cycles(
+            dp, MemSpace.L1, MemSpace.L0A, 4000)
 
     def test_tiny_gm_falls_back_to_ub_width(self):
         dp = DatapathModel(ASCEND_TINY)

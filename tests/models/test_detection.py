@@ -8,6 +8,7 @@ from repro.errors import GraphError
 from repro.graph.ops import CvOp, Upsample2D
 from repro.graph.tensor import TensorSpec
 from repro.models import build_detector, build_siamese_tracker
+from repro.profiling import PerfCounters
 
 
 @pytest.fixture(scope="module")
@@ -49,9 +50,10 @@ class TestDetector:
         compiled = GraphEngine(ASCEND).compile_graph(detector)
         assert compiled.total_cycles > 0
         # RPN/NMS groups are vector-dominated (ratio < 1); backbone not.
-        by_name = {l.name: l for l in compiled.layers}
-        assert by_name["nms"].cube_vector_ratio == 0.0
-        assert by_name["conv4_1"].cube_vector_ratio > 1
+        ratio = {l.name: PerfCounters.from_layer(l).cube_vector_ratio
+                 for l in compiled.layers}
+        assert ratio["nms"] == 0.0
+        assert ratio["conv4_1"] > 1
 
     def test_upsample_doubles_spatial(self):
         src = TensorSpec("s", (1, 8, 8, 4), __import__("repro.dtypes",

@@ -3,16 +3,13 @@
 import pytest
 
 from repro.config import ASCEND, ASCEND_LITE, ASCEND_MAX, ASCEND_TINY
-from repro.errors import ConfigError
 from repro.graph.workload import GemmWork, OpWorkload, VectorWork
 from repro.perf import (
     EnergyModel,
     PpaRow,
-    arithmetic_intensity,
     core_area_mm2,
     cube_perf_density,
     format_table,
-    roofline_time_s,
     unit_areas,
 )
 
@@ -92,25 +89,6 @@ class TestEnergyTable3:
     def test_tiny_has_no_fp16_mode(self):
         model = EnergyModel(ASCEND_TINY)
         assert model.tops_per_watt_int8() > 0
-
-
-class TestRoofline:
-    def test_compute_bound(self):
-        assert roofline_time_s(1e12, 1e6, 1e12, 1e12) == pytest.approx(1.0)
-
-    def test_memory_bound(self):
-        assert roofline_time_s(1e6, 1e12, 1e12, 1e12) == pytest.approx(1.0)
-
-    def test_intensity(self):
-        w = OpWorkload(name="g", gemms=(GemmWork(256, 256, 256),),
-                       input_bytes=256 * 256 * 2,
-                       output_bytes=256 * 256 * 2,
-                       weight_bytes=256 * 256 * 2)
-        assert arithmetic_intensity([w]) > 50
-
-    def test_zero_traffic_rejected(self):
-        with pytest.raises(ConfigError):
-            arithmetic_intensity([OpWorkload(name="empty")])
 
 
 class TestPpaTable:

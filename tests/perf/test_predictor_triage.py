@@ -8,14 +8,18 @@ and speedup gates live in ``make predict-smoke`` and
 """
 
 import inspect
+import json
 
 import numpy as np
 import pytest
 
 from repro.bench import shortlist_indices
 from repro.errors import ConfigError
-from repro.perf.predictor import triage_design_sweep
+from repro.perf.predictor import cli, triage_design_sweep
 from repro.perf.predictor.settings import predict_enabled
+from repro.perf.predictor.train import save_artifact, train_predictor
+
+from tests.perf.test_predictor_train import _synthetic_dataset
 
 
 class TestShortlist:
@@ -118,3 +122,42 @@ class TestEnvKnobs:
         monkeypatch.setenv(name, value)
         with pytest.raises(ConfigError):
             predict_enabled()
+
+
+class TestSweepCliOut:
+    """``python -m repro.perf.predictor sweep --out``: one row per
+    candidate, the shortlist flagged, beside the gate."""
+
+    def test_out_holds_gate_and_one_row_per_candidate(self, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        artifact = save_artifact(
+            train_predictor(dataset=_synthetic_dataset(), rounds=5),
+            tmp_path / "model.json")
+        reports = []
+        sweep = cli.triage_design_sweep
+
+        def _recording(*args, **kwargs):
+            reports.append(sweep(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "triage_design_sweep", _recording)
+        out = tmp_path / "sweep.json"
+        assert cli.main(["sweep", "--artifact", str(artifact),
+                         "--candidates", "6", "--top-k", "2",
+                         "--epsilon", "0", "--workers", "1",
+                         "--out", str(out)]) == 0
+        assert f"report: {out}" in capsys.readouterr().out
+
+        [report] = reports
+        written = json.loads(out.read_text())
+        assert set(written) == {"gate", "rows"}
+        assert written["gate"] == report.gate
+        assert [row["config"] for row in written["rows"]] == report.candidates
+        flagged = [i for i, row in enumerate(written["rows"])
+                   if row["in_shortlist"]]
+        assert flagged == sorted(report.shortlist)
+        assert len(flagged) == 2
+        for i in flagged:
+            assert written["rows"][i]["simulated_cycles"] \
+                == report.simulated[i]

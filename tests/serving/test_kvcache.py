@@ -96,9 +96,9 @@ class TestLedgerBasics:
     def test_resident_cannot_exceed_reservation(self):
         ledger = KvLedger(_capacity(1000), (A, B))
         assert ledger.try_reserve("a", 100)
-        ledger.grow("a", 100)
+        ledger.grow_all({"a": 100})
         with pytest.raises(SchedulingError, match="exceeds"):
-            ledger.grow("a", 1)
+            ledger.grow_all({"a": 1})
 
     def test_release_restores_space(self):
         ledger = KvLedger(_capacity(1000), (A, B))
@@ -141,7 +141,7 @@ class TestLedgerProperties:
                 room = slot[0] - slot[1]
                 if room > 0:
                     grown = min(amount, room)
-                    ledger.grow(tenant, grown)
+                    ledger.grow_all({tenant: grown})
                     slot[1] += grown
             elif kind == "release" and live[tenant]:
                 reserved, grown = live[tenant].pop(0)

@@ -4,41 +4,53 @@ import numpy as np
 import pytest
 
 from repro.errors import SchedulingError
-from repro.serving import exact_percentile, latency_summary
+from repro.serving import latency_summary
+from repro.serving.metrics import _rank
+
+from tests.serving.oracle import exact_percentile
 
 
 class TestExactPercentile:
     def test_p50_of_even_count_is_a_sample_not_a_midpoint(self):
         # np.quantile's default says 2.5 here; nearest-rank says 2.
-        assert exact_percentile([1, 2, 3, 4], 50) == 2
+        assert latency_summary([1, 2, 3, 4])["p50"] == 2
 
     def test_p100_is_max(self):
-        assert exact_percentile([7, 3, 9, 1], 100) == 9
+        assert _rank(100, 4) == 3
+        assert latency_summary([7, 3, 9, 1])["max"] == 9
 
     def test_p99_of_1_to_100(self):
-        assert exact_percentile(range(1, 101), 99) == 99
+        assert latency_summary(range(1, 101))["p99"] == 99
 
     def test_single_sample(self):
         for pct in (1, 50, 99, 100):
-            assert exact_percentile([42], pct) == 42
+            assert _rank(pct, 1) == 0
+        summary = latency_summary([42])
+        assert summary["p50"] == summary["p90"] == summary["p99"] == 42
 
     def test_unsorted_input(self):
-        assert exact_percentile([9, 1, 5], 50) == 5
+        assert latency_summary([9, 1, 5])["p50"] == 5
+
+    def test_rank_is_exact_at_boundaries(self):
+        # ceil(pct/100 * n) in rational arithmetic: 25% of 4 is rank 1
+        # exactly, whatever the float product 0.25 * 4 would round to.
+        assert [_rank(pct, 4) for pct in (25, 50, 75, 100)] == [0, 1, 2, 3]
+        assert _rank(90, 10) == 8
+        assert _rank(99, 100) == 98
 
     def test_result_is_always_an_observed_sample(self):
         rng = np.random.default_rng(0)
         values = [int(v) for v in rng.integers(0, 10 ** 9, size=257)]
         for pct in (1, 25, 50, 90, 99, 99.9, 100):
-            assert exact_percentile(values, pct) in set(values)
-
-    def test_empty_raises(self):
-        with pytest.raises(SchedulingError, match="empty"):
-            exact_percentile([], 50)
+            assert 0 <= _rank(pct, len(values)) < len(values)
+        summary = latency_summary(values)
+        for key in ("p50", "p90", "p99", "max"):
+            assert summary[key] in set(values)
 
     @pytest.mark.parametrize("pct", [0, -1, 100.1, 200])
     def test_out_of_range_pct_raises(self, pct):
         with pytest.raises(SchedulingError, match="percentile"):
-            exact_percentile([1, 2], pct)
+            _rank(pct, 2)
 
 
 class TestLatencySummary:
