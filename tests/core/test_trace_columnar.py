@@ -182,10 +182,10 @@ class TestAggregatesBitIdentical:
 
     @pytest.mark.faults
     @pytest.mark.parametrize("spec", [
-        "seed=3;sync:action=dup,p=1",
-        "seed=5;sync:action=reorder,p=0.5",
+        pytest.param("seed=3;sync:action=dup,p=1", id="dup"),
+        pytest.param("seed=5;sync:action=reorder,p=0.5", id="reorder"),
     ])
-    def test_aggregates_survive_sync_faults(self, spec):
+    def test_survives_sync_faults(self, spec):
         """Duplicated or reordered flag traffic changes the schedule, not
         the bookkeeping: flags carry no bytes, and every aggregate still
         matches the event walk."""
