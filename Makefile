@@ -14,6 +14,9 @@ test-faults:
 	$(PY) -m pytest -q -m faults
 
 # Equivalence gates: columnar trace aggregates vs the legacy event walk;
+# a scheduled arena-built program's trace, summary, counters, Chrome
+# export and gantt read columns only, and its events and functional
+# instructions equal the object-built program's when asked for;
 # the engine drain (flat, queue and extrapolated paths; every ISA
 # class, deadlocks, lowered programs) vs the fixpoint oracle in
 # tests/core/oracle.py; arena lowering (dense, sparse and
@@ -35,6 +38,7 @@ test-faults:
 # per-layer scalar extractor in tests/perf/features_oracle.py.
 test-equiv:
 	$(PY) -m pytest -q tests/core/test_trace_columnar.py \
+		tests/core/test_trace_lazy_objects.py \
 		tests/core/test_engine_equivalence.py \
 		tests/core/test_engine_fast_drain.py \
 		tests/core/test_deadlock_report.py \

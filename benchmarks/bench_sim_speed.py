@@ -108,15 +108,14 @@ def measure_cold_phases(jobs) -> dict:
     programs standalone (columnar ``cost_columns`` where an arena is
     attached, the per-instruction model otherwise).
 
-    The in-process memo tiers (lowering arena memo, tiling-choice memo,
-    schedule-summary memo) are cleared before each job so every job
+    The in-process memo tiers (lowering arena memo, tiling-choice memo)
+    are cleared before each job so every job
     measures a true cold start — intra-corpus memo hits still count,
     exactly as they do on a real cold compile.
     """
     from repro.compiler import tiling
     from repro.compiler.lowering import clear_lowering_memo, lower_workload
     from repro.config import core_config_by_name
-    from repro.core import engine as engine_mod
     from repro.core.costs import CostModel
     from repro.core.engine import schedule_summary
     from repro.models import build_model
@@ -125,7 +124,6 @@ def measure_cold_phases(jobs) -> dict:
     for model, core in jobs:
         clear_lowering_memo()
         tiling._choose_cached.cache_clear()
-        engine_mod._SUMMARY_MEMO.clear()
         graph = build_model(model, **_MODEL_KWARGS[model])
         config = core_config_by_name(core)
         costs = CostModel(config)
@@ -163,8 +161,10 @@ def measure_cold_phases(jobs) -> dict:
 def _legacy_aggregate_walk(trace) -> tuple:
     """The row-oriented aggregate pass the columnar engine replaced:
     one Python-level loop over materialized events."""
-    from repro.core.trace import _MOVE_TYPES
-    from repro.isa import MemSpace, Pipe
+    from repro.isa import (CopyInstr, DecompressInstr, Img2ColInstr,
+                           MemSpace, Pipe, TransposeInstr)
+
+    move_types = (CopyInstr, Img2ColInstr, TransposeInstr, DecompressInstr)
 
     total = 0
     busy = {pipe: 0 for pipe in Pipe}
@@ -174,7 +174,7 @@ def _legacy_aggregate_walk(trace) -> tuple:
             total = event.end
         busy[event.pipe] += event.end - event.start
         instr = event.instr
-        if isinstance(instr, _MOVE_TYPES):
+        if isinstance(instr, move_types):
             if instr.src.space is MemSpace.L1:
                 l1_read += instr.src.nbytes
             if instr.dst.space is MemSpace.L1:

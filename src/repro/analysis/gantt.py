@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.trace import KIND_NONE, ExecutionTrace
+from ..core.trace import ExecutionTrace
+from ..isa.arena import FLAG_OPS
 from ..isa.pipes import Pipe
 
 __all__ = ["render_gantt"]
@@ -66,8 +67,8 @@ def render_gantt(trace: ExecutionTrace, width: int = 100,
     # Half-open [start, end) vs half-open [lo, hi): an event ending at lo
     # or starting at hi is outside; a zero-duration event occupies no
     # cycles and never paints.
-    visible = ((trace.kinds != KIND_NONE) & (ends > lo) & (starts < hi)
-               & (ends > starts))
+    visible = (~np.isin(trace.arena.kind, FLAG_OPS) & (ends > lo)
+               & (starts < hi) & (ends > starts))
     start_clip = np.clip(starts, lo, hi) - lo
     end_clip = np.clip(ends, lo, hi) - lo
     # Exact integer binning over [0, span) -> [0, width): floor for the

@@ -66,7 +66,7 @@ def reset_lowering_stats() -> None:
 # stages), so lowered arenas are memoized on the structural arguments.
 # A hit is retagged via the zero-copy :meth:`InstructionArena.retagged` —
 # column arrays are shared, never mutated after lowering, so sharing is
-# safe and downstream identity-keyed caches (``schedule_summary``'s
+# safe and downstream identity-keyed caches (``Program.validate``'s
 # memo) hit for free.  Fault campaigns need no bypass: stall and sync
 # faults perturb copies of the drain's cost and match columns, never a
 # lowered arena.

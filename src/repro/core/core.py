@@ -13,19 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config.core_configs import CoreConfig
-from ..errors import IsaError
 from ..isa.instructions import (
-    CopyInstr,
-    CubeMatmul,
-    DecompressInstr,
-    Img2ColInstr,
-    Instruction,
-    PipeBarrier,
-    ScalarInstr,
-    SetFlag,
-    TransposeInstr,
-    VectorInstr,
-    WaitFlag,
+    OP_COPY,
+    OP_CUBE,
+    OP_DECOMP,
+    OP_IMG2COL,
+    OP_TRANSPOSE,
+    OP_VECTOR,
+    OPCODE_OF,
 )
 from ..isa.program import Program
 from ..memory.hierarchy import CoreMemory
@@ -42,6 +37,17 @@ from .trace import ExecutionTrace
 from .vector import execute_vector
 
 __all__ = ["AscendCore", "RunResult"]
+
+# Functional executor per opcode with architectural effect (the rows
+# ``ExecutionTrace.functional_instructions`` returns).
+_EXECUTE = {
+    OP_CUBE: execute_cube,
+    OP_VECTOR: execute_vector,
+    OP_COPY: execute_copy,
+    OP_IMG2COL: execute_img2col,
+    OP_TRANSPOSE: execute_transpose,
+    OP_DECOMP: execute_decompress,
+}
 
 
 @dataclass
@@ -84,25 +90,5 @@ class AscendCore:
         trace = schedule(program, self.costs)
         if functional:
             for instr in trace.functional_instructions():
-                self._execute(instr)
+                _EXECUTE[OPCODE_OF[type(instr)]](instr, self.memory)
         return RunResult(trace=trace, config=self.config)
-
-    # -- functional replay ----------------------------------------------------
-
-    def _execute(self, instr: Instruction) -> None:
-        if isinstance(instr, CubeMatmul):
-            execute_cube(instr, self.memory)
-        elif isinstance(instr, VectorInstr):
-            execute_vector(instr, self.memory)
-        elif isinstance(instr, Img2ColInstr):
-            execute_img2col(instr, self.memory)
-        elif isinstance(instr, TransposeInstr):
-            execute_transpose(instr, self.memory)
-        elif isinstance(instr, DecompressInstr):
-            execute_decompress(instr, self.memory)
-        elif isinstance(instr, CopyInstr):
-            execute_copy(instr, self.memory)
-        elif isinstance(instr, (ScalarInstr, SetFlag, WaitFlag, PipeBarrier)):
-            pass  # no architectural state outside the schedule
-        else:  # pragma: no cover - instruction set is closed
-            raise IsaError(f"cannot execute {type(instr).__name__}")

@@ -32,22 +32,19 @@ hang real silicon, so surfacing them loudly is a feature.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import DeadlockError
-from ..isa.arena import _COLUMN_NAMES as _ARENA_COLUMNS
-from ..isa.arena import MOVE_OPS
-from ..isa.instructions import OP_SET, OP_WAIT, OPCODE_OF, Instruction
-from ..isa.memref import MemSpace
+from ..isa.instructions import OP_SET, OP_WAIT, OPCODE_OF
 from ..isa.pipes import Pipe
 from ..isa.program import Program
 from ..profiling.session import active_session
 from ..reliability.deadlock import PipeStall, build_report
 from ..reliability.injector import active_injector
 from .costs import CostModel
-from .trace import ExecutionTrace, TraceSummary
+from .trace import ExecutionTrace, TraceSummary, summarize
 
 __all__ = [
     "schedule",
@@ -59,7 +56,7 @@ __all__ = [
 # Observability for the drain fast paths (tests pin that the intended
 # path actually engaged; the benchmark harness reports them).
 _ENGINE_STATS = {"flat_drains": 0, "general_drains": 0,
-                 "extrapolated_blocks": 0, "summary_memo_hits": 0}
+                 "extrapolated_blocks": 0}
 
 
 def engine_stats() -> dict:
@@ -80,10 +77,17 @@ _N_PIPES = len(Pipe)
 
 
 def schedule(program: Program, costs: CostModel) -> ExecutionTrace:
-    """Compute start/end cycles for every instruction in ``program``."""
-    starts, ends, pipe_col, _ = _drain_arena(program.arena, costs)
-    # The trace's event view still needs the instruction objects.
-    trace = _columnar_trace(program.instructions, starts, ends, pipe_col)
+    """Compute start/end cycles for every instruction in ``program``.
+
+    The trace is the program's arena in event order: lexsort's last key
+    is primary, so events sort by (start, end, program index).
+    """
+    arena = program.arena
+    starts, ends = _drain_arena(arena, costs)
+    order = np.lexsort((np.arange(arena.n), ends, starts))
+    trace = ExecutionTrace.from_columns(arena.take(order), order,
+                                        arena.pipe[order], starts[order],
+                                        ends[order])
     # Profiling is a pure observer: with no active session this is one
     # None check; with one, the finished trace is read, never mutated —
     # cycles are byte-identical either way (pinned by tests/profiling).
@@ -296,8 +300,7 @@ def _run_repeat_region(rstart: int, B: int, R: int, run, ends, pipe_l,
         j += 1
 
 
-def _drain_arena(arena, costs: CostModel
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _drain_arena(arena, costs: CostModel) -> Tuple[np.ndarray, np.ndarray]:
     """The timing engine's one drain: (starts, ends) for every arena row.
 
     The prepass reads the precomputed columns directly — costs from
@@ -312,10 +315,6 @@ def _drain_arena(arena, costs: CostModel
     Each pipe's queue is pre-zipped into (row, cost, match) tuples so the
     hot loop unpacks one small-list entry instead of indexing three
     program-length columns.
-
-    Returns (starts, ends, pipe column, cost column); the cost column is
-    the one actually charged (stall faults scale it), for busy-cycle
-    aggregation.
     """
     n = arena.n
     pipe_col = arena.pipe
@@ -341,8 +340,7 @@ def _drain_arena(arena, costs: CostModel
     flat = _flat_drain_arena(arena, cost_col, match_col)
     if flat is not None:
         _ENGINE_STATS["flat_drains"] += 1
-        starts, ends = flat
-        return starts, ends, pipe_col, cost_col
+        return flat
     _ENGINE_STATS["general_drains"] += 1
 
     queues: List[List[tuple]] = []
@@ -420,96 +418,21 @@ def _drain_arena(arena, costs: CostModel
         report = build_report(stalls, injected=injected)
         raise DeadlockError(report.describe(), report=report)
 
-    # schedule reuses ends as the trace end column.
-    return (np.asarray(starts, np.int64), np.asarray(ends, np.int64),
-            pipe_col, cost_col)
-
-
-def _columnar_trace(instrs: List[Instruction], starts: np.ndarray,
-                    ends: np.ndarray, pipe_col: np.ndarray) -> ExecutionTrace:
-    """Sort scheduler output by (start, end, index) and build the trace.
-
-    Emits straight into the columnar arena — no per-event Python objects
-    are created (``TraceEvent`` is only ever materialized lazily from the
-    trace's ``events`` view).
-    """
-    # lexsort's last key is primary: (start, end, index), matching the
-    # legacy deterministic event order.
-    order = np.lexsort((np.arange(len(instrs)), ends, starts))
-    return ExecutionTrace.from_columns(
-        instrs=[instrs[i] for i in order],
-        index=order,
-        pipe=pipe_col[order],
-        start=starts[order],
-        end=ends[order],
-    )
-
-
-# Summary results memoized by column *identity*: the compiler's memo
-# hands structurally identical layers retagged views over the very same
-# column arrays (only ``tag_id`` differs, and nothing in a summary
-# depends on tags), so BERT's 12 encoder blocks drain once.  The key is
-# ``(id(kind column), id(costs))``; a hit additionally verifies that
-# every non-tag column is the identical object, so id reuse after GC
-# can never alias (values hold strong refs that pin the key objects
-# anyway).  Bounded FIFO keeps long sweeps from accumulating arenas.
-# Any active fault campaign bypasses the memo — injected perturbations
-# are per-call.
-_SUMMARY_MEMO: "Dict[Tuple[int, int], tuple]" = {}
-_SUMMARY_MEMO_CAP = 512
-_SUMMARY_COLS = tuple(c for c in _ARENA_COLUMNS if c != "tag_id")
+    return np.asarray(starts, np.int64), np.asarray(ends, np.int64)
 
 
 def schedule_summary(program: Program, costs: CostModel) -> TraceSummary:
     """Schedule ``program`` and return only its :class:`TraceSummary`.
 
     The compile path (``GraphEngine.compile_workload``) consumes nothing
-    but aggregate statistics, so this fast path skips materializing the
-    per-instruction ``TraceEvent`` list and the final deterministic sort
-    — the two dominant costs of :func:`schedule` after the drain loop
-    itself.  Equal to ``schedule(program, costs).summary()`` by
-    construction (asserted in tests/core/test_engine_equivalence.py).
+    but aggregate statistics, so this skips the event-order sort and the
+    trace.  Equal to ``schedule(program, costs).summary()`` by
+    construction: both are :func:`~repro.core.trace.summarize` over the
+    same drain (asserted in tests/core/test_engine_equivalence.py).
     """
     arena = program.arena
-    memo_ok = active_injector() is None
-    key = (id(arena.kind), id(costs))
-    if memo_ok:
-        hit = _SUMMARY_MEMO.get(key)
-        if (hit is not None and hit[1] is costs
-                and all(getattr(hit[0], c) is getattr(arena, c)
-                        for c in _SUMMARY_COLS)):
-            _ENGINE_STATS["summary_memo_hits"] += 1
-            return _observed_summary(hit[2], program)
-    # The drain returns the cost column it actually used (identical to
-    # cost_columns' unless stall faults were injected).
-    _, ends, _, cost_col = _drain_arena(arena, costs)
-    # int64 sums are exact through float64 weights (values < 2^53).
-    busy = np.bincount(arena.pipe, weights=cost_col,
-                       minlength=_N_PIPES).astype(np.int64)
-    mv = np.isin(arena.kind, MOVE_OPS)
-    nb = arena.nbytes
-    src_sp = arena.r_space[:, 1]
-    dst_sp = arena.r_space[:, 0]
-    L1, GM = int(MemSpace.L1), int(MemSpace.GM)
-    summary = TraceSummary(
-        total_cycles=int(ends.max()) if len(ends) else 0,
-        busy_by_pipe=tuple(int(b) for b in busy),
-        l1_read_bytes=int(nb[mv & (src_sp == L1), 1].sum()),
-        l1_write_bytes=int(nb[mv & (dst_sp == L1), 0].sum()),
-        gm_read_bytes=int(nb[mv & (src_sp == GM), 0].sum()),
-        gm_write_bytes=int(nb[mv & (dst_sp == GM), 1].sum()),
-    )
-    if memo_ok:
-        _SUMMARY_MEMO[key] = (arena, costs, summary)
-        while len(_SUMMARY_MEMO) > _SUMMARY_MEMO_CAP:
-            _SUMMARY_MEMO.pop(next(iter(_SUMMARY_MEMO)))
-    return _observed_summary(summary, program)
-
-
-def _observed_summary(summary: TraceSummary, program) -> TraceSummary:
-    """Report a summary to the active profiling session (if any) — memo
-    hits and fresh drains both funnel through here, so profiled compile
-    runs see the same aggregates the caller does."""
+    starts, ends = _drain_arena(arena, costs)
+    summary = summarize(arena, arena.pipe, starts, ends)
     session = active_session()
     if session is not None:
         session.observe_summary(summary, label=program.name)

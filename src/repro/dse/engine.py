@@ -81,6 +81,10 @@ __all__ = ["SearchSpec", "DseEngine", "brute_force_frontier"]
 
 CHECKPOINT_SCHEMA = 1
 FRONTIER_SCHEMA = 1
+# What resume reads besides the schema and run key.  The frontier
+# artifact shares both with the checkpoint, so these tell them apart.
+_CHECKPOINT_SECTIONS = ("spec", "predictor", "completed_generations",
+                        "seen", "archive", "generations")
 
 
 class _MixModel(NamedTuple):
@@ -283,12 +287,26 @@ class DseEngine:
         path = Path(checkpoint_path)
         if not path.is_file():
             raise ConfigError(f"no DSE checkpoint at {path}")
-        payload = json.loads(path.read_text())
+        try:
+            payload = json.loads(path.read_text())
+        except ValueError as exc:
+            raise ConfigError(
+                f"DSE checkpoint {path} is not JSON ({exc})") from None
+        if not isinstance(payload, dict):
+            raise ConfigError(f"DSE checkpoint {path} is not a JSON object")
         if payload.get("schema") != CHECKPOINT_SCHEMA:
             raise ConfigError(
                 f"DSE checkpoint {path} has schema "
                 f"{payload.get('schema')!r}; this build expects "
                 f"{CHECKPOINT_SCHEMA}")
+        missing = [name for name in _CHECKPOINT_SECTIONS
+                   if name not in payload]
+        if missing:
+            raise ConfigError(
+                f"DSE checkpoint {path} is missing "
+                f"{', '.join(map(repr, missing))} — a frontier artifact "
+                "(dse-frontier-*.json) is not a checkpoint; pass the "
+                "dse-<key>.json path the search printed")
         spec = SearchSpec.from_dict(payload["spec"])
         if payload.get("run_key") != spec.run_key():
             raise ConfigError(

@@ -367,6 +367,22 @@ class InstructionArena:
 
     # -- structural ops -------------------------------------------------------
 
+    def take(self, rows: np.ndarray) -> "InstructionArena":
+        """The arena's ``rows``, in that order (a scheduled program's rows
+        in event order).  The tag table is shared; retained objects are
+        reordered with the rows."""
+        out = InstructionArena.__new__(InstructionArena)
+        for name in _COLUMN_NAMES:
+            setattr(out, name, getattr(self, name)[rows])
+        out.n = len(rows)
+        out.tags = self.tags
+        out.exact = self.exact
+        out.repeats = []
+        out._objects = (None if self._objects is None
+                        else [self._objects[i] for i in rows.tolist()])
+        out._nbytes = out._elems = None
+        return out
+
     def retagged(self, tag: str) -> "InstructionArena":
         """A copy of this arena with every row's tag replaced by ``tag``.
 

@@ -48,7 +48,7 @@ DEFAULT_EPSILON = 0.05
 
 
 def clear_memo_tiers() -> None:
-    """Drop every in-memory compile/summary memo tier.
+    """Drop every in-memory compile memo tier.
 
     Used between the timed legs of a validation run so both start cold;
     the persistent on-disk cache is governed separately by
@@ -56,13 +56,11 @@ def clear_memo_tiers() -> None:
     """
     from ...compiler import lowering
     from ...compiler.graph_engine import GraphEngine
-    from ...core import engine as engine_mod
     from ...dse import engine as dse_engine
 
     GraphEngine._GLOBAL_CACHE.clear()
     GraphEngine._GLOBAL_MODEL_CACHE.clear()
     lowering.clear_lowering_memo()
-    engine_mod._SUMMARY_MEMO.clear()
     dse_engine._MIX_MEMO.clear()
 
 

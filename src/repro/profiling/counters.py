@@ -39,17 +39,19 @@ import math
 
 import numpy as np
 
-from ..core.trace import (
-    KIND_COPY,
-    KIND_CUBE,
-    KIND_DECOMP,
-    KIND_IMG2COL,
-    KIND_NONE,
-    KIND_SCALAR,
-    KIND_TRANSPOSE,
-    KIND_VECTOR,
-    ExecutionTrace,
-    TraceSummary,
+from ..core.trace import ExecutionTrace, TraceSummary
+from ..isa.arena import MOVE_OPS
+from ..isa.instructions import (
+    OP_BARRIER,
+    OP_COPY,
+    OP_CUBE,
+    OP_DECOMP,
+    OP_IMG2COL,
+    OP_SCALAR,
+    OP_SET,
+    OP_TRANSPOSE,
+    OP_VECTOR,
+    OP_WAIT,
 )
 from ..isa.memref import MemSpace
 from ..isa.pipes import Pipe
@@ -58,16 +60,19 @@ __all__ = ["PerfCounters", "channel_name", "model_counters"]
 
 _N_PIPES = len(Pipe)
 
-# Human names for the arena's instruction-class codes.
+# Human names for the arena's opcodes, in ``kind_events`` key order:
+# sets, waits and barriers all count as "sync".
 KIND_NAMES = {
-    KIND_NONE: "sync",
-    KIND_CUBE: "cube",
-    KIND_VECTOR: "vector",
-    KIND_COPY: "copy",
-    KIND_IMG2COL: "img2col",
-    KIND_TRANSPOSE: "transpose",
-    KIND_DECOMP: "decompress",
-    KIND_SCALAR: "scalar",
+    OP_SET: "sync",
+    OP_WAIT: "sync",
+    OP_BARRIER: "sync",
+    OP_CUBE: "cube",
+    OP_VECTOR: "vector",
+    OP_COPY: "copy",
+    OP_IMG2COL: "img2col",
+    OP_TRANSPOSE: "transpose",
+    OP_DECOMP: "decompress",
+    OP_SCALAR: "scalar",
 }
 
 
@@ -146,31 +151,32 @@ class PerfCounters:
         counters.events = n
 
         # Instruction mix.
-        kind_counts = np.bincount(trace.kinds, minlength=len(KIND_NAMES))
-        counters.kind_events = {
-            KIND_NAMES[code]: int(count)
-            for code, count in enumerate(kind_counts.tolist())
-            if count
-        }
+        arena = trace.arena
+        kind = arena.kind
+        kind_counts = np.bincount(kind, minlength=max(KIND_NAMES) + 1)
+        for code, name in KIND_NAMES.items():
+            count = int(kind_counts[code])
+            if count:
+                counters.kind_events[name] = (
+                    counters.kind_events.get(name, 0) + count)
 
-        # UB port traffic + the full route matrix.
-        src_space = trace.src_spaces
-        dst_space = trace.dst_spaces
-        src_bytes = trace.src_bytes
-        dst_bytes = trace.dst_bytes
+        # UB port traffic + the full route matrix, over the move rows
+        # (region slot 1 is the source, slot 0 the destination).
+        move = np.isin(kind, MOVE_OPS)
+        src_space = arena.r_space[move, 1]
+        dst_space = arena.r_space[move, 0]
+        src_bytes = arena.nbytes[move, 1]
+        dst_bytes = arena.nbytes[move, 0]
         ub = int(MemSpace.UB)
         counters.ub_read_bytes = int(src_bytes[src_space == ub].sum())
         counters.ub_write_bytes = int(dst_bytes[dst_space == ub].sum())
-        move = src_space >= 0
         if move.any():
             # moved_bytes convention: count at the consumer side for GM
             # reads (dst bytes), at the producer side otherwise.
             gm = int(MemSpace.GM)
-            move_src = src_space[move].astype(np.int16)
-            move_dst = dst_space[move].astype(np.int16)
-            moved = np.where(src_space[move] == gm,
-                             dst_bytes[move], src_bytes[move])
-            route_key = move_src * len(MemSpace) + move_dst
+            moved = np.where(src_space == gm, dst_bytes, src_bytes)
+            route_key = (src_space.astype(np.int16) * len(MemSpace)
+                         + dst_space)
             for key in np.unique(route_key):
                 mask = route_key == key
                 counters.route_bytes[
@@ -183,7 +189,7 @@ class PerfCounters:
         # wait's channel.  (Gaps ended by non-flag events — issue
         # latency, program order — are idle but not synchronization
         # stall, and are deliberately not charged.)
-        wait_mask, _set_mask, packed = trace.flag_columns()
+        wait_mask = kind == OP_WAIT
         if wait_mask.any():
             order = np.lexsort((ends, starts, pipes))
             pipe_sorted = pipes[order]
@@ -206,7 +212,7 @@ class PerfCounters:
                 sel = wait_pipes == p
                 if sel.any():
                     counters.wait_by_pipe[p] = int(wait_gaps[sel].sum())
-            wait_channels = packed[wait_rows]
+            wait_channels = arena.packed_channels()[wait_rows]
             for channel in np.unique(wait_channels):
                 sel = wait_channels == channel
                 counters.flag_waits[channel_name(channel)] = [

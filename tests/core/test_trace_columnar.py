@@ -15,15 +15,18 @@ from hypothesis import strategies as st
 from repro.config import ASCEND_MAX
 from repro.core.costs import CostModel
 from repro.core.engine import schedule
-from repro.core.trace import ExecutionTrace, TraceEvent, _MOVE_TYPES
+from repro.core.trace import ExecutionTrace, TraceEvent
 from repro.dtypes import FP16, FP32
 from repro.isa import (
     CopyInstr,
     CubeMatmul,
+    DecompressInstr,
+    Img2ColInstr,
     MemSpace,
     Pipe,
     Region,
     ScalarInstr,
+    TransposeInstr,
     VectorInstr,
     VectorOpcode,
 )
@@ -35,6 +38,8 @@ _COSTS = CostModel(ASCEND_MAX)
 
 
 # -- the legacy list-walk reference (what the row-oriented trace did) ---------
+
+_MOVE_TYPES = (CopyInstr, Img2ColInstr, TransposeInstr, DecompressInstr)
 
 def _ref_total_cycles(events):
     return max((e.end for e in events), default=0)
@@ -254,8 +259,8 @@ class TestMemoryFootprint:
                        start=i, end=i + 1)
             for i in range(10_000))
         assert trace.tags() == ["layer0", "layer1", "layer2"]
-        assert len(trace._tag_names) == 4  # "" + 3 interned tags
-        assert trace._tag_id[:len(trace)].dtype == np.int32
+        assert len(trace.arena.tags) == 4  # "" + 3 interned tags
+        assert trace.arena.tag_id.dtype == np.int32
 
 
 class TestEventsView:

@@ -188,6 +188,35 @@ class TestCheckpointIntegrity:
         with pytest.raises(ConfigError, match="no DSE checkpoint"):
             DseEngine.resume(tmp_path / "nope.json")
 
+    def test_non_json_is_rejected(self, tmp_path):
+        path = tmp_path / "dse-broken.json"
+        path.write_text("{not json")
+        with pytest.raises(ConfigError, match="is not JSON"):
+            DseEngine.resume(path)
+
+    def test_frontier_artifact_is_rejected(self, frontier_artifact):
+        """The frontier file shares the checkpoint's schema and run key;
+        resume names the sections it lacks instead of a KeyError."""
+        with pytest.raises(ConfigError, match="missing 'predictor'"):
+            DseEngine.resume(frontier_artifact)
+
+    @pytest.mark.parametrize("command", ["report", "frontier", "resume"])
+    def test_cli_exits_2_on_the_frontier_artifact(self, frontier_artifact,
+                                                  command, capsys):
+        from repro.dse.cli import main
+
+        assert main([command, "--checkpoint", str(frontier_artifact)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(frontier_artifact) in err and "'predictor'" in err
+
+
+@pytest.fixture(scope="module")
+def frontier_artifact(predictor, tmp_path_factory):
+    engine = DseEngine(_spec(), predictor, tmp_path_factory.mktemp("dse"))
+    engine.run(max_workers=2, stop_after=1)
+    return engine.write_frontier()
+
 
 class TestCheckpointWrites:
     def test_one_git_describe_per_search(self, predictor, tmp_path,

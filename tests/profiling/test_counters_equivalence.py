@@ -19,6 +19,7 @@ from repro.config import ASCEND_MAX
 from repro.core.costs import CostModel
 from repro.core.engine import schedule, schedule_summary
 from repro.isa import MemSpace, Pipe, Program, ScalarInstr
+from repro.isa.instructions import OP_WAIT
 from repro.profiling import PerfCounters, active_session, profile
 from repro.profiling.counters import KIND_NAMES
 
@@ -95,7 +96,7 @@ class TestWaitAttribution:
     def test_wait_histogram_invariants(self, seed, n):
         _, trace = _traced(seed, n)
         counters = PerfCounters.from_trace(trace)
-        wait_mask, _set_mask, _packed = trace.flag_columns()
+        wait_mask = trace.arena.kind == OP_WAIT
         assert sum(count for count, _ in counters.flag_waits.values()) \
             == int(wait_mask.sum())
         assert sum(stall for _, stall in counters.flag_waits.values()) \
@@ -113,7 +114,7 @@ class TestWaitAttribution:
         ``wait_flag`` to that pipe."""
         _, trace = _traced(seed, n)
         counters = PerfCounters.from_trace(trace)
-        wait_mask = trace.flag_columns()[0]
+        wait_mask = trace.arena.kind == OP_WAIT
         expected = [0] * len(Pipe)
         for p in range(len(Pipe)):
             rows = [i for i in range(len(trace))
@@ -144,7 +145,7 @@ class TestProfilingIsPure:
         assert np.array_equal(baseline.starts, observed.starts)
         assert np.array_equal(baseline.ends, observed.ends)
         assert np.array_equal(baseline.pipes, observed.pipes)
-        assert np.array_equal(baseline.kinds, observed.kinds)
+        assert np.array_equal(baseline.arena.kind, observed.arena.kind)
         assert baseline.events == observed.events
 
     @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(1, 50))
