@@ -27,7 +27,7 @@ test-faults:
 # its early-stopping admission rounds vs the self-contained per-step
 # loop in tests/serving/oracle.py (its own admission and KV ledger, so
 # it covers admission too); the one-pass cache
-# key encoder (layer, model and sweep-job keys) vs the dict-then-json
+# key encoder (model and sweep-job keys) vs the dict-then-json
 # encoder in tests/compiler/key_oracle.py; the bulk request draws and
 # the columnar arrivals and length picks of the traffic generator vs
 # one numpy generator and scalar arithmetic per request in

@@ -1,23 +1,25 @@
-"""Persistent compile cache: content-addressed CompiledLayer summaries.
+"""Persistent compile cache: content-addressed compiled statistics.
 
 Compiling a layer group (lower + schedule) is pure: the resulting
 statistics depend only on the workload, the core design point, and the
-cost-model schema.  This module caches those statistics on disk keyed by
-a content hash of exactly those inputs, so benchmark processes and the
-test suite skip redundant lowering + scheduling across *process*
-boundaries (the in-memory ``GraphEngine._GLOBAL_CACHE``, a plain dict
-that is never evicted, already handles repeats within one process).
+cost-model schema.  Layer statistics live in process memory only: the
+in-memory ``GraphEngine._GLOBAL_CACHE``, a plain dict that is never
+evicted, keyed by :func:`content_key`.  What this module keeps on disk
+is one entry per compile, keyed by a content hash of its inputs, so
+benchmark processes and the test suite skip redundant lowering +
+scheduling across *process* boundaries.
 
-Layout: ``<cache dir>/v<SCHEMA_VERSION>/<sha256>.json``.  The cache dir
-comes from ``REPRO_CACHE_DIR`` (default ``.repro_cache/``); setting
-``REPRO_CACHE=0`` disables the persistent tier entirely.  Beside the
-layer entries the same directory holds whole-model entries
-(``model-<sha256>.json``, keyed by :func:`model_content_key`) and
-serving step-cost buckets (``bucket-<sha256>.json``, keyed by
-:func:`bucket_key`): one GPT prefill or decode graph's priced layers,
-keyed by the inputs its builder takes (model config, batch, tokens,
-dtype) and the design point rather than by the graph's content, so a
-hit needs neither a graph build nor a workload hash.
+Layout: ``<cache dir>/v<SCHEMA_VERSION>/``.  The cache dir comes from
+``REPRO_CACHE_DIR`` (default ``.repro_cache/``); setting
+``REPRO_CACHE=0`` disables the persistent tier entirely.  It holds
+whole-model entries (``model-<sha256>.json``, keyed by
+:func:`model_content_key`) and serving step-cost buckets
+(``bucket-<sha256>.json``, keyed by :func:`bucket_key`): one GPT
+prefill or decode graph's priced layers, keyed by the inputs its
+builder takes (model config, batch, tokens, dtype) and the design point
+rather than by the graph's content, so a hit needs neither a graph
+build nor a workload hash.  Per-layer ``<sha256>.json`` entries that
+older trees wrote beside them are never read and can be deleted.
 
 Invalidation is versioned twice over: the schema version is part of both
 the directory name and the hashed content, so any change to the cost
@@ -32,10 +34,10 @@ Corrupt or unreadable entries are treated as misses, never errors: the
 cache must lose races gracefully when parallel sweep workers share a
 directory, and valid JSON of the wrong structure is quarantined.
 
-Keys are sha256 digests of canonical JSON (:func:`canonical_json`),
-written in one pass over the inputs.  The bytes are fixed: they are
-what the first schema's dict form serialized with
-``json.dumps(sort_keys=True, separators=(",", ":"))`` wrote, which
+Persistent keys are sha256 digests of canonical JSON
+(:func:`canonical_json`), written in one pass over the inputs.  The
+bytes are fixed: they are what the first schema's dict form serialized
+with ``json.dumps(sort_keys=True, separators=(",", ":"))`` wrote, which
 addresses every stored entry and sweep checkpoint, so a change to them
 is a schema change and bumps ``SCHEMA_VERSION``.  The encoder keeps one
 table across keys, the sorted field layout of each dataclass type; its
@@ -97,10 +99,11 @@ def timing_stats_bypassed() -> bool:
     """Whether compiled-timing caches are suspended for fault injection.
 
     Stall and sync faults perturb schedules, so while such a campaign
-    is active every stats tier (memory and persistent, layer and model)
-    is bypassed in both directions: a cached clean schedule would mask
-    the injected faults, and a faulted schedule must never be served to
-    a later clean run.  The step-cost bucket tier is bypassed too.
+    is active every stats tier (the in-memory layer and model tiers and
+    the persistent model tier) is bypassed in both directions: a cached
+    clean schedule would mask the injected faults, and a faulted
+    schedule must never be served to a later clean run.  The step-cost
+    bucket tier is bypassed too.
     Lowering is timing-independent, so the lowering memo stays on.
     """
     from ..reliability.injector import active_injector
@@ -229,8 +232,7 @@ def _encode(obj: Any, memo: _Encoded) -> str:
     return text
 
 
-def _dataclass_text(obj: Any, memo: _Encoded,
-                    skip: Optional[str] = None) -> str:
+def _dataclass_text(obj: Any, memo: _Encoded) -> str:
     cls = type(obj)
     layout = _LAYOUTS.get(cls)
     if layout is None:
@@ -240,7 +242,7 @@ def _dataclass_text(obj: Any, memo: _Encoded,
             tuple((name, _ascii(name) + ":") for name in names))
     head, fields = layout
     return head + ",".join([prefix + _encode(getattr(obj, name), memo)
-                            for name, prefix in fields if name != skip]) + "}}"
+                            for name, prefix in fields]) + "}}"
 
 
 def canonical_json(obj: Any) -> str:
@@ -249,26 +251,21 @@ def canonical_json(obj: Any) -> str:
 
 
 def content_key(config: Any, work: "OpWorkload",
-                a_bytes_scale: float = 1.0) -> str:
-    """sha256 over (schema, core design point, workload structure,
-    lowering knobs).
+                a_bytes_scale: float = 1.0) -> Tuple[Any, ...]:
+    """The in-memory layer key: ``(config, work.gemms, work.vector,
+    a_bytes_scale)``.
 
-    The workload's ``name`` field is deliberately excluded: compiled
-    statistics depend only on a workload's *structure* (gemms, vector
-    work, byte counts) — never on what the layer is called; every hit
-    path reattaches the caller's name via ``GraphEngine._relabel``.
-    Hashing structure only dedupes identically-shaped layers (the 12/24
-    transformer blocks of BERT compile once, not per layer).  ``work``
-    must be a dataclass instance; anything else raises ``TypeError``.
+    These are exactly what lowering and the drain read, and the fields
+    :func:`~repro.compiler.lowering.lower_workload` memoizes its arena
+    on, so the two in-process tiers cannot disagree.  The workload's
+    ``name`` and byte footprints are left out: compiled statistics never
+    depend on them, and every hit path reattaches the caller's name and
+    workload via ``GraphEngine._relabel``, so identically-shaped layers
+    (the 12/24 transformer blocks of BERT) compile once.  Layer
+    statistics are never written to disk, so the key needs neither
+    canonical JSON nor a digest.
     """
-    memo: _Encoded = {}
-    config_text = _encode(config, memo)
-    work_text = _dataclass_text(work, memo, skip="name")
-    blob = ('{"a_bytes_scale":' + _json_text(a_bytes_scale)
-            + ',"config":' + config_text
-            + ',"schema":' + _json_text(SCHEMA_VERSION)
-            + ',"workload":' + work_text + "}")
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return (config, work.gemms, work.vector, a_bytes_scale)
 
 
 def load(key: str) -> Optional[Dict[str, Any]]:

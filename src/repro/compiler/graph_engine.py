@@ -98,10 +98,11 @@ class GraphEngine:
     not recompile identical layers.
     """
 
-    # Tier 1, per-layer statistics keyed by cache.content_key.
-    _GLOBAL_CACHE: Dict[str, CompiledLayer] = {}
+    # Per-layer statistics keyed by cache.content_key, in process memory
+    # only: no layer is ever read from or written to disk.
+    _GLOBAL_CACHE: Dict[tuple, CompiledLayer] = {}
     # Whole-model artifacts (ordered CompiledLayer lists) keyed by
-    # cache.model_content_key — the third caching tier above per-layer.
+    # cache.model_content_key, in front of the model-<key>.json entries.
     _GLOBAL_MODEL_CACHE: Dict[str, List[CompiledLayer]] = {}
 
     def __init__(self, config: CoreConfig) -> None:
@@ -113,13 +114,13 @@ class GraphEngine:
 
     def compile_workload(self, work: OpWorkload, name: Optional[str] = None,
                          a_bytes_scale: float = 1.0) -> CompiledLayer:
-        """Lower + schedule one workload, with two-tier caching.
+        """Lower + schedule one workload, memoized in process memory.
 
-        Tier 1 is the process-global in-memory cache; tier 2 the
-        persistent content-addressed cache (see
-        :mod:`repro.compiler.cache`).  Both use the same content-hash
-        key, so a layer compiled in one process is a disk hit in the
-        next.
+        The process-global layer tier is keyed by :func:`cache.content_key`
+        (the fields lowering reads), so each distinct layer shape compiles
+        once per process.  Layers are not persisted: across processes the
+        whole-model and step-cost entries of :mod:`repro.compiler.cache`
+        answer before any layer is compiled.
         """
         key = cache.content_key(self.config, work, a_bytes_scale)
         # Active stall/sync fault campaigns suspend every stats tier:
@@ -131,15 +132,6 @@ class GraphEngine:
             if cached is not None:
                 cache.note_memory_hit()
                 return _observed(self._relabel(cached, work, name))
-            payload = cache.load(key)
-            if payload is not None:
-                try:
-                    layer = self._from_payload(payload, work, name)
-                except (KeyError, TypeError):
-                    pass  # incomplete entry: recompile below
-                else:
-                    self._cache[key] = layer
-                    return _observed(layer)
         program = lower_workload(work, self.config,
                                  a_bytes_scale_for_gemms=a_bytes_scale)
         summary = schedule_summary(program, self.costs)
@@ -160,8 +152,6 @@ class GraphEngine:
         )
         if stats_cached:
             self._cache[key] = layer
-            cache.store(key, {f: getattr(layer, f)
-                              for f in cache.LAYER_FIELDS})
         return layer
 
     @staticmethod
@@ -171,14 +161,6 @@ class GraphEngine:
         return CompiledLayer(
             name=name or work.name, workload=work,
             **{f: getattr(layer, f) for f in cache.LAYER_FIELDS},
-        )
-
-    @staticmethod
-    def _from_payload(payload: dict, work: OpWorkload,
-                      name: Optional[str]) -> CompiledLayer:
-        return CompiledLayer(
-            name=name or work.name, workload=work,
-            **{f: payload[f] for f in cache.LAYER_FIELDS},
         )
 
     # -- model compilation ----------------------------------------------------
@@ -232,7 +214,7 @@ class GraphEngine:
 
             payload = cache.load_model(key)
             if payload is not None:
-                layers = self._model_from_payload(payload, pairs)
+                layers = self._layers_from_entry(payload, pairs)
                 if layers is not None:
                     GraphEngine._GLOBAL_MODEL_CACHE[key] = layers
                     for layer in layers:
@@ -261,8 +243,8 @@ class GraphEngine:
         return CompiledModel(name=name, config=self.config, layers=layers)
 
     @staticmethod
-    def _model_from_payload(payload: dict, pairs: Sequence[Tuple[str, OpWorkload]]
-                            ) -> Optional[List[CompiledLayer]]:
+    def _layers_from_entry(payload: dict, pairs: Sequence[Tuple[str, OpWorkload]]
+                           ) -> Optional[List[CompiledLayer]]:
         """Rebuild the layer list from a persisted model artifact, or
         None when the entry is incomplete (treated as a miss)."""
         entries = payload.get("layers")

@@ -184,9 +184,9 @@ class InstructionArena:
     def packed_channels(self) -> np.ndarray:
         """Per-row packed flag channel ints (see ``isa.channels``); -1 for
         rows that are not set/wait flags."""
-        from .channels import N_PIPES
-        packed = ((self.event.astype(np.int64) * N_PIPES + self.flag_src)
-                  * N_PIPES + self.flag_dst)
+        from .channels import pack_channel
+        packed = pack_channel(self.flag_src, self.flag_dst,
+                              self.event.astype(np.int64))
         is_flag = (self.kind == OP_SET) | (self.kind == OP_WAIT)
         return np.where(is_flag, packed, -1)
 

@@ -107,8 +107,9 @@ def pack_channel(src: Pipe, dst: Pipe, event: int) -> int:
     """Pack a (src_pipe, dst_pipe, event_id) channel into one int.
 
     Pipes hash and index as plain ints (:class:`Pipe` is an ``IntEnum``),
-    so the packed form is what the timing engine keys its FIFO tables by
-    and what the arena's flag columns reduce to.
+    so the packed form is what the timing engine keys its FIFO tables by.
+    It is plain arithmetic, so the arena packs its flag columns with it
+    too (int64 ``event``, int8 pipe columns).
     """
     return (event * N_PIPES + src) * N_PIPES + dst
 

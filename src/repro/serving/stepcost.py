@@ -21,9 +21,10 @@ Each priced bucket is also stored as a ``bucket-<sha256>.json`` entry
 keyed by what the graph builder takes plus the design point
 (:func:`repro.compiler.cache.bucket_key`): a later cost model for the
 same design point reads its layers back without building or hashing
-the graph.  A miss compiles as above, which fills the layer and model
-tiers too.  The tier follows the stats tiers' bypasses (``REPRO_CACHE=0``
-and stall/sync fault campaigns) and is not used under the predictor.
+the graph.  A miss compiles as above, which fills the in-memory layer
+tier and the model tiers too.  The tier follows the stats tiers'
+bypasses (``REPRO_CACHE=0`` and stall/sync fault campaigns) and is not
+used under the predictor.
 
 ``use_predictor`` (the ``REPRO_SERVE_PREDICT`` knob) swaps the event
 engine for the learned cycle predictor

@@ -1,12 +1,12 @@
 """The dict-then-``json.dumps`` key encoder: the oracle the one-pass
 encoder in :mod:`repro.compiler.cache` is compared to.
 
-``_canonical`` and ``_workload_canonical`` are verbatim copies of the
-functions that built every cache key before the keys were encoded in
-one pass: each input becomes a JSON-stable dict form, which
+``_canonical`` is a verbatim copy of the function that built every
+persistent cache key before the keys were encoded in one pass: each
+input becomes a JSON-stable dict form, which
 ``json.dumps(sort_keys=True, separators=(",", ":"))`` then serializes.
-``content_key``, ``model_content_key`` and ``sweep_job_key`` are those
-functions' callers as they were, reading the oracle's canonical form.
+``model_content_key`` and ``sweep_job_key`` are its callers as they
+were, reading the oracle's canonical form.
 tests/compiler/test_key_equivalence.py asserts production writes the
 same digest for every input, or raises where the oracle raises.
 """
@@ -44,36 +44,6 @@ def _canonical(obj: Any) -> Any:
     if isinstance(obj, dict):
         return {str(k): _canonical(v) for k, v in sorted(obj.items())}
     return str(obj)
-
-
-def _workload_canonical(work: Any) -> Any:
-    """Canonical workload form with the top-level ``name`` dropped.
-
-    Compiled statistics depend only on a workload's *structure* (gemms,
-    vector work, byte counts) — never on what the layer is called: every
-    hit path reattaches the caller's name via ``GraphEngine._relabel``.
-    Hashing structure only dedupes identically-shaped layers (the 12/24
-    transformer blocks of BERT compile once, not per layer).
-    """
-    canon = _canonical(work)
-    if isinstance(canon, dict):
-        for fields in canon.values():
-            if isinstance(fields, dict):
-                fields.pop("name", None)
-    return canon
-
-
-def content_key(config: Any, work: Any, a_bytes_scale: float = 1.0) -> str:
-    blob = json.dumps(
-        {
-            "schema": SCHEMA_VERSION,
-            "config": _canonical(config),
-            "workload": _workload_canonical(work),
-            "a_bytes_scale": a_bytes_scale,
-        },
-        sort_keys=True, separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def model_content_key(config: Any, pairs: Any,

@@ -1,12 +1,13 @@
-"""Persistent compile cache: keys, round-trips, invalidation, stats."""
+"""Compile cache: keys, round-trips, invalidation, stats."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.bench import sweep_job_key
 from repro.compiler import GraphEngine
-from repro.compiler import cache
+from repro.compiler import cache, lowering
 from repro.compiler.graph_engine import _im2col_scales
 from repro.config import ASCEND, ASCEND_MAX, core_config_by_name
 from repro.config.soc_configs import soc_config_by_name
@@ -30,8 +31,8 @@ def cache_dir(tmp_path, monkeypatch):
 
 @pytest.fixture()
 def fresh_engine():
-    """A GraphEngine without the process-global memory cache, so tests
-    exercise the persistent tier."""
+    """A GraphEngine with its own empty layer memory tier instead of the
+    process-global one, so a test counts only its own hits."""
     engine = GraphEngine(ASCEND)
     engine._cache = {}
     return engine
@@ -46,22 +47,28 @@ _WORK = OpWorkload(
 
 
 class TestContentKey:
-    def test_stable_and_input_sensitive(self):
-        key = cache.content_key(ASCEND, _WORK)
-        assert key == cache.content_key(ASCEND, _WORK)
-        assert key != cache.content_key(ASCEND_MAX, _WORK)
-        other = OpWorkload(name="unit", gemms=(GemmWork(m=128, k=64, n=64),),
-                           vector=_WORK.vector, weight_bytes=8192,
-                           input_bytes=8192, output_bytes=8192)
-        assert key != cache.content_key(ASCEND, other)
-        assert key != cache.content_key(ASCEND, _WORK, a_bytes_scale=0.5)
+    """The layer key is ``(config, gemms, vector, a_bytes_scale)``, what
+    lowering reads: a workload that differs only in its name or byte
+    footprints is a memory hit, and another design point or A-fetch
+    scale compiles anew."""
+
+    def test_stable_and_input_sensitive(self, cache_dir, fresh_engine):
+        first = fresh_engine.compile_workload(_WORK)
+        assert fresh_engine.compile_workload(_WORK) == first
+        assert cache.stats()["memory_hits"] == 1
+        fresh_engine.compile_workload(
+            dataclasses.replace(_WORK, gemms=(GemmWork(m=128, k=64, n=64),)))
+        fresh_engine.compile_workload(_WORK, a_bytes_scale=0.5)
+        other_core = GraphEngine(ASCEND_MAX)
+        other_core._cache = fresh_engine._cache
+        other_core.compile_workload(_WORK)
+        assert cache.stats()["memory_hits"] == 1  # each compiled anew
+        assert len(fresh_engine._cache) == 4
 
     def test_name_does_not_affect_key(self):
-        renamed = OpWorkload(name="other", gemms=_WORK.gemms,
-                             vector=_WORK.vector, weight_bytes=8192,
-                             input_bytes=8192, output_bytes=8192)
+        renamed = dataclasses.replace(_WORK, name="other")
         # Compiled statistics are name-independent (hit paths relabel),
-        # so the key hashes structure only: identically-shaped layers
+        # so the key holds structure only: identically-shaped layers
         # (e.g. the 12 transformer blocks of BERT) dedupe to one compile.
         assert cache.content_key(ASCEND, _WORK) \
             == cache.content_key(ASCEND, renamed)
@@ -76,6 +83,24 @@ class TestContentKey:
         assert second.name == "other"  # relabeled, not the cached name
         assert second.cycles == first.cycles
 
+    @pytest.mark.parametrize("field",
+                             ["weight_bytes", "input_bytes", "output_bytes"])
+    def test_byte_footprint_is_a_memory_hit(self, cache_dir, fresh_engine,
+                                            field):
+        first = fresh_engine.compile_workload(_WORK)
+        other = dataclasses.replace(_WORK, **{field: 1})
+        second = fresh_engine.compile_workload(other)
+        assert cache.stats()["memory_hits"] == 1
+        assert second == dataclasses.replace(first, workload=other)
+
+    def test_key_is_the_lowering_memo_key(self):
+        """Both in-process tiers key a layer by the same fields, so they
+        cannot disagree about which workloads are the same layer."""
+        lowering.clear_lowering_memo()
+        lowering.lower_workload(_WORK, ASCEND, a_bytes_scale_for_gemms=0.5)
+        assert list(lowering._ARENA_MEMO)[-1] \
+            == ("workload",) + cache.content_key(ASCEND, _WORK, 0.5)
+
 
 class TestPinnedKeys:
     """The on-disk key format, pinned by literal digests.
@@ -84,10 +109,6 @@ class TestPinnedKeys:
     digests.  An edit that changes one orphans the whole cache, so it
     must come with a ``SCHEMA_VERSION`` bump (and new literals here).
     """
-
-    def test_layer_key(self):
-        assert cache.content_key(ASCEND, _WORK) == (
-            "99fac9fb9e571a2801a3aadcac3bcd90e96c8f9fcd388bd096a010e5d5bef185")
 
     def test_model_key_gesture_on_ascend_lite(self):
         graph = build_model("gesture")
@@ -123,8 +144,12 @@ class TestEntryText:
                                    "schema": cache.SCHEMA_VERSION})
 
     def test_layer_model_and_bucket_entries(self, cache_dir, monkeypatch):
+        """One entry per compile: a model compile leaves its model entry
+        and a priced step its bucket entry; layers stay in memory."""
         monkeypatch.setattr(GraphEngine, "_GLOBAL_CACHE", {})
-        GraphEngine(ASCEND).compile_graph(build_model("gesture", batch=1))
+        GraphEngine(ASCEND).compile_graph(build_model("gesture"))
+        [entry] = cache.cache_dir().iterdir()
+        assert entry.name.startswith("model-")
         core = soc_config_by_name("ascend-310").core_groups[0][0]
         StepCostModel(GPT_TINY, core).decode_cycles(1, 16)
         kinds = set()
@@ -135,26 +160,17 @@ class TestEntryText:
             payload = json.loads(text)
             assert list(payload)[-1] == "schema"
             assert text == json.dumps(payload), path.name
-        assert kinds == {"layer", "model", "bucket"}
+        assert kinds == {"model", "bucket"}
 
 
 class TestPersistentRoundTrip:
-    def test_disk_hit_matches_compiled(self, cache_dir, fresh_engine):
-        cold = fresh_engine.compile_workload(_WORK)
-        assert cache.stats()["stores"] == 1
-
-        rebuilt = GraphEngine(ASCEND)
-        rebuilt._cache = {}
-        warm = rebuilt.compile_workload(_WORK)
-        assert cache.stats()["hits"] == 1
-        assert warm == cold
-
     def test_memory_tier_skips_disk(self, cache_dir, fresh_engine):
         fresh_engine.compile_workload(_WORK)
         fresh_engine.compile_workload(_WORK, name="again")
         stats = cache.stats()
         assert stats["memory_hits"] == 1
-        assert stats["hits"] == 0  # disk never consulted twice
+        assert stats["hits"] == stats["misses"] == 0  # layers never on disk
+        assert not any(cache_dir.iterdir())
 
     def test_relabel_keeps_statistics(self, cache_dir, fresh_engine):
         first = fresh_engine.compile_workload(_WORK)
@@ -163,41 +179,46 @@ class TestPersistentRoundTrip:
         assert second.cycles == first.cycles
         assert second.instr_count == first.instr_count
 
-    def test_disabled_by_env(self, cache_dir, fresh_engine, monkeypatch):
+    def test_disabled_by_env(self, cache_dir, monkeypatch):
+        """``REPRO_CACHE=0`` turns off every persistent tier: model and
+        step-cost entries alike."""
         monkeypatch.setenv("REPRO_CACHE", "0")
-        fresh_engine.compile_workload(_WORK)
+        monkeypatch.setattr(GraphEngine, "_GLOBAL_CACHE", {})
+        GraphEngine(ASCEND).compile_graph(build_model("gesture", batch=1))
+        core = soc_config_by_name("ascend-310").core_groups[0][0]
+        StepCostModel(GPT_TINY, core).decode_cycles(1, 16)
         assert not any(cache_dir.iterdir())
-        assert cache.stats()["stores"] == 0
+        stats = cache.stats()
+        assert stats["stores"] == stats["misses"] == 0
 
 
 class TestInvalidation:
-    def test_schema_mismatch_is_a_miss(self, cache_dir, fresh_engine):
-        fresh_engine.compile_workload(_WORK)
-        key = cache.content_key(ASCEND, _WORK)
-        path = cache.cache_dir() / f"{key}.json"
-        payload = json.loads(path.read_text())
+    def _model_entry(self):
+        graph = build_model("gesture", batch=1)
+        cold = GraphEngine(ASCEND).compile_graph(graph)
+        [entry] = cache.cache_dir().glob("model-*.json")
+        GraphEngine._GLOBAL_MODEL_CACHE.clear()
+        return graph, cold, entry
+
+    def test_schema_mismatch_is_a_miss(self, cache_dir):
+        _, _, entry = self._model_entry()
+        payload = json.loads(entry.read_text())
         payload["schema"] = cache.SCHEMA_VERSION + 1
-        path.write_text(json.dumps(payload))
-        assert cache.load(key) is None
+        entry.write_text(json.dumps(payload))
+        misses = cache.stats()["misses"]
+        assert cache.load_model(entry.stem[len("model-"):]) is None
+        assert cache.stats()["misses"] == misses + 1
 
-    def test_corrupt_entry_is_tolerated(self, cache_dir, fresh_engine):
-        cold = fresh_engine.compile_workload(_WORK)
-        key = cache.content_key(ASCEND, _WORK)
-        (cache.cache_dir() / f"{key}.json").write_text("{not json")
-        rebuilt = GraphEngine(ASCEND)
-        rebuilt._cache = {}
-        recompiled = rebuilt.compile_workload(_WORK)
-        assert recompiled == cold
-        assert cache.stats()["errors"] >= 1
-
-    def test_incomplete_entry_recompiles(self, cache_dir, fresh_engine):
-        cold = fresh_engine.compile_workload(_WORK)
-        key = cache.content_key(ASCEND, _WORK)
-        (cache.cache_dir() / f"{key}.json").write_text(
-            json.dumps({"schema": cache.SCHEMA_VERSION, "cycles": 1}))
-        rebuilt = GraphEngine(ASCEND)
-        rebuilt._cache = {}
-        assert rebuilt.compile_workload(_WORK) == cold
+    def test_incomplete_entry_recompiles(self, cache_dir):
+        # Every row lacks all statistics but one: the rows cannot be
+        # rebuilt, so the entry is a miss and the model recompiles.
+        graph, cold, entry = self._model_entry()
+        payload = json.loads(entry.read_text())
+        payload["layers"] = [{"cycles": 1} for _ in payload["layers"]]
+        entry.write_text(json.dumps(payload))
+        rebuilt = GraphEngine(ASCEND).compile_graph(graph)
+        assert rebuilt.layers == cold.layers
+        assert (cache.quarantine_dir() / entry.name).exists()
 
 
 class TestModelLevel:

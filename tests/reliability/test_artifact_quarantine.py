@@ -1,13 +1,14 @@
 """Injected-corruption regression per artifact tier.
 
-The per-layer JSON tier's quarantine is pinned in
+The quarantine of a garbled entry on ``cache.load`` is pinned in
 ``test_compiler_faults.py`` and the step-cost bucket tier's in
 ``tests/serving/test_bucket_tier.py``; these tests pin the same
 retry-with-quarantine discipline on whole-model JSON entries
-(``model-<key>.json``) and the trained predictor artifact.  In every
-case the corrupt file is moved aside — a clean miss that recompiles (or
-degrades to full simulation), never a crash and never a poisoned
-re-read.
+(``model-<key>.json``, the one persistent entry a model compile
+writes; layer statistics stay in memory) and the trained predictor
+artifact.  In every case the corrupt file is moved aside — a clean
+miss that recompiles (or degrades to full simulation), never a crash
+and never a poisoned re-read.
 """
 
 import json

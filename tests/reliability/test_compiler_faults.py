@@ -60,12 +60,14 @@ class TestTimingCacheBypass:
                           vector=(), weight_bytes=8192, input_bytes=8192,
                           output_bytes=8192)
 
+        layers = {}
+
         def compile_cycles():
             engine = GraphEngine(ASCEND)
-            engine._cache = {}
+            engine._cache = layers
             return engine.compile_workload(work).cycles
 
-        clean = compile_cycles()  # warms the persistent tier
+        clean = compile_cycles()  # warms the layer memory tier
         plan = parse_fault_spec("seed=4;stall:factor=8,p=1")
         with fault_scope(plan):
             faulted = compile_cycles()
