@@ -44,16 +44,9 @@ def _ablate_shape(job):
     return name, searched, naive, worst
 
 
-def _warm_tiling_caches():
-    """Run the tiling searches in the parent so every fork-spawned worker
-    inherits a hot ``choose_tiling`` memo."""
-    for _, m, k, n in _SHAPES:
-        choose_tiling(m, k, n, ASCEND_MAX)
-
-
 def test_auto_tiling_beats_naive(report, benchmark):
     def run_all():
-        return run_sweep(_SHAPES, _ablate_shape, warm=_warm_tiling_caches)
+        return run_sweep(_SHAPES, _ablate_shape)
 
     rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
     report("ablation_tiling", ascii_table(

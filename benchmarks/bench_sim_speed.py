@@ -108,12 +108,11 @@ def measure_cold_phases(jobs) -> dict:
     programs standalone (columnar ``cost_columns`` where an arena is
     attached, the per-instruction model otherwise).
 
-    The in-process memo tiers (lowering arena memo, tiling-choice memo)
-    are cleared before each job so every job
-    measures a true cold start — intra-corpus memo hits still count,
-    exactly as they do on a real cold compile.
+    The lowering memo, which holds every tiling choice too, is cleared
+    before each job so every job measures a true cold start —
+    intra-corpus memo hits still count, exactly as they do on a real
+    cold compile.
     """
-    from repro.compiler import tiling
     from repro.compiler.lowering import clear_lowering_memo, lower_workload
     from repro.config import core_config_by_name
     from repro.core.costs import CostModel
@@ -123,7 +122,6 @@ def measure_cold_phases(jobs) -> dict:
     out = {}
     for model, core in jobs:
         clear_lowering_memo()
-        tiling._choose_cached.cache_clear()
         graph = build_model(model, **_MODEL_KWARGS[model])
         config = core_config_by_name(core)
         costs = CostModel(config)

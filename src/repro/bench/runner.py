@@ -8,7 +8,7 @@ relies on:
 
 * **Warm-cache seeding.**  An optional ``warm`` callable runs in the
   parent *before* the pool forks, so everything it populates — the
-  process-global ``GraphEngine._GLOBAL_CACHE``, tiling ``lru_cache``\\ s,
+  process-global ``GraphEngine._GLOBAL_CACHE``, the lowering memo,
   interned flags — is inherited by every worker via fork copy-on-write.
   Workers then only pay for their job's distinct work.  (The persistent
   compile cache covers the same ground across unrelated processes; warm

@@ -64,10 +64,9 @@ if TYPE_CHECKING:
 __all__ = ["SCHEMA_VERSION", "LAYER_FIELDS", "enabled", "cache_dir",
            "canonical_json", "content_key",
            "load", "store", "model_content_key", "model_layers_text",
-           "load_model", "store_model",
-           "quarantine_model", "bucket_key_prefix", "bucket_key",
+           "load_model", "store_model", "bucket_key_prefix", "bucket_key",
            "load_bucket", "store_bucket",
-           "note_memory_hit", "note_model_memory_hit", "stats", "reset_stats",
+           "note_memory_hit", "stats", "reset_stats",
            "snapshot", "merge_stats", "quarantine_dir",
            "timing_stats_bypassed"]
 
@@ -91,7 +90,7 @@ _DEFAULT_DIR = ".repro_cache"
 
 _STATS = {"hits": 0, "misses": 0, "stores": 0, "errors": 0,
           "memory_hits": 0, "model_hits": 0, "model_stores": 0,
-          "model_memory_hits": 0, "quarantined": 0,
+          "quarantined": 0,
           "fault_bypasses": 0, "bucket_hits": 0, "bucket_stores": 0}
 
 
@@ -99,8 +98,8 @@ def timing_stats_bypassed() -> bool:
     """Whether compiled-timing caches are suspended for fault injection.
 
     Stall and sync faults perturb schedules, so while such a campaign
-    is active every stats tier (the in-memory layer and model tiers and
-    the persistent model tier) is bypassed in both directions: a cached
+    is active every stats tier (the in-memory layer tier and the
+    persistent model tier) is bypassed in both directions: a cached
     clean schedule would mask the injected faults, and a faulted
     schedule must never be served to a later clean run.  The step-cost
     bucket tier is bypassed too.
@@ -268,8 +267,15 @@ def content_key(config: Any, work: "OpWorkload",
     return (config, work.gemms, work.vector, a_bytes_scale)
 
 
-def load(key: str) -> Optional[Dict[str, Any]]:
-    """Payload for ``key``, or None on miss/corruption/schema mismatch."""
+def load(key: str, well_formed: Optional[Callable[[Dict[str, Any]], bool]]
+         = None) -> Optional[Dict[str, Any]]:
+    """Payload for ``key``, or None on miss/corruption/schema mismatch.
+
+    ``well_formed`` is the entry kind's structural check, run before the
+    entry counts as a hit: valid JSON it rejects (a truncated or
+    hand-edited artifact) is quarantined like corrupt JSON, so it counts
+    as an error and a miss instead of re-poisoning every later load.
+    """
     if not enabled():
         return None
     path = cache_dir() / f"{key}.json"
@@ -290,6 +296,11 @@ def load(key: str) -> Optional[Dict[str, Any]]:
         return None
     if not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION:
         _STATS["misses"] += 1
+        return None
+    if well_formed is not None and not well_formed(payload):
+        _STATS["errors"] += 1
+        _STATS["misses"] += 1
+        _quarantine(path)
         return None
     _STATS["hits"] += 1
     return payload
@@ -385,23 +396,29 @@ def _layers_text(pairs: Any, scales: Dict[str, float],
                      for group, work in pairs])
 
 
+# A layer row as both entry kinds store it: a dict with an int (never a
+# bool) for every LAYER_FIELDS name; bucket rows also carry a str name.
+_INT_ROW = (int,) * len(LAYER_FIELDS)
+
+
+def _rows_well_formed(rows: Any, named: bool) -> bool:
+    if type(rows) is not list:
+        return False
+    for row in rows:
+        if (type(row) is not dict
+                or tuple(map(type, map(row.get, LAYER_FIELDS))) != _INT_ROW
+                or named and type(row.get("name")) is not str):
+            return False
+    return True
+
+
 def _load_checked(name: str, well_formed: Callable[[Dict[str, Any]], bool],
                   hits: str) -> Optional[Dict[str, Any]]:
-    """:func:`load` of entry ``name``, counted under ``hits``.
-
-    Corrupt JSON is quarantined by :func:`load`; a *structurally*
-    corrupt entry — valid JSON that ``well_formed`` rejects (a truncated
-    or hand-edited artifact) — is quarantined here, so it reports a
-    clean miss instead of re-poisoning every later load.
-    """
-    payload = load(name)
-    if payload is None:
-        return None
-    if not well_formed(payload):
-        _STATS["errors"] += 1
-        _quarantine(cache_dir() / f"{name}.json")
-        return None
-    _STATS[hits] += 1
+    """:func:`load` of entry ``name`` under its structural check,
+    counted under ``hits``."""
+    payload = load(name, well_formed)
+    if payload is not None:
+        _STATS[hits] += 1
     return payload
 
 
@@ -412,34 +429,19 @@ def _store_counted(name: str, payload: Dict[str, Any], stores: str) -> None:
         _STATS[stores] += 1
 
 
-def load_model(key: str) -> Optional[Dict[str, Any]]:
-    """Whole-model payload for ``key`` (same miss semantics as
-    :func:`load`; model entries live under a ``model-`` filename prefix
-    in the same versioned directory).
+def load_model(key: str, count: int) -> Optional[Dict[str, Any]]:
+    """Whole-model payload for ``key``, a model of ``count`` layer
+    groups (same miss semantics as :func:`load`; model entries live
+    under a ``model-`` filename prefix in the same versioned directory).
 
-    An entry whose ``layers`` field is not the list :func:`store_model`
-    writes is quarantined (see :func:`_load_checked`).  Deeper
-    per-layer validation lives in the compiler, which calls
-    :func:`quarantine_model` on rejection.
+    An entry whose ``layers`` are not ``count`` well-formed rows is
+    quarantined and reads as a miss.
     """
-    return _load_checked(f"model-{key}",
-                         lambda payload: isinstance(payload.get("layers"),
-                                                    list),
-                         "model_hits")
+    def well_formed(payload: Dict[str, Any]) -> bool:
+        rows = payload.get("layers")
+        return _rows_well_formed(rows, named=False) and len(rows) == count
 
-
-def quarantine_model(key: str) -> None:
-    """Move a rejected whole-model entry aside (next lookup recompiles).
-
-    The compiler calls this when a loaded model payload fails its
-    per-layer validation — the entry is intact JSON but unusable, and
-    leaving it in place would make every later process re-load and
-    re-reject the same garbage.
-    """
-    path = cache_dir() / f"model-{key}.json"
-    if path.is_file():
-        _STATS["errors"] += 1
-        _quarantine(path)
+    return _load_checked(f"model-{key}", well_formed, "model_hits")
 
 
 def store_model(key: str, payload: Dict[str, Any]) -> None:
@@ -470,14 +472,8 @@ def bucket_key(prefix: str, phase: str, batch: int, tokens: int) -> str:
 
 
 def _bucket_well_formed(payload: Dict[str, Any]) -> bool:
-    layers = payload.get("layers")
     return (type(payload.get("cycles")) is int
-            and isinstance(layers, list)
-            and all(isinstance(row, dict)
-                    and isinstance(row.get("name"), str)
-                    and all(type(row.get(field)) is int
-                            for field in LAYER_FIELDS)
-                    for row in layers))
+            and _rows_well_formed(payload.get("layers"), named=True))
 
 
 def load_bucket(key: str) -> Optional[Dict[str, Any]]:
@@ -499,11 +495,6 @@ def store_bucket(key: str, payload: Dict[str, Any]) -> None:
 def note_memory_hit() -> None:
     """Record an in-memory (process-local) cache hit for :func:`stats`."""
     _STATS["memory_hits"] += 1
-
-
-def note_model_memory_hit() -> None:
-    """Record an in-memory whole-model cache hit for :func:`stats`."""
-    _STATS["model_memory_hits"] += 1
 
 
 def stats() -> Dict[str, Any]:

@@ -101,9 +101,6 @@ class GraphEngine:
     # Per-layer statistics keyed by cache.content_key, in process memory
     # only: no layer is ever read from or written to disk.
     _GLOBAL_CACHE: Dict[tuple, CompiledLayer] = {}
-    # Whole-model artifacts (ordered CompiledLayer lists) keyed by
-    # cache.model_content_key, in front of the model-<key>.json entries.
-    _GLOBAL_MODEL_CACHE: Dict[str, List[CompiledLayer]] = {}
 
     def __init__(self, config: CoreConfig) -> None:
         self.config = config
@@ -174,12 +171,12 @@ class GraphEngine:
         training path passes :func:`~repro.models.training.training_workloads`
         output here.
 
-        Whole models are cached as artifacts, memory -> disk ->
-        recompile: the key hashes the ordered (group, workload, scale)
-        sequence plus the design point, so a warm process rebuilds
-        ResNet-50/BERT (and the stream schedules derived from them via
-        :meth:`to_streams`) without lowering or scheduling a single
-        layer.
+        Whole models persist as one ``model-`` entry each, read before
+        any layer is compiled: the key hashes the ordered (group,
+        workload, scale) sequence plus the design point, so a process
+        with a filled cache rebuilds ResNet-50/BERT (and the stream
+        schedules derived from them via :meth:`to_streams`) without
+        lowering or scheduling a single layer.
         """
         pairs = list(workloads if workloads is not None
                      else graph.grouped_workloads())
@@ -204,62 +201,38 @@ class GraphEngine:
         # tiers in both directions.
         stats_cached = not cache.timing_stats_bypassed()
         if stats_cached:
-            cached = GraphEngine._GLOBAL_MODEL_CACHE.get(key)
-            if cached is not None:
-                cache.note_model_memory_hit()
-                layers = [_observed(self._relabel(layer, work, group))
-                          for layer, (group, work) in zip(cached, pairs)]
-                return CompiledModel(name=name, config=self.config,
-                                     layers=layers)
-
-            payload = cache.load_model(key)
+            payload = cache.load_model(key, len(pairs))
             if payload is not None:
                 layers = self._layers_from_entry(payload, pairs)
-                if layers is not None:
-                    GraphEngine._GLOBAL_MODEL_CACHE[key] = layers
-                    for layer in layers:
-                        _observed(layer)
-                    return CompiledModel(name=name, config=self.config,
-                                         layers=layers)
-                # Structurally corrupt whole-model entry: move it aside
-                # so every later process sees a clean miss instead of
-                # re-loading and re-rejecting the same artifact.
-                cache.quarantine_model(key)
+                for layer in layers:
+                    _observed(layer)
+                return CompiledModel(name=name, config=self.config,
+                                     layers=layers)
 
         layers = [
             self.compile_workload(work, name=group,
                                   a_bytes_scale=scales.get(group, 1.0))
             for group, work in pairs
         ]
-        if not stats_cached:
-            return CompiledModel(name=name, config=self.config, layers=layers)
-        GraphEngine._GLOBAL_MODEL_CACHE[key] = layers
-        cache.store_model(key, {
-            "layers": [
-                {field: getattr(layer, field) for field in cache.LAYER_FIELDS}
-                for layer in layers
-            ],
-        })
+        if stats_cached:
+            cache.store_model(key, {
+                "layers": [
+                    {field: getattr(layer, field)
+                     for field in cache.LAYER_FIELDS}
+                    for layer in layers
+                ],
+            })
         return CompiledModel(name=name, config=self.config, layers=layers)
 
     @staticmethod
     def _layers_from_entry(payload: dict, pairs: Sequence[Tuple[str, OpWorkload]]
-                           ) -> Optional[List[CompiledLayer]]:
-        """Rebuild the layer list from a persisted model artifact, or
-        None when the entry is incomplete (treated as a miss)."""
-        entries = payload.get("layers")
-        if not isinstance(entries, list) or len(entries) != len(pairs):
-            return None
-        layers = []
-        for entry, (group, work) in zip(entries, pairs):
-            try:
-                layers.append(CompiledLayer(
-                    name=group, workload=work,
-                    **{field: entry[field] for field in cache.LAYER_FIELDS},
-                ))
-            except (KeyError, TypeError):
-                return None
-        return layers
+                           ) -> List[CompiledLayer]:
+        """The layer list of a model entry that :func:`cache.load_model`
+        has checked: one row per pair, each with every layer field."""
+        return [CompiledLayer(name=group, workload=work,
+                              **{field: row[field]
+                                 for field in cache.LAYER_FIELDS})
+                for row, (group, work) in zip(payload["layers"], pairs)]
 
     def to_streams(self, compiled: CompiledModel, blocks_per_task: int = 1
                    ) -> Stream:

@@ -63,7 +63,10 @@ def reset_lowering_stats() -> None:
 
 # Lowering is pure given its arguments minus the tag, and real graphs
 # repeat structures relentlessly (BERT's 12 encoder blocks, resnet's
-# stages), so lowered arenas are memoized on the structural arguments.
+# stages), so lowered arenas are memoized on those arguments as the
+# caller passed them: a GEMM's key holds the requested ``tiling`` and
+# ``b_resident``, so a hit runs no tiling search and resolves no
+# residency, and this memo is the only cache of tiling choices.
 # A hit is retagged via the zero-copy :meth:`InstructionArena.retagged` —
 # column arrays are shared, never mutated after lowering, so sharing is
 # safe and downstream identity-keyed caches (``Program.validate``'s
@@ -160,6 +163,12 @@ def lower_gemm(
     if not 0 < a_bytes_scale <= 1:
         raise CompileError(f"a_bytes_scale must be in (0, 1], got {a_bytes_scale}")
     out_dtype = out_dtype or dtype
+    name = f"gemm_{m}x{k}x{n}_{config.name}"
+    key = ("gemm", config, dtype, out_dtype, m, k, n, tiling,
+           tuple(post_ops), layout, a_bytes_scale, weight_density, b_resident)
+    hit = _memo_get(key)
+    if hit is not None:
+        return Program.from_arena(hit.retagged(tag), name=name)
     resident = b_resident and weight_density is None
     if tiling is None and resident:
         tiling = _residency_tiling(m, k, n, config, dtype)
@@ -168,12 +177,6 @@ def lower_gemm(
         b_strip_bytes = int(math.ceil(k / tiling.tk) * tiling.tk * tiling.tn
                             * dtype.bytes)
         resident = b_strip_bytes <= config.l0b_bytes
-    name = f"gemm_{m}x{k}x{n}_{config.name}"
-    key = ("gemm", config, dtype, out_dtype, m, k, n, tiling,
-           tuple(post_ops), layout, a_bytes_scale, weight_density, resident)
-    hit = _memo_get(key)
-    if hit is not None:
-        return Program.from_arena(hit.retagged(tag), name=name)
     program = lower_gemm_arena(m, k, n, config, dtype, out_dtype, tag,
                                tiling, post_ops, layout, a_bytes_scale,
                                weight_density, resident)

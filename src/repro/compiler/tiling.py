@@ -29,18 +29,15 @@ oracle in tests/compiler/tiling_oracle.py.  See DESIGN.md substitutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..config.core_configs import CoreConfig
+from ..core.costs import CostModel
 from ..dtypes import DType, FP16, accumulator_for
 from ..errors import CompileError
 from ..memory.bandwidth import DatapathModel, Route
-
-if TYPE_CHECKING:
-    from ..core.costs import CostModel
 
 __all__ = ["Tiling", "TilingSpace", "tiling_space", "legal_tilings",
            "choose_tiling"]
@@ -108,7 +105,7 @@ def tiling_space(m: int, k: int, n: int, config: CoreConfig,
     clipped to the problem size, subject to the double-buffered capacity
     constraints.  Raises :class:`CompileError` when none fits.
     """
-    costs = _cost_model_for(config)
+    costs = CostModel(config)
     m0, k0, n0 = costs.cube_tile_shape(dtype)
     cand_m = _candidates(m, m0)
     cand_k = _candidates(k, k0)
@@ -163,14 +160,6 @@ def _candidates(dim: int, base: int) -> np.ndarray:
     return np.array(out, np.int64)
 
 
-@lru_cache(maxsize=64)
-def _cost_model_for(config: CoreConfig) -> CostModel:
-    """One CostModel per design point."""
-    from ..core.costs import CostModel
-
-    return CostModel(config)
-
-
 def _gemm_cycles(m: int, k: int, n: int, tm: np.ndarray, tk: np.ndarray,
                  tn: np.ndarray, k_stage: np.ndarray, costs: CostModel,
                  dtype: DType) -> np.ndarray:
@@ -215,25 +204,11 @@ def _gemm_cycles(m: int, k: int, n: int, tm: np.ndarray, tk: np.ndarray,
     return np.maximum.reduce([cube, mte1, mte2, vec, mte3]) + fill
 
 
-@lru_cache(maxsize=4096)
-def _choose_cached(m: int, k: int, n: int, config_name: str,
-                   dtype_name: str) -> Tiling:
-    from ..config.core_configs import core_config_by_name
-    from ..dtypes import dtype_by_name
-
-    return tiling_space(m, k, n, core_config_by_name(config_name),
-                        dtype_by_name(dtype_name)).cheapest()
-
-
 def choose_tiling(m: int, k: int, n: int, config: CoreConfig,
                   dtype: DType = FP16) -> Tiling:
     """Pick the lowest-modeled-cycles tiling (the first, on ties).
 
-    Registered design points cache by name; ad-hoc configs (ablation
-    variants) search directly.
+    Uncached: the lowering memo keys a GEMM by its request, so each
+    distinct GEMM lowering searches once.
     """
-    from ..config.core_configs import CORE_CONFIGS
-
-    if CORE_CONFIGS.get(config.name) is config:
-        return _choose_cached(m, k, n, config.name, dtype.name)
     return tiling_space(m, k, n, config, dtype).cheapest()

@@ -59,7 +59,6 @@ def clear_memo_tiers() -> None:
     from ...dse import engine as dse_engine
 
     GraphEngine._GLOBAL_CACHE.clear()
-    GraphEngine._GLOBAL_MODEL_CACHE.clear()
     lowering.clear_lowering_memo()
     dse_engine._MIX_MEMO.clear()
 

@@ -17,14 +17,16 @@ an exact event-engine number, not an analytic estimate.  Identical
 transformer layers inside each graph dedupe structurally, so a bucket
 costs roughly one layer compile.
 
-Each priced bucket is also stored as a ``bucket-<sha256>.json`` entry
-keyed by what the graph builder takes plus the design point
-(:func:`repro.compiler.cache.bucket_key`): a later cost model for the
-same design point reads its layers back without building or hashing
-the graph.  A miss compiles as above, which fills the in-memory layer
-tier and the model tiers too.  The tier follows the stats tiers'
-bypasses (``REPRO_CACHE=0`` and stall/sync fault campaigns) and is not
-used under the predictor.
+Each priced bucket is stored as one ``bucket-<sha256>.json`` entry,
+its only persistent entry, keyed by what the graph builder takes plus
+the design point (:func:`repro.compiler.cache.bucket_key`): a later
+cost model for the same design point reads its layers back without
+building or hashing the graph.  A miss compiles the graph's layer
+groups through the in-memory layer tier
+(:meth:`~repro.compiler.graph_engine.GraphEngine.compile_workload`);
+GPT graphs have no convolutions, so no group has an im2col scale.  The
+tier follows the stats tiers' bypasses (``REPRO_CACHE=0`` and
+stall/sync fault campaigns) and is not used under the predictor.
 
 ``use_predictor`` (the ``REPRO_SERVE_PREDICT`` knob) swaps the event
 engine for the learned cycle predictor
@@ -219,19 +221,21 @@ class StepCostModel:
             key = cache.bucket_key(self._key_prefix, phase, batch, tokens)
             entry = cache.load_bucket(key)
             if entry is not None:
-                # Reported to a profiling session as a model-tier hit
+                # Reported to a profiling session as a layer-tier hit
                 # is; the per-layer views are built only for one.
                 session = active_session()
                 if session is not None:
                     for row in entry["layers"]:
                         session.observe_layer(SimpleNamespace(**row))
                 return entry["cycles"], entry["layers"]
-        compiled = self.engine.compile_graph(self._graph(phase, batch, tokens))
-        cycles = max(1, compiled.total_cycles)
+        layers = [self.engine.compile_workload(work, name=group)
+                  for group, work
+                  in self._graph(phase, batch, tokens).grouped_workloads()]
+        cycles = max(1, sum(layer.cycles for layer in layers))
         rows = [{"name": layer.name,
                  **{field: getattr(layer, field)
                     for field in cache.LAYER_FIELDS}}
-                for layer in compiled.layers]
+                for layer in layers]
         if key is not None:
             cache.store_bucket(key, {"cycles": cycles, "layers": rows})
         return cycles, rows

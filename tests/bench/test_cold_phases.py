@@ -2,8 +2,9 @@
 
 Its phase timings are only comparable across calls (``--gate`` compares
 them with a baseline recorded by another process) if no in-process memo
-survives from one call to the next.  The tiling-choice memo is checked
-by count, which no host load can blur.
+survives from one call to the next.  The lowering memo, which holds
+every tiling choice, is checked by counting tiling searches, which no
+host load can blur.
 """
 
 from repro.compiler import tiling
@@ -11,15 +12,21 @@ from repro.compiler import tiling
 from tests.scripts import load_script
 
 
-def test_every_call_repeats_the_tiling_searches():
+def test_every_call_repeats_the_tiling_searches(monkeypatch):
     bench = load_script("benchmarks/bench_sim_speed.py")
-    infos = []
+    searches = []
+    search = tiling.tiling_space
+
+    def spy(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(tiling, "tiling_space", spy)
+    counts = []
     for _ in range(2):
+        searches.clear()
         bench.measure_cold_phases([("resnet50", "ascend")])
-        infos.append(tiling._choose_cached.cache_info())
-    assert infos[0].misses > 0
-    # Emptying the memo resets its statistics, so two cold calls end on
-    # the same counts; a call that found the previous call's choices
-    # would add hits where the first call missed.
-    assert infos[1].misses == infos[0].misses
-    assert infos[1].hits == infos[0].hits
+        counts.append(len(searches))
+    # A call that found the previous call's lowerings would search less.
+    assert counts[0] > 0
+    assert counts[1] == counts[0]

@@ -40,7 +40,6 @@ def tracer(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     monkeypatch.setattr(GraphEngine, "_GLOBAL_CACHE", {})
-    monkeypatch.setattr(GraphEngine, "_GLOBAL_MODEL_CACHE", {})
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -65,7 +64,6 @@ def test_cold_then_warm_compile(tracer):
     assert cold["lower"] > 0 and cold["drain"] > 0
     assert cold["cache_key"] > 0 and cold["graph_build"] == 1
 
-    GraphEngine._GLOBAL_MODEL_CACHE.clear()
     GraphEngine._GLOBAL_CACHE.clear()
     before = dict(tracer.calls)
     _compile("gesture", "ascend-lite")
@@ -105,7 +103,6 @@ def test_dse_jobs_on_a_warm_cache(tracer, monkeypatch):
     jobs = [("gesture", {}, space.decode(point)) for point in points]
     for job in jobs:                        # fill the persistent cache
         dse_engine._simulate_job(job)
-    GraphEngine._GLOBAL_MODEL_CACHE.clear()
     GraphEngine._GLOBAL_CACHE.clear()
     dse_engine._MIX_MEMO.clear()
     before = dict(tracer.calls)

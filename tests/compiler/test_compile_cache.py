@@ -13,7 +13,7 @@ from repro.config import ASCEND, ASCEND_MAX, core_config_by_name
 from repro.config.soc_configs import soc_config_by_name
 from repro.graph.workload import GemmWork, OpWorkload, VectorWork
 from repro.models import build_model
-from repro.models.gpt import GPT_TINY, build_gpt_decode
+from repro.models.gpt import GPT_TINY, GptConfig, build_gpt_decode
 from repro.serving.stepcost import StepCostModel
 
 
@@ -21,11 +21,7 @@ from repro.serving.stepcost import StepCostModel
 def cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     cache.reset_stats()
-    saved_models = dict(GraphEngine._GLOBAL_MODEL_CACHE)
-    GraphEngine._GLOBAL_MODEL_CACHE.clear()
     yield tmp_path
-    GraphEngine._GLOBAL_MODEL_CACHE.clear()
-    GraphEngine._GLOBAL_MODEL_CACHE.update(saved_models)
     cache.reset_stats()
 
 
@@ -162,6 +158,24 @@ class TestEntryText:
             assert text == json.dumps(payload), path.name
         assert kinds == {"model", "bucket"}
 
+    def test_priced_step_leaves_one_bucket_entry(self, cache_dir,
+                                                 monkeypatch):
+        """A priced serving step compiles its layer groups in memory and
+        persists its bucket alone: no model entry beside it.  The model
+        is this test's own, so no earlier compile in the process can
+        have answered for it."""
+        monkeypatch.setattr(GraphEngine, "_GLOBAL_CACHE", {})
+        model = GptConfig(name="gpt-one-entry", hidden=48, layers=1,
+                          heads=3, intermediate=96, vocab_size=300,
+                          max_context=64)
+        core = soc_config_by_name("ascend-310").core_groups[0][0]
+        StepCostModel(model, core).decode_cycles(1, 16)
+        [entry] = cache.cache_dir().iterdir()
+        assert entry.name.startswith("bucket-")
+        stats = cache.stats()
+        assert stats["bucket_stores"] == stats["stores"] == 1
+        assert stats["model_stores"] == 0
+
 
 class TestPersistentRoundTrip:
     def test_memory_tier_skips_disk(self, cache_dir, fresh_engine):
@@ -197,60 +211,64 @@ class TestInvalidation:
         graph = build_model("gesture", batch=1)
         cold = GraphEngine(ASCEND).compile_graph(graph)
         [entry] = cache.cache_dir().glob("model-*.json")
-        GraphEngine._GLOBAL_MODEL_CACHE.clear()
         return graph, cold, entry
 
     def test_schema_mismatch_is_a_miss(self, cache_dir):
-        _, _, entry = self._model_entry()
+        graph, _, entry = self._model_entry()
         payload = json.loads(entry.read_text())
         payload["schema"] = cache.SCHEMA_VERSION + 1
         entry.write_text(json.dumps(payload))
         misses = cache.stats()["misses"]
-        assert cache.load_model(entry.stem[len("model-"):]) is None
+        assert cache.load_model(entry.stem[len("model-"):],
+                                len(graph.grouped_workloads())) is None
         assert cache.stats()["misses"] == misses + 1
 
     def test_incomplete_entry_recompiles(self, cache_dir):
         # Every row lacks all statistics but one: the rows cannot be
-        # rebuilt, so the entry is a miss and the model recompiles.
+        # rebuilt, so the entry is rejected before it counts as a hit,
+        # quarantined, and the model recompiles.
         graph, cold, entry = self._model_entry()
         payload = json.loads(entry.read_text())
         payload["layers"] = [{"cycles": 1} for _ in payload["layers"]]
         entry.write_text(json.dumps(payload))
+        cache.reset_stats()
         rebuilt = GraphEngine(ASCEND).compile_graph(graph)
         assert rebuilt.layers == cold.layers
         assert (cache.quarantine_dir() / entry.name).exists()
+        stats = cache.stats()
+        assert stats["hits"] == stats["model_hits"] == 0
+        assert stats["errors"] == stats["quarantined"] == 1
+        assert stats["misses"] == 1
 
 
 class TestModelLevel:
     def test_memory_tier_round_trip(self, cache_dir):
-        """Same-process recompile of a model is one in-memory artifact
-        hit — no per-layer work, no disk reads."""
+        """An in-process recompile of a model compiles no layer and reads
+        its entry once: no model tier sits in front of the entry."""
         graph = build_model("gesture", batch=1)
-        cold_engine = GraphEngine(ASCEND)
-        cold_engine._cache = {}
-        cold = cold_engine.compile_graph(graph)
+        engine = GraphEngine(ASCEND)
+        engine._cache = {}
+        cold = engine.compile_graph(graph)
         assert cache.stats()["model_stores"] == 1
 
-        warm_engine = GraphEngine(ASCEND)
-        warm_engine._cache = {}
-        warm = warm_engine.compile_graph(graph)
-        assert warm.total_cycles == cold.total_cycles
-        assert [l.cycles for l in warm.layers] \
-            == [l.cycles for l in cold.layers]
+        calls = []
+        engine.compile_workload = lambda *a, **kw: calls.append(a)  # type: ignore[assignment]
+        warm = engine.compile_graph(graph)
+        assert calls == []
+        assert warm.layers == cold.layers
         stats = cache.stats()
-        assert stats["model_memory_hits"] == 1
-        assert stats["model_hits"] == 0  # disk never consulted twice
+        assert stats["model_hits"] == stats["hits"] == 1
+        assert stats["model_stores"] == 1
 
     def test_disk_tier_round_trip(self, cache_dir):
-        """Clearing the in-memory model cache (a fresh process) rebuilds
-        the whole model from its persisted artifact without compiling a
-        single layer."""
+        """A fresh engine with an empty layer tier (as in a fresh
+        process) rebuilds the whole model from its persisted artifact
+        without compiling a single layer."""
         graph = build_model("gesture", batch=1)
         cold_engine = GraphEngine(ASCEND)
         cold_engine._cache = {}
         cold = cold_engine.compile_graph(graph)
 
-        GraphEngine._GLOBAL_MODEL_CACHE.clear()
         warm_engine = GraphEngine(ASCEND)
         warm_engine._cache = {}
         calls = []
@@ -271,7 +289,6 @@ class TestModelLevel:
         cold_stream = engine.to_streams(engine.compile_graph(graph),
                                         blocks_per_task=2)
 
-        GraphEngine._GLOBAL_MODEL_CACHE.clear()
         warm_engine = GraphEngine(ASCEND)
         warm_engine._cache = {}
         warm_stream = warm_engine.to_streams(warm_engine.compile_graph(graph),
@@ -294,7 +311,6 @@ class TestModelLevel:
         payload["layers"] = payload["layers"][:1]
         entries[0].write_text(json.dumps(payload))
 
-        GraphEngine._GLOBAL_MODEL_CACHE.clear()
         rebuilt_engine = GraphEngine(ASCEND)
         rebuilt = rebuilt_engine.compile_graph(graph)
         assert rebuilt.total_cycles == cold.total_cycles

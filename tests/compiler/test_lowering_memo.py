@@ -7,9 +7,12 @@ right after ``clear_lowering_memo()``), and that the dense, sparse and
 weight-stationary variants of one shape never share a memo entry.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.compiler import lowering, tiling
 from repro.compiler.lowering import (
     clear_lowering_memo,
     lower_gemm,
@@ -18,7 +21,7 @@ from repro.compiler.lowering import (
     lowering_stats,
     reset_lowering_stats,
 )
-from repro.compiler.tiling import choose_tiling
+from repro.compiler.tiling import choose_tiling, tiling_space
 from repro.config import ASCEND_MAX
 from repro.config.core_configs import CORE_CONFIGS
 from repro.dtypes import FP16, INT8, INT32
@@ -110,8 +113,7 @@ class TestMemoEquivalence:
 
     def test_gemm_variants_keep_separate_entries(self):
         # One shape and one explicit tiling for all three variants, so
-        # only weight_density and the resolved residency tell the memo
-        # keys apart.
+        # only weight_density and b_resident tell the memo keys apart.
         m, k, n = 96, 64, 80
         tiling = choose_tiling(m, k, n, ASCEND_MAX)
         variants = [{}, {"weight_density": 0.25}, {"b_resident": True}]
@@ -125,3 +127,24 @@ class TestMemoEquivalence:
                 got = lower_gemm(m, k, n, ASCEND_MAX, tag="v", tiling=tiling,
                                  **kw)
                 assert got.instructions == want.instructions, kw
+
+    def test_repeated_request_runs_no_tiling_search(self, monkeypatch):
+        """The GEMM memo is keyed by the request (the caller's ``tiling``
+        and ``b_resident``), so a repeat neither searches the tiling
+        space nor resolves residency, on any design point."""
+        searches = []
+
+        def spy(*args, **kwargs):
+            searches.append(args)
+            return tiling_space(*args, **kwargs)
+
+        monkeypatch.setattr(tiling, "tiling_space", spy)
+        monkeypatch.setattr(lowering, "tiling_space", spy)
+        adhoc = dataclasses.replace(ASCEND_MAX, name="adhoc")
+        for config in (ASCEND_MAX, adhoc):
+            for kw in ({}, {"b_resident": True}):
+                first = lower_gemm(96, 64, 80, config, tag="a", **kw)
+                searched = len(searches)
+                again = lower_gemm(96, 64, 80, config, tag="b", **kw)
+                assert len(searches) == searched, (config.name, kw)
+                assert again._arena.kind is first._arena.kind

@@ -51,11 +51,6 @@ class TestChooseTiling:
         # Startup amortization should push well past the native tile.
         assert tiling.tm >= 64 and tiling.tn >= 64
 
-    def test_caching_returns_same_object(self):
-        a = choose_tiling(256, 256, 256, ASCEND_MAX)
-        b = choose_tiling(256, 256, 256, ASCEND_MAX)
-        assert a is b
-
     def test_k_stage_never_exceeds_k(self):
         tiling = choose_tiling(128, 100, 128, ASCEND_MAX)
         assert tiling.k_stage <= 100

@@ -32,9 +32,9 @@ from tests.scripts import load_script
 
 _DTYPES = (FP16, INT8, INT4, FP32)
 
-# Not registered, so choose_tiling searches it without the name memo.
-# Off-grid cube and buffer sizes, non-integer bus widths, no LLC (GM
-# traffic rides the UB port) and every cube dtype.
+# An unregistered design point: off-grid cube and buffer sizes,
+# non-integer bus widths, no LLC (GM traffic rides the UB port) and
+# every cube dtype.
 _AD_HOC = dataclasses.replace(
     ASCEND_LITE, name="ascend-lite-adhoc", cube=CubeShape(8, 16, 32),
     cube_dtypes=(FP16, INT8, INT4, FP32), vector_width_bytes=96,

@@ -27,9 +27,7 @@ pytestmark = pytest.mark.faults
 def cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     cache.reset_stats()
-    GraphEngine._GLOBAL_MODEL_CACHE.clear()
     yield tmp_path
-    GraphEngine._GLOBAL_MODEL_CACHE.clear()
     cache.reset_stats()
 
 
@@ -49,7 +47,6 @@ class TestModelTierQuarantine:
     def test_garbled_json_quarantined_on_load(self, cache_dir):
         graph, cold, entry = self._cold_compile(cache_dir)
         entry.write_text("{not json")
-        GraphEngine._GLOBAL_MODEL_CACHE.clear()
         rebuilt = _fresh_engine().compile_graph(graph)
         assert rebuilt.total_cycles == cold.total_cycles
         # The corrupt bytes moved aside; the recompile re-stored a
@@ -62,7 +59,6 @@ class TestModelTierQuarantine:
         graph, cold, entry = self._cold_compile(cache_dir)
         entry.write_text(json.dumps(
             {"schema": cache.SCHEMA_VERSION, "layers": "gone"}))
-        GraphEngine._GLOBAL_MODEL_CACHE.clear()
         rebuilt = _fresh_engine().compile_graph(graph)
         assert rebuilt.total_cycles == cold.total_cycles
         quarantined = cache.quarantine_dir() / entry.name
@@ -71,19 +67,17 @@ class TestModelTierQuarantine:
 
     def test_truncated_layer_list_quarantined(self, cache_dir):
         # The entry parses and has a layers list, but it no longer
-        # matches the graph — the compiler rejects it, and the reject
-        # must move the artifact aside instead of re-missing forever.
+        # matches the graph — the load rejects it, and the reject must
+        # move the artifact aside instead of re-missing forever.
         graph, cold, entry = self._cold_compile(cache_dir)
         payload = json.loads(entry.read_text())
         payload["layers"] = payload["layers"][:1]
         entry.write_text(json.dumps(payload))
-        GraphEngine._GLOBAL_MODEL_CACHE.clear()
         rebuilt = _fresh_engine().compile_graph(graph)
         assert rebuilt.total_cycles == cold.total_cycles
         quarantined = cache.quarantine_dir() / entry.name
         assert len(json.loads(quarantined.read_text())["layers"]) == 1
         # The recompile rewrote a clean artifact that loads again.
-        GraphEngine._GLOBAL_MODEL_CACHE.clear()
         before = cache.stats()["model_hits"]
         _fresh_engine().compile_graph(graph)
         assert cache.stats()["model_hits"] == before + 1

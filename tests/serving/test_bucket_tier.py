@@ -5,7 +5,7 @@ point, not by the graph, so a hit prices a step without building or
 hashing a graph.  These tests hold a hit equal to the graph path it
 replaces, check that bad entries are quarantined and re-priced, that
 the tier stays out of the way wherever the stats tiers do, that a
-profiling session cannot tell a bucket hit from a model-tier hit, and
+profiling session cannot tell a bucket hit from a layer-tier hit, and
 pin the graphs behind the buckets so that changing them without a
 ``SCHEMA_VERSION`` bump fails here.
 """
@@ -65,7 +65,6 @@ def isolated(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     monkeypatch.setattr(GraphEngine, "_GLOBAL_CACHE", {})
-    monkeypatch.setattr(GraphEngine, "_GLOBAL_MODEL_CACHE", {})
     return tmp_path
 
 
@@ -150,7 +149,11 @@ def test_bad_entry_quarantined_and_repriced(isolated, text):
     assert (StepCostModel(TINY, CORE, use_predictor=False)
             .decode_cycles(2, 32) == clean)
     assert (cache.quarantine_dir() / path.name).read_text() == text
-    assert _delta(before, "bucket_hits") == 0
+    # A rejected entry is an error and no hit; valid JSON is rejected
+    # by the structural check, so it is a miss as well.
+    assert _delta(before, "hits") == _delta(before, "bucket_hits") == 0
+    assert _delta(before, "errors") == 1
+    assert _delta(before, "misses") == (0 if text == "{not json" else 1)
     assert _delta(before, "bucket_stores") == 1
     assert json.loads(path.read_text())["cycles"] == clean
 
