@@ -19,7 +19,11 @@ test-faults:
 # instructions equal the object-built program's when asked for;
 # the engine drain (flat, queue and extrapolated paths; every ISA
 # class, deadlocks, lowered programs) vs the fixpoint oracle in
-# tests/core/oracle.py; arena lowering (dense, sparse and
+# tests/core/oracle.py; a batch drain (a compile's missed layers
+# drained together) vs its programs drained one at a time, on the
+# perfbench compile pool, random batches, repeat regions after the
+# first program, queue drains and deadlocks inside a batch; arena
+# lowering (dense, sparse and
 # weight-stationary GEMMs, vector streams, workloads, memo hits) vs
 # the per-object emitters in tests/compiler/lowering_oracle.py; the
 # one-pass tiling table vs the scalar search in
@@ -41,6 +45,7 @@ test-equiv:
 		tests/core/test_trace_lazy_objects.py \
 		tests/core/test_engine_equivalence.py \
 		tests/core/test_engine_fast_drain.py \
+		tests/core/test_batch_drain.py \
 		tests/core/test_deadlock_report.py \
 		tests/compiler/test_lowering_arena.py \
 		tests/compiler/test_lowering_memo.py \

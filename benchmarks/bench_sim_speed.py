@@ -22,9 +22,10 @@ Five measurements per run:
   hit rate, and the end-to-end triage speedup over simulate-everything.
 
 Each entry also records a **cold-phase breakdown** — seconds spent in
-lower / validate / cost / schedule over every unique workload of each
-job, with all caches bypassed — so a regression can be attributed to a
-phase without re-profiling.
+lower / validate / cost / schedule over the distinct layers of each
+job, lowered one by one and drained as one batch as a cold compile
+does, with all caches bypassed — so a regression can be attributed to
+a phase without re-profiling.
 
 Standalone (``python benchmarks/bench_sim_speed.py``) appends one entry
 to ``benchmarks/results/BENCH_sim_speed.json`` — the perf trajectory the
@@ -100,23 +101,29 @@ def _run_child(jobs, cache_dir: str) -> dict:
 def measure_cold_phases(jobs) -> dict:
     """Per-phase cold-compile seconds for each job, every cache bypassed.
 
-    The four phases (lower, validate, cost, schedule) are timed as
-    independent passes over the same unique-workload list, so they
-    approximate — but do not by construction sum to — the end-to-end
-    cold number from the fresh-process measurement.  ``schedule``
-    includes the engine's internal cost pass; ``cost_s`` prices the
-    programs standalone (columnar ``cost_columns`` where an arena is
-    attached, the per-instruction model otherwise).
+    The phases follow ``GraphEngine.compile_graph`` on an empty layer
+    tier: ``lower`` lowers each distinct layer of the model, with its
+    im2col scale (one ``lower_workload`` call per layer the tier would
+    miss), and ``schedule`` drains them as one batch
+    (``schedule_summary``), so the two add up to the compile's own work
+    less its cache keying and bookkeeping.  ``validate`` and ``cost``
+    are standalone diagnostics: ``validate`` checks each program
+    (concatenating its parts), and ``cost`` concatenates and prices the
+    batch once, which ``schedule`` also does inside.  ``workloads``
+    counts the model's layer groups, repeats included.
 
     The lowering memo, which holds every tiling choice too, is cleared
     before each job so every job measures a true cold start —
     intra-corpus memo hits still count, exactly as they do on a real
     cold compile.
     """
+    from repro.compiler import cache
+    from repro.compiler.graph_engine import _im2col_scales
     from repro.compiler.lowering import clear_lowering_memo, lower_workload
     from repro.config import core_config_by_name
     from repro.core.costs import CostModel
     from repro.core.engine import schedule_summary
+    from repro.isa.arena import InstructionArena
     from repro.models import build_model
 
     out = {}
@@ -125,10 +132,18 @@ def measure_cold_phases(jobs) -> dict:
         graph = build_model(model, **_MODEL_KWARGS[model])
         config = core_config_by_name(core)
         costs = CostModel(config)
-        works = [work for _, work in graph.grouped_workloads()]
+        pairs = graph.grouped_workloads()
+        scales = _im2col_scales(graph)
+        misses = {}
+        for group, work in pairs:
+            scale = scales.get(group, 1.0)
+            misses.setdefault(cache.content_key(config, work, scale),
+                              (work, scale))
 
         t0 = time.perf_counter()
-        programs = [lower_workload(work, config) for work in works]
+        programs = [lower_workload(work, config,
+                                   a_bytes_scale_for_gemms=scale)
+                    for work, scale in misses.values()]
         lower_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -137,17 +152,16 @@ def measure_cold_phases(jobs) -> dict:
         validate_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        for prog in programs:
-            costs.cost_columns(prog.arena)
+        costs.price_columns(InstructionArena.concat(
+            *zip(*[part for prog in programs for part in prog.parts])))
         cost_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        for prog in programs:
-            schedule_summary(prog, costs)
+        schedule_summary(programs, costs)
         schedule_s = time.perf_counter() - t0
 
         out[f"{model}@{core}"] = {
-            "workloads": len(works),
+            "workloads": len(pairs),
             "lower_s": round(lower_s, 4),
             "validate_s": round(validate_s, 4),
             "cost_s": round(cost_s, 4),

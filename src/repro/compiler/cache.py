@@ -289,10 +289,14 @@ def load(key: str, well_formed: Optional[Callable[[Dict[str, Any]], bool]]
         # Corrupt artifact: quarantine it and recompile instead of
         # crashing (or re-reading the same garbage forever).
         _STATS["errors"] += 1
+        _STATS["misses"] += 1
         _quarantine(path)
         return None
     except OSError:
+        # Unreadable (a directory, no permission): recompile, and leave
+        # it where it is.
         _STATS["errors"] += 1
+        _STATS["misses"] += 1
         return None
     if not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION:
         _STATS["misses"] += 1

@@ -4,6 +4,8 @@ This is the "Graph -> Streams -> Tasks" tier of Figure 16.  Each layer
 group is lowered (``lower_workload``), scheduled on the event engine, and
 summarized into a :class:`CompiledLayer` carrying the statistics every
 evaluation figure needs: per-pipe busy cycles, L1 traffic, GM traffic.
+A compile's layers are lowered one by one and drained as one batch
+(``schedule_summary``), each program still timed as if alone.
 
 Identical layer groups (e.g. the 12/24 transformer layers of BERT) hit a
 compilation cache keyed by workload structure, so large models compile in
@@ -76,19 +78,6 @@ class CompiledModel:
         return self.total_macs / peak if peak else 0.0
 
 
-def _observed(layer: CompiledLayer) -> CompiledLayer:
-    """Report a cache-served layer to the active profiling session.
-
-    Freshly compiled layers are observed at the scheduler
-    (``schedule_summary``); cache hits never reach it, so without this
-    hook a warm profiled run would appear to execute nothing.
-    """
-    session = active_session()
-    if session is not None:
-        session.observe_layer(layer)
-    return layer
-
-
 class GraphEngine:
     """Compiles graphs for one core design point, with a workload cache.
 
@@ -111,52 +100,95 @@ class GraphEngine:
 
     def compile_workload(self, work: OpWorkload, name: Optional[str] = None,
                          a_bytes_scale: float = 1.0) -> CompiledLayer:
-        """Lower + schedule one workload, memoized in process memory.
+        """Lower + schedule one workload through the layer tier: the
+        batch of one of :meth:`compile_layers`."""
+        group = name or work.name
+        return self.compile_layers([(group, work)], {group: a_bytes_scale})[0]
+
+    def compile_layers(self, pairs: Sequence[Tuple[str, OpWorkload]],
+                       scales: Optional[Dict[str, float]] = None
+                       ) -> List[CompiledLayer]:
+        """One :class:`CompiledLayer` per ``(group, workload)`` pair, in
+        order, with im2col ``scales`` by group, through the layer tier.
 
         The process-global layer tier is keyed by :func:`cache.content_key`
         (the fields lowering reads), so each distinct layer shape compiles
-        once per process.  Layers are not persisted: across processes the
-        whole-model and step-cost entries of :mod:`repro.compiler.cache`
-        answer before any layer is compiled.
+        once per process; a repeat within the batch is a tier hit too.
+        The misses are lowered one by one (``lower_workload``) and drained
+        as one batch (``schedule_summary``).  Layers are not persisted:
+        across processes the whole-model and step-cost entries of
+        :mod:`repro.compiler.cache` answer before any layer is compiled.
         """
-        key = cache.content_key(self.config, work, a_bytes_scale)
+        scales = scales or {}
         # Active stall/sync fault campaigns suspend every stats tier:
         # cached clean schedules would mask the injected faults, and
-        # faulted schedules must never be served to clean runs.
+        # faulted schedules must never be served to clean runs, so every
+        # pair compiles, repeats included.
         stats_cached = not cache.timing_stats_bypassed()
-        if stats_cached:
-            cached = self._cache.get(key)
-            if cached is not None:
-                cache.note_memory_hit()
-                return _observed(self._relabel(cached, work, name))
-        program = lower_workload(work, self.config,
-                                 a_bytes_scale_for_gemms=a_bytes_scale)
-        summary = schedule_summary(program, self.costs)
-        layer = CompiledLayer(
-            name=name or work.name,
-            workload=work,
-            cycles=summary.total_cycles,
-            cube_cycles=summary.busy_cycles(Pipe.M),
-            vector_cycles=summary.busy_cycles(Pipe.V),
-            mte1_cycles=summary.busy_cycles(Pipe.MTE1),
-            mte2_cycles=summary.busy_cycles(Pipe.MTE2),
-            mte3_cycles=summary.busy_cycles(Pipe.MTE3),
-            l1_read_bytes=summary.l1_read_bytes,
-            l1_write_bytes=summary.l1_write_bytes,
-            gm_read_bytes=summary.gm_read_bytes,
-            gm_write_bytes=summary.gm_write_bytes,
-            instr_count=len(program),
-        )
-        if stats_cached:
-            self._cache[key] = layer
-        return layer
+        layers: List[Optional[CompiledLayer]] = [None] * len(pairs)
+        first: Dict[tuple, int] = {}   # key -> its pair compiled here
+        repeats: Dict[int, int] = {}   # pair -> the pair it repeats
+        compiled: List[Tuple[int, tuple]] = []
+        programs = []
+        for i, (group, work) in enumerate(pairs):
+            scale = scales.get(group, 1.0)
+            key = cache.content_key(self.config, work, scale)
+            if stats_cached:
+                cached = self._cache.get(key)
+                if cached is not None or key in first:
+                    cache.note_memory_hit()
+                    if cached is None:
+                        repeats[i] = first[key]
+                    else:
+                        layers[i] = self._relabel(cached, work, group)
+                    continue
+                first[key] = i
+            compiled.append((i, key))
+            programs.append(lower_workload(work, self.config,
+                                           a_bytes_scale_for_gemms=scale))
+        summaries = schedule_summary(programs, self.costs) if programs else []
+        for (i, key), program, summary in zip(compiled, programs, summaries):
+            group, work = pairs[i]
+            layer = layers[i] = CompiledLayer(
+                name=group,
+                workload=work,
+                cycles=summary.total_cycles,
+                cube_cycles=summary.busy_cycles(Pipe.M),
+                vector_cycles=summary.busy_cycles(Pipe.V),
+                mte1_cycles=summary.busy_cycles(Pipe.MTE1),
+                mte2_cycles=summary.busy_cycles(Pipe.MTE2),
+                mte3_cycles=summary.busy_cycles(Pipe.MTE3),
+                l1_read_bytes=summary.l1_read_bytes,
+                l1_write_bytes=summary.l1_write_bytes,
+                gm_read_bytes=summary.gm_read_bytes,
+                gm_write_bytes=summary.gm_write_bytes,
+                instr_count=len(program),
+            )
+            if stats_cached:
+                self._cache[key] = layer
+        for i, j in repeats.items():
+            group, work = pairs[i]
+            layers[i] = self._relabel(layers[j], work, group)
+        # A profiling session sees the compile in pair order: each fresh
+        # summary under its program's name, each tier hit as its layer.
+        session = active_session()
+        if session is not None:
+            fresh = {i: (program.name, summary) for (i, _), program, summary
+                     in zip(compiled, programs, summaries)}
+            for i, layer in enumerate(layers):
+                if i in fresh:
+                    label, summary = fresh[i]
+                    session.observe_summary(summary, label=label)
+                else:
+                    session.observe_layer(layer)
+        return layers
 
     @staticmethod
     def _relabel(layer: CompiledLayer, work: OpWorkload,
-                 name: Optional[str]) -> CompiledLayer:
+                 name: str) -> CompiledLayer:
         """Cached statistics under this call's name/workload identity."""
         return CompiledLayer(
-            name=name or work.name, workload=work,
+            name=name, workload=work,
             **{f: getattr(layer, f) for f in cache.LAYER_FIELDS},
         )
 
@@ -190,6 +222,15 @@ class GraphEngine:
         ``name`` with its im2col ``scales``: the one compile path, which
         :meth:`compile_graph` derives its inputs for.
 
+        The model's ``model-`` entry answers first.  On a miss every
+        layer is keyed for the in-memory layer tier; the layers it
+        misses (a repeat within the model is a hit) are lowered one by
+        one and drained as one batch — one concatenation, one pricing
+        pass, one wait matching and one summary pass for the compile
+        (:meth:`compile_layers`) — and the rows are stored as the
+        model's entry.  Under a stall/sync fault campaign both tiers
+        are bypassed and every pair compiles, repeats included.
+
         ``layers_text`` is their :func:`cache.model_layers_text`, for a
         caller that compiles one model on many design points (the DSE
         search): the whole-model key then encodes only the design point.
@@ -197,23 +238,21 @@ class GraphEngine:
         key = cache.model_content_key(self.config, pairs, scales,
                                       layers_text)
 
-        # See compile_workload: timing-fault campaigns bypass the stats
-        # tiers in both directions.
+        # Timing-fault campaigns bypass the stats tiers in both
+        # directions (see compile_layers).
         stats_cached = not cache.timing_stats_bypassed()
         if stats_cached:
             payload = cache.load_model(key, len(pairs))
             if payload is not None:
                 layers = self._layers_from_entry(payload, pairs)
-                for layer in layers:
-                    _observed(layer)
+                session = active_session()
+                if session is not None:
+                    for layer in layers:
+                        session.observe_layer(layer)
                 return CompiledModel(name=name, config=self.config,
                                      layers=layers)
 
-        layers = [
-            self.compile_workload(work, name=group,
-                                  a_bytes_scale=scales.get(group, 1.0))
-            for group, work in pairs
-        ]
+        layers = self.compile_layers(pairs, scales)
         if stats_cached:
             cache.store_model(key, {
                 "layers": [

@@ -23,7 +23,8 @@ id    channel            meaning
 
 The emitter behind every entry point here is the columnar one in
 :mod:`repro.compiler.arena_lowering`; every returned program is
-arena-built.
+arena-built (``lower_workload``'s from its sub-programs' arenas, as
+parts).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from ..config.core_configs import CoreConfig
 from ..dtypes import DType, FP16
 from ..errors import CompileError
 from ..graph.workload import OpWorkload, VectorWork
-from ..isa.arena import InstructionArena
 from ..isa.instructions import VectorOpcode
 from ..isa.program import Program
 from .arena_lowering import lower_gemm_arena, lower_vector_arena
@@ -63,10 +63,11 @@ def reset_lowering_stats() -> None:
 
 # Lowering is pure given its arguments minus the tag, and real graphs
 # repeat structures relentlessly (BERT's 12 encoder blocks, resnet's
-# stages), so lowered arenas are memoized on those arguments as the
-# caller passed them: a GEMM's key holds the requested ``tiling`` and
-# ``b_resident``, so a hit runs no tiling search and resolves no
-# residency, and this memo is the only cache of tiling choices.
+# stages), so lowered arenas (a workload's parts) are memoized on
+# those arguments as the caller passed them: a GEMM's key holds the
+# requested ``tiling`` and ``b_resident``, so a hit runs no tiling
+# search and resolves no residency, and this memo is the only cache of
+# tiling choices.
 # A hit is retagged via the zero-copy :meth:`InstructionArena.retagged` —
 # column arrays are shared, never mutated after lowering, so sharing is
 # safe and downstream identity-keyed caches (``Program.validate``'s
@@ -220,8 +221,11 @@ def lower_workload(work: OpWorkload, config: CoreConfig,
                    a_bytes_scale_for_gemms: float = 1.0) -> Program:
     """Lower an op workload (GEMMs + vector work) to one program.
 
-    Performance-only: sub-programs are concatenated; each is internally
-    flag-balanced, so the concatenation is a legal program.
+    Performance-only: the program is its sub-programs end to end; each
+    is internally flag-balanced, so the concatenation is a legal
+    program.  It keeps them as parts (:meth:`Program.from_parts`) and
+    concatenates them only when its ``arena`` is read, so the timing
+    engine concatenates a batch of lowered workloads in one pass.
     """
     tag = tag if tag is not None else work.name
     name = f"{work.name}_{config.name}"
@@ -229,25 +233,23 @@ def lower_workload(work: OpWorkload, config: CoreConfig,
            a_bytes_scale_for_gemms)
     hit = _memo_get(key)
     if hit is not None:
-        return Program.from_arena(hit.retagged(tag), name=name)
+        return Program.from_parts(
+            [(arena.retagged(tag), reps) for arena, reps in hit], name=name)
     # The sub-program memo hands structurally identical adjacent layers
     # the *same* arena object — fold them into the repeat count so concat
     # records one wide repeat block (better steady-state extrapolation)
     # instead of several narrow ones.
-    arenas: List[InstructionArena] = []
-    reps: List[int] = []
+    parts: List[list] = []
     subs = [(lower_gemm(g.m, g.k, g.n, config, dtype=g.dtype, tag=tag,
                         a_bytes_scale=a_bytes_scale_for_gemms)._arena,
              g.count) for g in work.gemms]
     subs += [(lower_vector_work(v, config, tag=tag)._arena, 1)
              for v in work.vector]
     for arena, count in subs:
-        if arenas and arena is arenas[-1]:
-            reps[-1] += count
+        if parts and arena is parts[-1][0]:
+            parts[-1][1] += count
         else:
-            arenas.append(arena)
-            reps.append(count)
-    program = Program.from_arena(InstructionArena.concat(arenas, reps),
-                                 name=name)
-    _memo_put(key, program._arena)
+            parts.append([arena, count])
+    program = Program.from_parts([tuple(part) for part in parts], name=name)
+    _memo_put(key, program.parts)
     return program

@@ -19,7 +19,20 @@ import numpy as np
 
 from ..config.core_configs import CoreConfig
 from ..errors import IsaError
-from ..isa.instructions import VectorOpcode
+from ..isa.arena import _COLUMN_NAMES, DTYPE_BITS, DTYPE_TABLE
+from ..isa.instructions import (
+    OP_BARRIER,
+    OP_COPY,
+    OP_CUBE,
+    OP_DECOMP,
+    OP_IMG2COL,
+    OP_SCALAR,
+    OP_SET,
+    OP_TRANSPOSE,
+    OP_VECTOR,
+    OP_WAIT,
+    VectorOpcode,
+)
 from ..isa.memref import MemSpace
 from ..memory.bandwidth import DatapathModel
 
@@ -37,6 +50,8 @@ _VOP_CAST = list(VectorOpcode).index(VectorOpcode.CAST)
 
 
 _COLUMN_MEMO_CAP = 512
+# Every column but the tags: retagged arenas price alike.
+_PRICED_COLUMNS = tuple(c for c in _COLUMN_NAMES if c != "tag_id")
 
 
 class CostModel:
@@ -87,6 +102,24 @@ class CostModel:
     # -- dispatch -------------------------------------------------------------
 
     def cost_columns(self, arena) -> np.ndarray:
+        """:meth:`price_columns`, memoized by column identity and frozen:
+        retagged memo siblings (a repeated layer scheduled again) share
+        one pricing."""
+        hit = self._column_memo.get(id(arena.kind))
+        if (hit is not None
+                and all(getattr(hit[0], c) is getattr(arena, c)
+                        for c in _PRICED_COLUMNS)):
+            return hit[1]
+        cost = self.price_columns(arena)
+        # Freeze before memoizing: any in-place mutation by a future
+        # caller would silently poison every sharer — raising is better.
+        cost.flags.writeable = False
+        self._column_memo[id(arena.kind)] = (arena, cost)
+        while len(self._column_memo) > _COLUMN_MEMO_CAP:
+            self._column_memo.pop(next(iter(self._column_memo)))
+        return cost
+
+    def price_columns(self, arena) -> np.ndarray:
         """Per-row cycle costs for a whole arena, fully vectorized.
 
         The one production pricing path.  Tests assert it equals the
@@ -97,25 +130,6 @@ class CostModel:
         inexact arenas too — every priced quantity (cycles, nbytes, elems)
         is column-encoded even for rows whose full semantics are not.
         """
-        from ..isa.arena import _COLUMN_NAMES, DTYPE_BITS, DTYPE_TABLE
-        from ..isa.instructions import (
-            OP_BARRIER,
-            OP_COPY,
-            OP_CUBE,
-            OP_DECOMP,
-            OP_IMG2COL,
-            OP_SCALAR,
-            OP_SET,
-            OP_TRANSPOSE,
-            OP_VECTOR,
-            OP_WAIT,
-        )
-        priced_cols = tuple(c for c in _COLUMN_NAMES if c != "tag_id")
-        hit = self._column_memo.get(id(arena.kind))
-        if (hit is not None
-                and all(getattr(hit[0], c) is getattr(arena, c)
-                        for c in priced_cols)):
-            return hit[1]
         kind = arena.kind
         cost = np.zeros(arena.n, np.int64)
         cost[(kind == OP_SET) | (kind == OP_WAIT)
@@ -124,13 +138,12 @@ class CostModel:
         if sc.any():
             cost[sc] = arena.misc[sc]
 
-        mv = ((kind == OP_COPY) | (kind == OP_IMG2COL)
-              | (kind == OP_TRANSPOSE) | (kind == OP_DECOMP))
-        if mv.any():
+        mv = np.nonzero((kind == OP_COPY) | (kind == OP_IMG2COL)
+                        | (kind == OP_TRANSPOSE) | (kind == OP_DECOMP))[0]
+        if mv.size:
             # Img2Col charges its (expanded) destination; the other moves
             # charge their source (Instruction.nbytes).
-            nb = np.where(kind[mv] == OP_IMG2COL,
-                          arena.nbytes[mv, 0], arena.nbytes[mv, 1])
+            nb = arena.slot_bytes(mv, np.where(kind[mv] == OP_IMG2COL, 0, 1))
             width = self.datapath.width_matrix()[
                 arena.r_space[mv, 1], arena.r_space[mv, 0]]
             c = (self.datapath.TRANSFER_OVERHEAD_CYCLES
@@ -138,8 +151,8 @@ class CostModel:
             c[nb <= 0] = self.datapath.TRANSFER_OVERHEAD_CYCLES
             cost[mv] = c
 
-        cb = kind == OP_CUBE
-        if cb.any():
+        cb = np.nonzero(kind == OP_CUBE)[0]
+        if cb.size:
             m = arena.r_d0[cb, 1]
             k = arena.r_d1[cb, 1]
             n = arena.r_d1[cb, 2]
@@ -151,13 +164,11 @@ class CostModel:
                                                  DTYPE_TABLE[dti])
             cost[cb] = c
 
-        vec = kind == OP_VECTOR
-        if vec.any():
-            has_src = arena.r_space[vec, 1] >= 0
-            slot = np.where(has_src, 1, 0)
-            rows = np.nonzero(vec)[0]
-            elems = arena.elems[rows, slot].astype(np.float64)
-            elem_bytes = DTYPE_BITS[arena.r_dtype[rows, slot]] / 8.0
+        vec = np.nonzero(kind == OP_VECTOR)[0]
+        if vec.size:
+            slot = np.where(arena.r_space[vec, 1] >= 0, 1, 0)
+            elems = arena.slot_elems(vec, slot).astype(np.float64)
+            elem_bytes = DTYPE_BITS[arena.r_dtype[vec, slot]] / 8.0
             vops = arena.vop[vec]
             passes = _VOP_PASSES[vops]
             per_pass = np.ceil(
@@ -171,10 +182,4 @@ class CostModel:
                              / self.config.ub_bytes_per_cycle)
                 c[special] = _VEC_STARTUP + ub.astype(np.int64)
             cost[vec] = c
-        # Freeze before memoizing: any in-place mutation by a future
-        # caller would silently poison every sharer — raising is better.
-        cost.flags.writeable = False
-        self._column_memo[id(arena.kind)] = (arena, cost)
-        while len(self._column_memo) > _COLUMN_MEMO_CAP:
-            self._column_memo.pop(next(iter(self._column_memo)))
         return cost

@@ -4,12 +4,20 @@ Figure 3 semantics: the PSQ dispatches instructions *in program order* into
 per-pipe in-order queues; pipes run concurrently; a ``wait_flag`` stalls
 its pipe until the matching ``set_flag`` retires on the producer pipe.
 
-Every program drains through one columnar drain, :func:`_drain_arena`,
-over ``program.arena`` (object-built programs grow their arena on first
-access, inexact rows included).  Pipes retire in program order, so the
-j-th wait on a flag channel always pairs with the channel's j-th set: the
-pairing is computed once, vectorized (:func:`_match_waits`), and the
-drain picks one of two walks over it:
+The engine drains a *batch* of programs through one columnar drain,
+:func:`_drain`: the programs' parts are concatenated once
+(:func:`_concat`), priced by one :class:`CostModel` pass and their
+waits matched by one vectorized pass (:func:`_match_waits`) over the
+shared columns.  Each program keeps its own rows and stays independent
+of the others: a wait pairs only with a set of its own program, the
+pipes start idle at its first row, and the PSQ dispatch bound counts
+rows from its start.  :func:`schedule` is the batch of one (plus the
+event-order trace); :func:`schedule_summary` drains the compile path's
+batches and summarizes every program in one segmented pass.
+
+Pipes retire in program order, so the j-th wait on a flag channel always
+pairs with the channel's j-th set of the same program; the drain then
+walks each program, in order, one of two ways:
 
 * the **flat drain** — when every wait pairs with an earlier set,
   program order is a topological order of the dependence DAG and one
@@ -26,17 +34,22 @@ rescan-to-fixpoint scheduler the suites compare against).
 A program whose waits can never be satisfied raises
 :class:`~repro.errors.DeadlockError` with a structured
 :class:`~repro.reliability.deadlock.DeadlockReport` — the same programs
-hang real silicon, so surfacing them loudly is a feature.
+hang real silicon, so surfacing them loudly is a feature.  Programs drain
+in batch order, so the first one that deadlocks raises, and the programs
+after it are not drained.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import DeadlockError
+from ..isa.arena import InstructionArena
+from ..isa.channels import pack_channel
 from ..isa.instructions import OP_SET, OP_WAIT, OPCODE_OF
 from ..isa.pipes import Pipe
 from ..isa.program import Program
@@ -54,7 +67,8 @@ __all__ = [
 ]
 
 # Observability for the drain fast paths (tests pin that the intended
-# path actually engaged; the benchmark harness reports them).
+# path actually engaged; the benchmark harness reports them).  Counted
+# per program.
 _ENGINE_STATS = {"flat_drains": 0, "general_drains": 0,
                  "extrapolated_blocks": 0}
 
@@ -83,7 +97,8 @@ def schedule(program: Program, costs: CostModel) -> ExecutionTrace:
     is primary, so events sort by (start, end, program index).
     """
     arena = program.arena
-    starts, ends = _drain_arena(arena, costs)
+    starts, ends = _drain(arena, np.array([0, arena.n]),
+                          costs.cost_columns(arena))
     order = np.lexsort((np.arange(arena.n), ends, starts))
     trace = ExecutionTrace.from_columns(arena.take(order), order,
                                         arena.pipe[order], starts[order],
@@ -97,79 +112,204 @@ def schedule(program: Program, costs: CostModel) -> ExecutionTrace:
     return trace
 
 
+def schedule_summary(programs: Sequence[Program], costs: CostModel
+                     ) -> List[TraceSummary]:
+    """Schedule a batch of programs; one :class:`TraceSummary` each, in
+    order.
+
+    The compile path (``GraphEngine.compile_pairs``) consumes nothing
+    but aggregate statistics, so this skips the event-order sort and the
+    trace, and drains all of a compile's missed layers as one batch:
+    one concatenation, one pricing pass, one wait matching and one
+    segmented :func:`~repro.core.trace.summarize`.  Each summary equals
+    ``schedule(program, costs).summary()`` (asserted in
+    tests/core/test_engine_equivalence.py and test_batch_drain.py).
+    The caller reports the summaries to a profiling session, in its own
+    order among its cache hits.
+    """
+    arena, bounds = _concat(programs)
+    # A concatenated batch is never drained again, so it is priced
+    # without the cost model's column memo (which would pin it).
+    starts, ends = _drain(arena, bounds, costs.price_columns(arena))
+    return summarize(arena, arena.pipe, starts, ends, bounds)
+
+
+def _concat(programs: Sequence[Program]
+            ) -> Tuple[InstructionArena, np.ndarray]:
+    """The batch's rows as one arena, plus program boundaries: program
+    ``p`` is rows ``bounds[p]:bounds[p + 1]``.  Part-built programs give
+    their parts, so each is concatenated once, here."""
+    parts = [part for program in programs for part in program.parts]
+    bounds = np.zeros(len(programs) + 1, np.int64)
+    np.cumsum([len(program) for program in programs], out=bounds[1:])
+    if len(parts) == 1 and parts[0][1] == 1:
+        return parts[0][0], bounds
+    arenas, reps = zip(*parts) if parts else ((), ())
+    return InstructionArena.concat(arenas, reps, _DRAIN_COLUMNS), bounds
+
+
 _KIND_NAME = {op: cls.__name__ for cls, op in OPCODE_OF.items()}
 
+# The arena columns a drain reads: pricing, wait matching, the walks,
+# the deadlock report and the summary.  Tags, immediates, offsets and
+# pitches stay out of a batch's concatenation.
+_DRAIN_COLUMNS = ("kind", "pipe", "flag_src", "flag_dst", "event", "vop",
+                  "misc", "r_space", "r_d0", "r_d1", "r_dtype")
 
-def _match_waits(arena) -> np.ndarray:
-    """Static wait -> set pairing, computed vectorized.
+
+def _match_waits(arena: InstructionArena, row_prog: np.ndarray
+                 ) -> np.ndarray:
+    """Static wait -> set pairing, computed vectorized for a batch.
 
     A runtime FIFO rendezvous per flag channel admits a *static*
     matching: every wait of a channel executes on the channel's dst pipe
     and every set on its src pipe, and pipes retire in program order — so
     the j-th program-order wait on a channel always pops the end time of
-    the j-th program-order set, regardless of interleaving.  Returns an
-    (n,) array: row index of the matched set for waits, -1 for non-waits,
-    and -2 for waits whose set never arrives (they stall forever, which
-    the drain reports as the same deadlock the dynamic rendezvous hits).
+    the j-th program-order set, regardless of interleaving.  Channels
+    are keyed by (program, flag channel), ``row_prog`` giving each row's
+    program.  Returns an (n,) array: row index of the matched set for
+    waits, -1 for non-waits, and -2 for waits whose set never arrives
+    (they stall forever, which the drain reports as the same deadlock
+    the dynamic rendezvous hits).
     """
-    packed = arena.packed_channels()
     kind = arena.kind
-    set_idx = np.nonzero(kind == OP_SET)[0]
-    wait_idx = np.nonzero(kind == OP_WAIT)[0]
     match = np.full(arena.n, -1, np.int64)
-    if not wait_idx.size:
+    flags = np.nonzero((kind == OP_SET) | (kind == OP_WAIT))[0]
+    is_set = kind[flags] == OP_SET
+    if is_set.all():
         return match
-    if not set_idx.size:
-        match[wait_idx] = -2
-        return match
-
-    def chan_rank(ch: np.ndarray) -> np.ndarray:
-        """Occurrence number of each element within its channel value."""
-        order = np.argsort(ch, kind="stable")
-        sorted_ch = ch[order]
-        new_group = np.empty(ch.size, bool)
-        new_group[0] = True
-        np.not_equal(sorted_ch[1:], sorted_ch[:-1], out=new_group[1:])
-        group_start = np.maximum.accumulate(
-            np.where(new_group, np.arange(ch.size), 0))
-        ranks = np.empty(ch.size, np.int64)
-        ranks[order] = np.arange(ch.size) - group_start
-        return ranks
-
-    set_ch = packed[set_idx]
-    wait_ch = packed[wait_idx]
-    stride = np.int64(max(set_idx.size, wait_idx.size) + 1)
-    set_key = set_ch * stride + chan_rank(set_ch)
-    wait_key = wait_ch * stride + chan_rank(wait_ch)
-    order = np.argsort(set_key)
-    pos = np.searchsorted(set_key, wait_key, sorter=order)
-    pos_clipped = np.minimum(pos, set_key.size - 1)
-    candidates = set_idx[order[pos_clipped]]
-    found = (pos < set_key.size) & (set_key[order[pos_clipped]] == wait_key)
-    match[wait_idx] = np.where(found, candidates, -2)
+    chan = pack_channel(arena.flag_src[flags], arena.flag_dst[flags],
+                        arena.event[flags].astype(np.int64))
+    # Flags grouped by channel, in row order (so by program) within each
+    # group.  numpy's stable sort is a radix sort on 16-bit keys, which
+    # every channel of the lowering's event map fits.
+    order = np.argsort(chan.astype(np.int16) if chan.max() < 1 << 15
+                       else chan, kind="stable")
+    rows, is_set, chan = flags[order], is_set[order], chan[order]
+    prog = row_prog[rows]
+    new = np.empty(rows.size, bool)
+    new[0] = True
+    new[1:] = (chan[1:] != chan[:-1]) | (prog[1:] != prog[:-1])
+    group = np.cumsum(new) - 1
+    first = np.nonzero(new)[0]
+    # Rank of each wait among its group's waits; the group's sets, in
+    # order, are one run of ``set_rows``.
+    waits_before = np.cumsum(~is_set) - ~is_set
+    rank = (waits_before - waits_before[first][group])[~is_set]
+    set_rows = rows[is_set]
+    sets_per_group = np.bincount(group[is_set], minlength=first.size)
+    set_start = np.cumsum(sets_per_group) - sets_per_group
+    wait_group = group[~is_set]
+    found = rank < sets_per_group[wait_group]
+    pos = np.where(found, set_start[wait_group] + rank, 0)
+    match[rows[~is_set]] = (np.where(found, set_rows[pos], -2)
+                            if set_rows.size else -2)
     return match
 
 
-def _repeat_segments(arena, n: int) -> List[Tuple[int, int, int]]:
-    """Usable (start, block, reps) segments: in bounds, non-overlapping,
-    ascending, and big enough that steady-state detection can pay off
-    (at least four repeats — two to warm up, two to verify the shift)."""
-    out: List[Tuple[int, int, int]] = []
+def _repeat_segments(repeats, bounds: List[int]
+                     ) -> List[List[Tuple[int, int, int]]]:
+    """Usable (start, block, reps) segments of each program: inside it,
+    non-overlapping, ascending, and big enough that steady-state
+    detection can pay off (at least four repeats — two to warm up, two
+    to verify the shift)."""
+    out: List[List[Tuple[int, int, int]]] = [[] for _ in bounds[1:]]
     last_end = 0
-    for start, block, reps in sorted(getattr(arena, "repeats", ())):
+    for start, block, reps in sorted(repeats):
         if reps < 4 or block < 1:
             continue
+        p = bisect_right(bounds, start) - 1
         end = start + block * reps
-        if start < last_end or end > n:
+        if start < last_end or p >= len(out) or end > bounds[p + 1]:
             continue
-        out.append((start, block, reps))
+        out[p].append((start, block, reps))
         last_end = end
     return out
 
 
-def _flat_drain_arena(arena, cost_col: np.ndarray, match_col: np.ndarray
-                      ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Program-order drain: valid whenever every wait matches backward.
+def _drain(arena: InstructionArena, bounds: np.ndarray,
+           cost_col: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The timing engine's one drain: (starts, ends) for every row of a
+    batch whose program ``p`` is rows ``bounds[p]:bounds[p + 1]``.
+
+    The prepass reads the precomputed columns directly — ``cost_col``
+    from :meth:`CostModel.price_columns`, flag pairing from
+    :func:`_match_waits`, each row's dispatch bound from its row index
+    within its program — so no per-row Python dispatch exists between
+    the compiler and the drain loop.  Programs then drain in order: the
+    flat program-order walk (:func:`_flat_walk`) whenever every wait of
+    the program pairs backward, else the general queue drain
+    (:func:`_queue_drain`), which schedules stalls and reports
+    deadlocks.
+    """
+    n = arena.n
+    sizes = np.diff(bounds)
+    row_prog = np.repeat(np.arange(sizes.size), sizes)
+    index = np.arange(n, dtype=np.int64)
+    match_col = _match_waits(arena, row_prog)
+    dispatch = (index - np.repeat(bounds[:-1], sizes)) // _DISPATCH_PER_CYCLE
+    # Flat exactly when every wait matches backward (always true for
+    # lowered programs; injected sync faults can break it).
+    backward = np.bincount(row_prog[(match_col == -2) | (match_col >= index)],
+                           minlength=sizes.size) == 0
+
+    pipe_l = arena.pipe.tolist()
+    cost_l = cost_col.tolist()
+    match_l = match_col.tolist()
+    dispatch_l = dispatch.tolist()
+    ends: List[int] = []   # filled in row order, program by program
+    bound_l = bounds.tolist()
+    segments = _repeat_segments(arena.repeats, bound_l)
+
+    # RAS hooks (no-ops without an active plan): stall faults scale the
+    # cost column; sync faults perturb the static wait->set matching (a
+    # dropped set becomes the never-set marker its consumer stalls on).
+    # Both act on one program at a time, in batch order, just before it
+    # drains, so the injector draws as it would program by program.
+    inj = active_injector()
+    stall = inj is not None and inj.has_stall_faults()
+    sync = inj is not None and inj.has_sync_faults()
+    if stall:
+        cost_col = cost_col.copy()
+    if sync:
+        packed = arena.packed_channels()
+
+    for p, (lo, hi) in enumerate(zip(bound_l, bound_l[1:])):
+        if stall:
+            cost_col[lo:hi] = inj.scale_costs(cost_col[lo:hi],
+                                              arena.pipe[lo:hi])
+            cost_l[lo:hi] = cost_col[lo:hi].tolist()
+        if sync:
+            own = match_col[lo:hi]   # a view: perturbed in place
+            own[:] = _shift(inj.perturb_matches(
+                _shift(own, -lo), packed[lo:hi],
+                np.nonzero(arena.kind[lo:hi] == OP_SET)[0]), lo)
+            match_l[lo:hi] = own.tolist()
+            backward[p] = not np.any((own == -2) | (own >= index[lo:hi]))
+        if backward[p]:
+            _ENGINE_STATS["flat_drains"] += 1
+            _flat_walk(lo, hi, segments[p], pipe_l, cost_l, match_l,
+                       dispatch_l, ends, cost_col, match_col)
+            continue
+        _ENGINE_STATS["general_drains"] += 1
+        ends.extend(_queue_drain(arena, lo, hi, cost_col[lo:hi],
+                                 _shift(match_col[lo:hi], -lo), inj))
+
+    ends_col = np.fromiter(ends, np.int64, n)
+    return ends_col - cost_col, ends_col
+
+
+def _shift(match: np.ndarray, offset: int) -> np.ndarray:
+    """``match`` with every matched set row moved by ``offset`` (the
+    markers -1 and -2 kept): between batch and program row numbers."""
+    return np.where(match >= 0, match + offset, match)
+
+
+def _flat_walk(lo: int, hi: int, segments, pipe_l, cost_l, match_l,
+               dispatch_l, ends, cost_col: np.ndarray,
+               match_col: np.ndarray) -> None:
+    """Program-order drain of rows [lo, hi): valid whenever every wait
+    matches backward.
 
     In every program the default lowerers emit, the j-th wait on a
     channel always pairs with a set at a *lower* row index (producers
@@ -180,62 +320,46 @@ def _flat_drain_arena(arena, cost_col: np.ndarray, match_col: np.ndarray
     the work-conserving queue drain converges to (both evaluate the
     identical per-row recurrence ``end = max(pipe_prev, dispatch,
     matched_end) + cost``; tests pin byte-identity against the queue
-    drain and the fixpoint oracle).  Returns None — caller falls back to
-    the general drain — when a wait matches forward or never (the
-    general drain owns stall scheduling and deadlock reporting).
+    drain and the fixpoint oracle).  Appends rows [lo, hi) to ``ends``,
+    which holds the rows before them.
 
-    Concat-repeated regions (``arena.repeats``) additionally use max-plus
+    Concat-repeated regions (``segments``) additionally use max-plus
     shift invariance: once the per-block match pattern repeats exactly,
     two consecutive blocks shift end times by one uniform delta, and the
     PSQ dispatch bound is strictly dominated with delta >= ceil(block /
     dispatch-rate), every later block is the previous one shifted by
     that delta — computed vectorized instead of re-walked row by row.
     """
-    n = arena.n
-    if n == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    if match_col.size:
-        if np.any(match_col == -2):
-            return None  # unmatched wait: general drain reports deadlock
-        if np.any(match_col >= np.arange(n, dtype=np.int64)):
-            return None  # forward match: program order not topological
-    disp = _DISPATCH_PER_CYCLE
-    pipe_l = arena.pipe.tolist()
-    cost_l = cost_col.tolist()
-    match_l = match_col.tolist()
-    ends = [0] * n
     pipe_time = [0] * _N_PIPES
+    append = ends.append
 
-    def run(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            p = pipe_l[i]
+    def run(a: int, b: int) -> None:
+        # ``ends`` holds every earlier row: rows [a, b) append in order.
+        for p, d, m, c in zip(pipe_l[a:b], dispatch_l[a:b], match_l[a:b],
+                              cost_l[a:b]):
             t = pipe_time[p]
-            d = i // disp
             if t < d:
                 t = d
-            m = match_l[i]
             if m >= 0:
                 s = ends[m]
                 if s > t:
                     t = s
-            t += cost_l[i]
+            t += c
             pipe_time[p] = t
-            ends[i] = t
+            append(t)
 
-    pos = 0
-    for rstart, block, reps in _repeat_segments(arena, n):
+    pos = lo
+    for rstart, block, reps in segments:
         run(pos, rstart)
         _run_repeat_region(rstart, block, reps, run, ends, pipe_l, cost_l,
-                           cost_col, match_col, pipe_time, disp)
+                           dispatch_l, cost_col, match_col, pipe_time)
         pos = rstart + block * reps
-    run(pos, n)
-    ends_col = np.asarray(ends, np.int64)
-    return ends_col - cost_col, ends_col
+    run(pos, hi)
 
 
 def _run_repeat_region(rstart: int, B: int, R: int, run, ends, pipe_l,
-                       cost_l, cost_col, match_col, pipe_time,
-                       disp: int) -> None:
+                       cost_l, dispatch_l, cost_col, match_col,
+                       pipe_time) -> None:
     """Drain rows [rstart, rstart + B*R) — R copies of a B-row block —
     extrapolating the steady state once it is *proven*, else walking.
 
@@ -252,8 +376,9 @@ def _run_repeat_region(rstart: int, B: int, R: int, run, ends, pipe_l,
     a strict dispatch margin on every row of the last block.  From there
     induction gives ends(block j+k) = ends(block j) + k*delta: pipe
     cursors and matched ends all shift by delta, and the dispatch bound
-    grows by at most ceil(B/disp) <= delta per block while start times
-    grow by exactly delta, so it can never catch up and bind.
+    (the row's index within its program over the dispatch rate) grows
+    by at most ceil(B/disp) <= delta per block while start times grow
+    by exactly delta, so it can never catch up and bind.
     """
     seg_end = rstart + B * R
     mm = match_col[rstart:seg_end].reshape(R, B)
@@ -270,7 +395,7 @@ def _run_repeat_region(rstart: int, B: int, R: int, run, ends, pipe_l,
         run(rstart, seg_end)
         return
 
-    min_delta = -(-B // disp)
+    min_delta = -(-B // _DISPATCH_PER_CYCLE)
     delta_prev: Optional[int] = None
     prev: Optional[list] = None
     j = 0
@@ -283,13 +408,12 @@ def _run_repeat_region(rstart: int, B: int, R: int, run, ends, pipe_l,
             uniform = all(c - p == d for c, p in zip(cur, prev))
             if (uniform and d == delta_prev and d >= min_delta
                     and j + 1 < R
-                    and all(ends[s + r] - cost_l[s + r] > (s + r) // disp
+                    and all(ends[s + r] - cost_l[s + r] > dispatch_l[s + r]
                             for r in range(B))):
                 rem = R - 1 - j
                 blk = np.asarray(cur, np.int64)
                 shifts = np.arange(1, rem + 1, dtype=np.int64) * d
-                ends[s + B:seg_end] = \
-                    (blk[None, :] + shifts[:, None]).ravel().tolist()
+                ends.extend((blk[None, :] + shifts[:, None]).ravel().tolist())
                 total = rem * d
                 for p in set(pipe_l[s:s + B]):
                     pipe_time[p] += total
@@ -300,49 +424,21 @@ def _run_repeat_region(rstart: int, B: int, R: int, run, ends, pipe_l,
         j += 1
 
 
-def _drain_arena(arena, costs: CostModel) -> Tuple[np.ndarray, np.ndarray]:
-    """The timing engine's one drain: (starts, ends) for every arena row.
+def _queue_drain(arena: InstructionArena, lo: int, hi: int,
+                 cost_col: np.ndarray, match_col: np.ndarray, inj
+                 ) -> List[int]:
+    """General queue drain of one program, rows [lo, hi): its end times,
+    indexed within the program (``match_col`` pairs in those indices).
 
-    The prepass reads the precomputed columns directly — costs from
-    :meth:`CostModel.cost_columns`, flag pairing from :func:`_match_waits`
-    — so no per-row Python dispatch exists between the compiler and the
-    drain loop.  The flat program-order walk runs whenever every wait
-    pairs backward; otherwise the general queue drain below schedules
-    stalls and reports deadlocks.  The static matching strips every
-    dict/deque operation out of its loop: a wait reads its producer's end
-    time straight out of ``ends`` (−1 = not yet retired), and a retiring
-    instruction wakes at most one registered waiter via a flat array.
-    Each pipe's queue is pre-zipped into (row, cost, match) tuples so the
-    hot loop unpacks one small-list entry instead of indexing three
-    program-length columns.
+    The static matching strips every dict/deque operation out of its
+    loop: a wait reads its producer's end time straight out of ``ends``
+    (−1 = not yet retired), and a retiring instruction wakes at most one
+    registered waiter via a flat array.  Each pipe's queue is pre-zipped
+    into (row, cost, match) tuples so the hot loop unpacks one
+    small-list entry instead of indexing three program-length columns.
     """
-    n = arena.n
-    pipe_col = arena.pipe
-    cost_col = costs.cost_columns(arena)
-    match_col = _match_waits(arena)
-
-    # RAS hooks (no-ops without an active plan): stall faults scale the
-    # cost column; sync faults perturb the static wait->set matching (a
-    # dropped set becomes the never-set marker its consumer stalls on).
-    inj = active_injector()
-    if inj is not None:
-        if inj.has_stall_faults():
-            cost_col = inj.scale_costs(cost_col, pipe_col)
-        if inj.has_sync_faults():
-            match_col = inj.perturb_matches(
-                match_col, arena.packed_channels(),
-                np.nonzero(arena.kind == OP_SET)[0])
-
-    # Flat program-order fast path: applicable exactly when every wait
-    # matches backward (always true for lowered programs; injected sync
-    # faults can break it, in which case the perturbed match column
-    # fails the precondition and the general drain below takes over).
-    flat = _flat_drain_arena(arena, cost_col, match_col)
-    if flat is not None:
-        _ENGINE_STATS["flat_drains"] += 1
-        return flat
-    _ENGINE_STATS["general_drains"] += 1
-
+    n = hi - lo
+    pipe_col = arena.pipe[lo:hi]
     queues: List[List[tuple]] = []
     for p in range(_N_PIPES):
         rows = np.nonzero(pipe_col == p)[0]
@@ -355,7 +451,6 @@ def _drain_arena(arena, costs: CostModel) -> Tuple[np.ndarray, np.ndarray]:
     # channel's single consumer pipe), -1 when none.
     waiter_of = [-1] * n
     runnable: Deque[int] = deque(p for p in range(_N_PIPES) if queues[p])
-    starts = [0] * n
     ends = [-1] * n
     done = 0
 
@@ -380,7 +475,6 @@ def _drain_arena(arena, costs: CostModel) -> Tuple[np.ndarray, np.ndarray]:
                     start = signalled
             end = start + c
             now = end
-            starts[index] = start
             ends[index] = end
             woken = waiter_of[index]
             if woken >= 0:
@@ -395,8 +489,8 @@ def _drain_arena(arena, costs: CostModel) -> Tuple[np.ndarray, np.ndarray]:
         # Watchdog: the static matching already names each wait's
         # producer; -2 marks a wait whose set never exists (or whose set
         # was dropped by an injected sync fault).
-        packed = arena.packed_channels()
-        kind_col = arena.kind
+        packed = arena.packed_channels()[lo:hi]
+        kind_col = arena.kind[lo:hi]
         stalls = []
         for p in range(_N_PIPES):
             if cursors[p] < len(queues[p]):
@@ -418,22 +512,4 @@ def _drain_arena(arena, costs: CostModel) -> Tuple[np.ndarray, np.ndarray]:
         report = build_report(stalls, injected=injected)
         raise DeadlockError(report.describe(), report=report)
 
-    return np.asarray(starts, np.int64), np.asarray(ends, np.int64)
-
-
-def schedule_summary(program: Program, costs: CostModel) -> TraceSummary:
-    """Schedule ``program`` and return only its :class:`TraceSummary`.
-
-    The compile path (``GraphEngine.compile_workload``) consumes nothing
-    but aggregate statistics, so this skips the event-order sort and the
-    trace.  Equal to ``schedule(program, costs).summary()`` by
-    construction: both are :func:`~repro.core.trace.summarize` over the
-    same drain (asserted in tests/core/test_engine_equivalence.py).
-    """
-    arena = program.arena
-    starts, ends = _drain_arena(arena, costs)
-    summary = summarize(arena, arena.pipe, starts, ends)
-    session = active_session()
-    if session is not None:
-        session.observe_summary(summary, label=program.name)
-    return summary
+    return ends

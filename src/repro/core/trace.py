@@ -76,34 +76,56 @@ class TraceSummary:
 
 
 def summarize(arena: InstructionArena, pipe: np.ndarray, start: np.ndarray,
-              end: np.ndarray) -> TraceSummary:
-    """Makespan, per-pipe busy cycles and L1/GM traffic of scheduled rows.
+              end: np.ndarray, bounds: Sequence[int]) -> List[TraceSummary]:
+    """Makespan, per-pipe busy cycles and L1/GM traffic of each program
+    of scheduled rows, in one segmented pass.
 
     ``pipe``, ``start`` and ``end`` hold one entry per arena row, in the
-    arena's row order.  ``busy_by_pipe[p]`` sums the occupied cycles on
-    pipe ``p``, flag bookkeeping included.  L1 reads are the L1 ->
-    L0A/L0B/UB feeds (MTE1); L1 writes are inbound GM -> L1 (MTE2) and
-    UB -> L1 write-backs (MTE3), the quantity Figure 9 profiles.  GM
-    reads and writes are the BIU/LLC traffic.  Both
-    :meth:`ExecutionTrace.summary` and the compile path's
-    :func:`~repro.core.engine.schedule_summary` return this.
+    arena's row order; program ``p`` is rows ``bounds[p]:bounds[p + 1]``.
+    ``busy_by_pipe[p]`` sums the occupied cycles on pipe ``p``, flag
+    bookkeeping included.  L1 reads are the L1 -> L0A/L0B/UB feeds
+    (MTE1); L1 writes are inbound GM -> L1 (MTE2) and UB -> L1
+    write-backs (MTE3), the quantity Figure 9 profiles.  GM reads and
+    writes are the BIU/LLC traffic.  :meth:`ExecutionTrace.summary` is
+    the batch of one; the compile path's
+    :func:`~repro.core.engine.schedule_summary` summarizes a batch.
     """
+    bounds = np.asarray(bounds, np.int64)
+    sizes = np.diff(bounds)
+    count = sizes.size
+    row_prog = np.repeat(np.arange(count), sizes)
     # int64 sums are exact through float64 weights (values < 2^53).
-    busy = np.bincount(pipe, weights=end - start,
-                       minlength=len(Pipe)).astype(np.int64)
-    move = np.isin(arena.kind, MOVE_OPS)
-    nbytes = arena.nbytes
-    src = arena.r_space[:, 1]
-    dst = arena.r_space[:, 0]
+    busy = np.bincount(row_prog * len(Pipe) + pipe, weights=end - start,
+                       minlength=count * len(Pipe)).astype(np.int64)
+    total = np.zeros(count, np.int64)
+    occupied = sizes > 0
+    if occupied.any():
+        total[occupied] = np.maximum.reduceat(end, bounds[:-1][occupied])
+    # Traffic from the move rows only: bytes into (slot 0) and out of
+    # (slot 1) each move, summed per program through a running total.
+    move = np.nonzero(np.isin(arena.kind, MOVE_OPS))[0]
+    src = arena.r_space[move, 1]
+    dst = arena.r_space[move, 0]
+    into = arena.slot_bytes(move, 0)
+    out_of = arena.slot_bytes(move, 1)
+    edges = np.searchsorted(move, bounds)
+    running = np.zeros(move.size + 1, np.int64)
     l1, gm = int(MemSpace.L1), int(MemSpace.GM)
-    return TraceSummary(
-        total_cycles=int(end.max()) if len(end) else 0,
-        busy_by_pipe=tuple(int(b) for b in busy),
-        l1_read_bytes=int(nbytes[move & (src == l1), 1].sum()),
-        l1_write_bytes=int(nbytes[move & (dst == l1), 0].sum()),
-        gm_read_bytes=int(nbytes[move & (src == gm), 0].sum()),
-        gm_write_bytes=int(nbytes[move & (dst == gm), 1].sum()),
-    )
+
+    def per_program(mask: np.ndarray, nbytes: np.ndarray) -> List[int]:
+        np.cumsum(np.where(mask, nbytes, 0), out=running[1:])
+        return (running[edges[1:]] - running[edges[:-1]]).tolist()
+
+    traffic = zip(per_program(src == l1, out_of),
+                  per_program(dst == l1, into),
+                  per_program(src == gm, into),
+                  per_program(dst == gm, out_of))
+    return [TraceSummary(total_cycles=cycles, busy_by_pipe=tuple(by_pipe),
+                         l1_read_bytes=l1_read, l1_write_bytes=l1_write,
+                         gm_read_bytes=gm_read, gm_write_bytes=gm_write)
+            for cycles, by_pipe, (l1_read, l1_write, gm_read, gm_write)
+            in zip(total.tolist(), busy.reshape(count, len(Pipe)).tolist(),
+                   traffic)]
 
 
 class _EventsView(Sequence):
@@ -288,7 +310,8 @@ class ExecutionTrace:
     def summary(self) -> TraceSummary:
         """Makespan, per-pipe busy cycles and L1/GM traffic (see
         :func:`summarize`)."""
-        return summarize(self._arena, self._pipe, self._start, self._end)
+        return summarize(self._arena, self._pipe, self._start, self._end,
+                         (0, len(self)))[0]
 
     def moved_bytes(self, src: MemSpace, dst: MemSpace,
                     tag: Optional[str] = None) -> int:

@@ -109,7 +109,7 @@ class InstructionArena:
     """One lowered program as parallel columns (see module docstring)."""
 
     __slots__ = (*_COLUMN_NAMES, "n", "tags", "exact", "repeats",
-                 "_objects", "_nbytes", "_elems")
+                 "_objects", "_nbytes")
 
     def __init__(self, n: int, tags: Optional[List[str]] = None) -> None:
         self.n = n
@@ -127,7 +127,6 @@ class InstructionArena:
         self.repeats: List[Tuple[int, int, int]] = []
         self._objects: Optional[List[Instruction]] = None
         self._nbytes: Optional[np.ndarray] = None
-        self._elems: Optional[np.ndarray] = None
         for name, dtype, rank in _COLUMNS:
             shape = n if rank == 1 else (n, 3)
             if name in ("flag_src", "flag_dst", "event", "vop", "r_space"):
@@ -154,20 +153,24 @@ class InstructionArena:
             return len(self.tags) - 1
 
     @property
-    def elems(self) -> np.ndarray:
-        """(n, 3) element counts per region slot (0 for empty slots)."""
-        if self._elems is None:
-            d1 = np.where(self.r_d1 > 0, self.r_d1, 1)
-            self._elems = np.where(self.r_space >= 0, self.r_d0 * d1, 0)
-        return self._elems
-
-    @property
     def nbytes(self) -> np.ndarray:
         """(n, 3) payload bytes per region slot (``Region.nbytes``)."""
         if self._nbytes is None:
-            bits = DTYPE_BITS[self.r_dtype]
-            self._nbytes = (self.elems * bits + 7) // 8
+            self._nbytes = self.slot_bytes(slice(None), slice(None))
         return self._nbytes
+
+    def slot_elems(self, rows, slot) -> np.ndarray:
+        """Element counts of region ``slot`` of ``rows`` (0 for empty
+        slots): the pricing and summary passes read a few rows of a
+        batch, so nothing is computed for the rest."""
+        d1 = self.r_d1[rows, slot]
+        return np.where(self.r_space[rows, slot] >= 0,
+                        self.r_d0[rows, slot] * np.where(d1 > 0, d1, 1), 0)
+
+    def slot_bytes(self, rows, slot) -> np.ndarray:
+        """``nbytes[rows, slot]``, computed for those entries only."""
+        bits = DTYPE_BITS[self.r_dtype[rows, slot]]
+        return (self.slot_elems(rows, slot) * bits + 7) // 8
 
     def region_ends(self) -> np.ndarray:
         """(n, 3) ``Region.end`` per slot: offset + footprint.
@@ -380,7 +383,7 @@ class InstructionArena:
         out.repeats = []
         out._objects = (None if self._objects is None
                         else [self._objects[i] for i in rows.tolist()])
-        out._nbytes = out._elems = None
+        out._nbytes = None
         return out
 
     def retagged(self, tag: str) -> "InstructionArena":
@@ -404,24 +407,32 @@ class InstructionArena:
         out.repeats = list(self.repeats)
         out._objects = None
         out._nbytes = self._nbytes
-        out._elems = self._elems
         out.tag_id = (np.ones(self.n, np.int32) if tag
                       else np.zeros(self.n, np.int32))
         return out
 
     @classmethod
     def concat(cls, arenas: Sequence["InstructionArena"],
-               repeats: Optional[Sequence[int]] = None) -> "InstructionArena":
+               repeats: Optional[Sequence[int]] = None,
+               columns: Sequence[str] = _COLUMN_NAMES) -> "InstructionArena":
         """Concatenate arenas (each optionally tiled ``repeats[i]`` times).
 
-        Tag tables are merged and tag-id columns remapped.
+        Tag tables are merged and tag-id columns remapped.  Only
+        ``columns`` are filled: the timing engine concatenates a batch of
+        programs for what pricing, wait matching and summaries read, and
+        such an arena keeps no instruction objects (reading a column left
+        out raises ``AttributeError``).
         """
         arenas = list(arenas)
         repeats = list(repeats) if repeats is not None else [1] * len(arenas)
-        out = cls(0)
+        out = cls.__new__(cls)
+        out.tags = [""]
         out.exact = all(a.exact for a in arenas)
-        pieces: Dict[str, List[np.ndarray]] = {n: [] for n in _COLUMN_NAMES}
-        objects: Optional[List[Instruction]] = None if out.exact else []
+        out.repeats = []
+        out._nbytes = None
+        pieces: Dict[str, List[np.ndarray]] = {n: [] for n in columns}
+        objects: Optional[List[Instruction]] = (
+            None if out.exact or len(columns) < len(_COLUMN_NAMES) else [])
         total = 0
         for arena, reps in zip(arenas, repeats):
             if reps <= 0 or arena.n == 0:
@@ -433,22 +444,20 @@ class InstructionArena:
                                    for start, block, r in arena.repeats)
             if objects is not None:  # inexact rows need their objects
                 objects.extend(arena.materialize() * reps)
-            remap = np.array([out.intern(t) for t in arena.tags], np.int32)
-            for name in _COLUMN_NAMES:
+            for name in columns:
                 column = getattr(arena, name)
                 if name == "tag_id":
-                    column = remap[column]
-                if reps > 1:
-                    tile = (reps,) if column.ndim == 1 else (reps, 1)
-                    column = np.tile(column, tile)
-                pieces[name].append(column)
+                    column = np.array([out.intern(t) for t in arena.tags],
+                                      np.int32)[column]
+                pieces[name].extend([column] * reps)
             total += arena.n * reps
         out.n = total
         out._objects = objects
         for name, dtype, rank in _COLUMNS:
+            if name not in pieces:
+                continue
             if pieces[name]:
                 setattr(out, name, np.concatenate(pieces[name]))
             else:
-                shape = 0 if rank == 1 else (0, 3)
-                setattr(out, name, np.zeros(shape, dtype))
+                setattr(out, name, np.zeros(0 if rank == 1 else (0, 3), dtype))
         return out

@@ -1,12 +1,17 @@
 """Program container: a thin handle over a columnar instruction arena.
 
-A :class:`Program` can be built either from instruction objects (builder
-APIs, TIK/TBE/CCE frontends, tests) or directly from an
+A :class:`Program` can be built from instruction objects (builder
+APIs, TIK/TBE/CCE frontends, tests), directly from an
 :class:`~repro.isa.arena.InstructionArena` (the vectorized lowering fast
-path).  Whichever side exists first, the other is derived lazily:
+path), or from *parts* — arenas placed end to end, each tiled a number
+of times (a lowered workload's sub-programs).  Whichever side exists
+first, the others are derived lazily:
 
 * object-built programs grow an arena on first columnar access
   (validation, cost columns, scheduler prepass);
+* part-built programs concatenate their parts on first ``arena`` read;
+  the timing engine reads the parts instead, so a batch of programs is
+  concatenated once, not once per program and again per batch;
 * arena-built programs materialize instruction objects only when a
   consumer actually iterates rows (functional replay, CCE text,
   encoding) — mirroring how ``TraceEvent`` is a lazy view over the
@@ -21,7 +26,7 @@ vector selects).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,7 +80,7 @@ class Program:
     ordering only exists where flags impose it (Figure 3).
     """
 
-    __slots__ = ("name", "_instructions", "_arena")
+    __slots__ = ("name", "_instructions", "_arena", "_parts")
 
     def __init__(self, instructions: Optional[List[Instruction]] = None,
                  name: str = "program",
@@ -84,6 +89,7 @@ class Program:
             raise IsaError("pass instructions or an arena, not both")
         self.name = name
         self._arena = arena
+        self._parts: Optional[Tuple[Tuple[InstructionArena, int], ...]] = None
         self._instructions: Optional[List[Instruction]] = (
             instructions if instructions is not None
             else (None if arena is not None else []))
@@ -93,24 +99,47 @@ class Program:
                    ) -> "Program":
         return cls(arena=arena, name=name)
 
-    # -- the two representations ----------------------------------------------
+    @classmethod
+    def from_parts(cls, parts: Sequence[Tuple[InstructionArena, int]],
+                   name: str = "program") -> "Program":
+        """The program that is ``parts`` — ``(arena, reps)`` pairs — end to
+        end, each arena tiled ``reps`` times (see
+        :meth:`InstructionArena.concat`)."""
+        program = cls(name=name)
+        program._instructions = None
+        program._parts = tuple(parts)
+        return program
+
+    # -- the representations -------------------------------------------------
 
     @property
     def instructions(self) -> List[Instruction]:
         """The instruction objects (materialized from the arena on first
         access for arena-built programs)."""
         if self._instructions is None:
-            self._instructions = self._arena.materialize()
+            self._instructions = self.arena.materialize()
         return self._instructions
 
     @property
     def arena(self) -> InstructionArena:
-        """The columnar form (built from the objects on first access for
-        object-built programs)."""
+        """The columnar form (built from the objects, or concatenated from
+        the parts, on first access)."""
         if self._arena is None:
-            self._arena = InstructionArena.from_instructions(
-                self._instructions)
+            if self._parts is not None:
+                arenas, reps = zip(*self._parts) if self._parts else ((), ())
+                self._arena = InstructionArena.concat(arenas, reps)
+            else:
+                self._arena = InstructionArena.from_instructions(
+                    self._instructions)
         return self._arena
+
+    @property
+    def parts(self) -> Tuple[Tuple[InstructionArena, int], ...]:
+        """``(arena, reps)`` pairs whose concatenation is this program:
+        its own parts, else its arena once."""
+        if self._parts is not None:
+            return self._parts
+        return ((self.arena, 1),)
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
@@ -118,7 +147,10 @@ class Program:
     def __len__(self) -> int:
         if self._instructions is not None:
             return len(self._instructions)
-        return self._arena.n
+        if self._arena is not None:
+            return self._arena.n
+        return sum(arena.n * reps for arena, reps in self._parts
+                   if reps > 0)
 
     def __getitem__(self, idx):
         return self.instructions[idx]
@@ -130,7 +162,7 @@ class Program:
         if instrs is getattr(self._arena, "_objects", None):
             # Don't mutate the arena's cached view in place.
             instrs = self._instructions = list(instrs)
-        self._arena = None  # stale columns
+        self._arena = self._parts = None  # stale columns
         instrs.append(instr)
 
     def extend(self, instrs: Iterable[Instruction]) -> None:

@@ -22,9 +22,10 @@ its only persistent entry, keyed by what the graph builder takes plus
 the design point (:func:`repro.compiler.cache.bucket_key`): a later
 cost model for the same design point reads its layers back without
 building or hashing the graph.  A miss compiles the graph's layer
-groups through the in-memory layer tier
-(:meth:`~repro.compiler.graph_engine.GraphEngine.compile_workload`);
-GPT graphs have no convolutions, so no group has an im2col scale.  The
+groups as one batch through the in-memory layer tier
+(:meth:`~repro.compiler.graph_engine.GraphEngine.compile_layers`: its
+missed layers are drained together, as a model compile's are); GPT
+graphs have no convolutions, so no group has an im2col scale.  The
 tier follows the stats tiers' bypasses (``REPRO_CACHE=0`` and
 stall/sync fault campaigns) and is not used under the predictor.
 
@@ -228,9 +229,8 @@ class StepCostModel:
                     for row in entry["layers"]:
                         session.observe_layer(SimpleNamespace(**row))
                 return entry["cycles"], entry["layers"]
-        layers = [self.engine.compile_workload(work, name=group)
-                  for group, work
-                  in self._graph(phase, batch, tokens).grouped_workloads()]
+        layers = self.engine.compile_layers(
+            self._graph(phase, batch, tokens).grouped_workloads())
         cycles = max(1, sum(layer.cycles for layer in layers))
         rows = [{"name": layer.name,
                  **{field: getattr(layer, field)

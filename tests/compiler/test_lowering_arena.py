@@ -50,7 +50,7 @@ def _check(entry, *args, **kwargs):
         assert got is want
         return None
     assert not isinstance(got, type), f"production lowering raised {got}"
-    assert got._arena is not None
+    assert got._instructions is None  # built from arenas
     assert len(got) == len(want)
     assert got.instructions == want.instructions
     return got
@@ -188,7 +188,7 @@ class TestGemmEquivalence:
                 OpWorkload(name="w", gemms=(GemmWork(32, 32, 32),),
                            vector=(VectorWork(elems=100),)), ASCEND_MAX),
         ]
-        assert all(p._arena is not None for p in programs)
+        assert all(p._instructions is None for p in programs)
 
 
 class TestVectorEquivalence:
@@ -293,4 +293,5 @@ class TestSchedulerEquivalence:
     def test_summaries_identical(self):
         p_obj, p_ar = self._programs()
         costs = CostModel(ASCEND_MAX)
-        assert schedule_summary(p_obj, costs) == schedule_summary(p_ar, costs)
+        assert schedule_summary([p_obj], costs) \
+            == schedule_summary([p_ar], costs)

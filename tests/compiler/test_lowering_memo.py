@@ -49,7 +49,7 @@ def _fresh(lower, *args, **kwargs):
 
 
 def _columns_identical(a, b):
-    ar, br = a._arena, b._arena
+    ar, br = a.arena, b.arena
     assert ar is not None and br is not None
     assert ar.n == br.n
     assert ar.tags == br.tags

@@ -194,8 +194,8 @@ class TestSchedulerEquivalence:
     def test_summary_matches_trace(self, seed, n):
         rng = np.random.default_rng(seed)
         program = _random_flagged_program(rng, n, allow_deadlock=False)
-        assert schedule_summary(program, _COSTS) \
-            == schedule(program, _COSTS).summary()
+        assert schedule_summary([program], _COSTS) \
+            == [schedule(program, _COSTS).summary()]
 
     @pytest.mark.parametrize("config", [ASCEND_MAX, ASCEND_LITE],
                              ids=lambda c: c.name)
@@ -225,7 +225,7 @@ class TestCompiledCorpusEquivalence:
             fast = schedule(program, costs)
             oracle = schedule_fixpoint(program, costs)
             assert fast.events == oracle.events
-            summary = schedule_summary(program, costs)
+            (summary,) = schedule_summary([program], costs)
             assert summary.total_cycles == oracle.total_cycles
             for pipe in Pipe:
                 assert summary.busy_cycles(pipe) == oracle.busy_cycles(pipe)

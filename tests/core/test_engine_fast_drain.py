@@ -69,7 +69,7 @@ class TestFlatDrainEquivalence:
         ]
         for work in graph_works:
             program = lower_workload(work, ASCEND_MAX)
-            assert program._arena is not None
+            assert program._instructions is None  # built from arenas
             _assert_traces_identical(program)
         stats = engine_stats()
         # Lowered programs only ever wait on already-emitted sets, so
@@ -105,8 +105,8 @@ class TestRepeatExtrapolation:
     @pytest.mark.parametrize("count", [4, 7, 12])
     def test_extrapolated_blocks_bit_identical(self, count):
         program = lower_workload(self._repeated_workload(count), ASCEND_MAX)
-        assert program._arena is not None
-        assert program._arena.repeats  # concat recorded the block
+        assert program._instructions is None  # built from arenas
+        assert program.arena.repeats  # concat recorded the block
         reset_engine_stats()
         _assert_traces_identical(program)
         assert engine_stats()["extrapolated_blocks"] > 0
@@ -122,7 +122,7 @@ class TestRepeatExtrapolation:
     def test_summary_equals_trace_summary(self):
         program = lower_workload(self._repeated_workload(8), ASCEND_MAX)
         trace = schedule(program, _COSTS)
-        assert schedule_summary(program, _COSTS) == trace.summary()
+        assert schedule_summary([program], _COSTS) == [trace.summary()]
 
 
 class TestRepeatMetadata:
@@ -131,12 +131,12 @@ class TestRepeatMetadata:
             OpWorkload(name="s",
                        gemms=(GemmWork(m=64, k=64, n=64, dtype=FP16),)),
             ASCEND_MAX)
-        arena = InstructionArena.concat([sub._arena, sub._arena], [5, 1])
+        arena = InstructionArena.concat([sub.arena, sub.arena], [5, 1])
         (start, block, reps), = [r for r in arena.repeats if r[2] == 5]
         assert start == 0
-        assert block == sub._arena.n
+        assert block == sub.arena.n
         assert reps == 5
-        assert arena.n == 6 * sub._arena.n
+        assert arena.n == 6 * sub.arena.n
 
     def test_retagged_shares_columns_and_keeps_repeats(self):
         program = lower_workload(
@@ -144,7 +144,7 @@ class TestRepeatMetadata:
                        gemms=(GemmWork(m=64, k=64, n=64, dtype=FP16,
                                        count=4),)),
             ASCEND_MAX, tag="alpha")
-        arena = program._arena
+        arena = program.arena
         other = arena.retagged("beta")
         assert other.kind is arena.kind  # zero-copy column sharing
         assert other.repeats == arena.repeats

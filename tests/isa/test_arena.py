@@ -87,7 +87,7 @@ class TestColumns:
         prog = _gemm_program()
         arena = prog._arena
         nb = arena.nbytes
-        el = arena.elems
+        el = arena.slot_elems(slice(None), slice(None))
         for i, instr in enumerate(prog.instructions):
             if isinstance(instr, CubeMatmul):
                 assert el[i, 1] == instr.a.elems

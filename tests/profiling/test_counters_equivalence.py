@@ -78,7 +78,8 @@ class TestCountersMatchTrace:
     @settings(max_examples=30, deadline=None)
     def test_from_summary_agrees_with_from_trace(self, seed, n):
         program, trace = _traced(seed, n)
-        fast = PerfCounters.from_summary(schedule_summary(program, _COSTS))
+        (summary,) = schedule_summary([program], _COSTS)
+        fast = PerfCounters.from_summary(summary)
         full = PerfCounters.from_trace(trace)
         assert fast.total_cycles == full.total_cycles
         assert fast.busy_by_pipe == full.busy_by_pipe
@@ -153,9 +154,9 @@ class TestProfilingIsPure:
     def test_summaries_identical_under_session(self, seed, n):
         rng = np.random.default_rng(seed)
         program = _random_flagged_program(rng, n, allow_deadlock=False)
-        baseline = schedule_summary(program, _COSTS)
+        baseline = schedule_summary([program], _COSTS)
         with profile():
-            observed = schedule_summary(program, _COSTS)
+            observed = schedule_summary([program], _COSTS)
         assert baseline == observed
 
     def test_env_session_is_pure_and_observes(self, monkeypatch):

@@ -149,13 +149,30 @@ def test_bad_entry_quarantined_and_repriced(isolated, text):
     assert (StepCostModel(TINY, CORE, use_predictor=False)
             .decode_cycles(2, 32) == clean)
     assert (cache.quarantine_dir() / path.name).read_text() == text
-    # A rejected entry is an error and no hit; valid JSON is rejected
-    # by the structural check, so it is a miss as well.
+    # A rejected entry, garbled JSON or valid JSON the structural check
+    # turns down, is an error and a miss, never a hit.
     assert _delta(before, "hits") == _delta(before, "bucket_hits") == 0
     assert _delta(before, "errors") == 1
-    assert _delta(before, "misses") == (0 if text == "{not json" else 1)
+    assert _delta(before, "misses") == 1
     assert _delta(before, "bucket_stores") == 1
     assert json.loads(path.read_text())["cycles"] == clean
+
+
+def test_unreadable_entry_is_a_miss(isolated):
+    """An entry that cannot be read (here a directory at its path, which
+    raises ``IsADirectoryError``) is an error and a miss: the bucket is
+    priced anew, and the entry is left where it is."""
+    clean = StepCostModel(TINY, CORE, use_predictor=False).decode_cycles(2, 32)
+    path = _entry_path(TINY, CORE, "decode", 2, 32)
+    path.unlink()
+    path.mkdir()
+    before = cache.snapshot()
+    assert (StepCostModel(TINY, CORE, use_predictor=False)
+            .decode_cycles(2, 32) == clean)
+    assert _delta(before, "hits") == _delta(before, "bucket_hits") == 0
+    assert _delta(before, "misses") == 1
+    assert _delta(before, "quarantined") == 0
+    assert path.is_dir()
 
 
 def test_cache_off_bypasses_the_tier(isolated, monkeypatch):
