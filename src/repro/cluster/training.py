@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import SchedulingError
-from ..profiling.session import active_session
 from ..reliability.checkpoint import (
     CheckpointedRun,
     CheckpointPolicy,
@@ -109,11 +108,6 @@ class DataParallelTrainer:
         compute = per_chip.step_seconds
         comm = hierarchical_allreduce_seconds(grad_bytes, chips, self.cluster)
         exposed = comm * (1 - self.overlap_fraction)
-        session = active_session()
-        if session is not None:
-            session.note("cluster.chips", chips)
-            session.note("cluster.step_seconds", compute + exposed)
-            session.note("cluster.exposed_allreduce_seconds", exposed)
         return compute + exposed, compute, exposed
 
     # -- ResNet-50 / ImageNet (the paper's headline run) ---------------------------

@@ -25,7 +25,6 @@ from ..graph import Graph
 from ..graph.ops import Conv2D, DepthwiseConv2D
 from ..graph.workload import OpWorkload
 from ..isa.pipes import Pipe
-from ..profiling.session import active_session
 from . import cache
 from .lowering import lower_workload
 from .stream import Block, Stream, Task
@@ -169,18 +168,6 @@ class GraphEngine:
         for i, j in repeats.items():
             group, work = pairs[i]
             layers[i] = self._relabel(layers[j], work, group)
-        # A profiling session sees the compile in pair order: each fresh
-        # summary under its program's name, each tier hit as its layer.
-        session = active_session()
-        if session is not None:
-            fresh = {i: (program.name, summary) for (i, _), program, summary
-                     in zip(compiled, programs, summaries)}
-            for i, layer in enumerate(layers):
-                if i in fresh:
-                    label, summary = fresh[i]
-                    session.observe_summary(summary, label=label)
-                else:
-                    session.observe_layer(layer)
         return layers
 
     @staticmethod
@@ -245,10 +232,6 @@ class GraphEngine:
             payload = cache.load_model(key, len(pairs))
             if payload is not None:
                 layers = self._layers_from_entry(payload, pairs)
-                session = active_session()
-                if session is not None:
-                    for layer in layers:
-                        session.observe_layer(layer)
                 return CompiledModel(name=name, config=self.config,
                                      layers=layers)
 

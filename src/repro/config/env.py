@@ -39,7 +39,6 @@ KNOBS = (
     "REPRO_FAULTS",
     "REPRO_PREDICT",
     "REPRO_PREDICT_MODEL",
-    "REPRO_PROFILE",
     "REPRO_SERVE_PREDICT",
     "REPRO_SWEEP_CHECKPOINT",
     "REPRO_SWEEP_RETRIES",

@@ -53,7 +53,6 @@ from ..isa.channels import pack_channel
 from ..isa.instructions import OP_SET, OP_WAIT, OPCODE_OF
 from ..isa.pipes import Pipe
 from ..isa.program import Program
-from ..profiling.session import active_session
 from ..reliability.deadlock import PipeStall, build_report
 from ..reliability.injector import active_injector
 from .costs import CostModel
@@ -100,16 +99,9 @@ def schedule(program: Program, costs: CostModel) -> ExecutionTrace:
     starts, ends = _drain(arena, np.array([0, arena.n]),
                           costs.cost_columns(arena))
     order = np.lexsort((np.arange(arena.n), ends, starts))
-    trace = ExecutionTrace.from_columns(arena.take(order), order,
-                                        arena.pipe[order], starts[order],
-                                        ends[order])
-    # Profiling is a pure observer: with no active session this is one
-    # None check; with one, the finished trace is read, never mutated —
-    # cycles are byte-identical either way (pinned by tests/profiling).
-    session = active_session()
-    if session is not None:
-        session.observe_trace(trace, label=program.name)
-    return trace
+    return ExecutionTrace.from_columns(arena.take(order), order,
+                                       arena.pipe[order], starts[order],
+                                       ends[order])
 
 
 def schedule_summary(programs: Sequence[Program], costs: CostModel
@@ -124,8 +116,6 @@ def schedule_summary(programs: Sequence[Program], costs: CostModel
     segmented :func:`~repro.core.trace.summarize`.  Each summary equals
     ``schedule(program, costs).summary()`` (asserted in
     tests/core/test_engine_equivalence.py and test_batch_drain.py).
-    The caller reports the summaries to a profiling session, in its own
-    order among its cache hits.
     """
     arena, bounds = _concat(programs)
     # A concatenated batch is never drained again, so it is priced

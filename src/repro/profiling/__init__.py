@@ -1,13 +1,14 @@
 """Unified observability over the columnar trace arena.
 
-One counter registry (:mod:`~repro.profiling.counters`), an opt-in
-session layer the engine hooks report into
-(:mod:`~repro.profiling.session`, ``REPRO_PROFILE=1``), a Chrome /
-Perfetto exporter (:mod:`~repro.profiling.chrome_trace`), per-layer
-roofline attribution (:mod:`~repro.profiling.roofline`), and run
-provenance manifests (:mod:`~repro.profiling.manifest`).  The whole
-layer is a *pure view*: with profiling off, schedules and traces are
-byte-identical to a build without it.
+One counter registry (:mod:`~repro.profiling.counters`), built from a
+result its consumer already holds: a trace (``PerfCounters.from_trace``),
+a compiled model (``model_counters``) or a serving step-cost model
+(``StepCostModel.aggregate_counters``).  Around it: a Chrome / Perfetto
+exporter (:mod:`~repro.profiling.chrome_trace`), per-layer roofline
+attribution (:mod:`~repro.profiling.roofline`), and run provenance
+manifests (:mod:`~repro.profiling.manifest`).  The whole layer is a
+*pure view*: it reads finished results and never feeds back into a
+schedule.
 
 CLI: ``python -m repro.profiling.cli run resnet50 --soc ascend
 --chrome-trace out.json``.
@@ -15,14 +16,10 @@ CLI: ``python -m repro.profiling.cli run resnet50 --soc ascend
 
 from .counters import PerfCounters, channel_name, model_counters
 from .manifest import RunManifest
-from .session import ProfileSession, active_session, profile
 
 __all__ = [
     "PerfCounters",
-    "ProfileSession",
     "RunManifest",
-    "active_session",
     "channel_name",
     "model_counters",
-    "profile",
 ]

@@ -28,6 +28,7 @@ from ..core.engine import schedule
 from ..core.trace import ExecutionTrace
 from ..compiler.lowering import lower_workload
 from ..errors import ReproError
+from ..graph.workload import OpWorkload
 from ..isa.pipes import Pipe
 from ..models import build_model
 from ..models.zoo import MODEL_BUILDERS
@@ -35,7 +36,6 @@ from .chrome_trace import write_chrome_trace
 from .counters import PerfCounters
 from .manifest import RunManifest
 from .roofline import layer_rooflines, roofline_table
-from .session import profile
 
 __all__ = ["main"]
 
@@ -49,8 +49,9 @@ def _build_graph(model: str, batch: int, seq: int):
     return build_model(model, **kwargs)
 
 
-def _compile_sections(graph, config) -> List[Tuple[str, ExecutionTrace, int]]:
-    """(group, trace, workload MACs) per layer group, in model order."""
+def _compile_sections(graph, config
+                      ) -> List[Tuple[str, ExecutionTrace, OpWorkload]]:
+    """(group, trace, workload) per layer group, in model order."""
     from ..compiler.graph_engine import _im2col_scales
 
     costs = CostModel(config)
@@ -59,8 +60,7 @@ def _compile_sections(graph, config) -> List[Tuple[str, ExecutionTrace, int]]:
     for group, work in graph.grouped_workloads():
         program = lower_workload(work, config,
                                  a_bytes_scale_for_gemms=scales.get(group, 1.0))
-        trace = schedule(program, costs)
-        sections.append((group, trace, work.macs))
+        sections.append((group, schedule(program, costs), work))
     return sections
 
 
@@ -99,13 +99,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = core_config_by_name(args.soc)
     graph = _build_graph(args.model, args.batch, args.seq)
 
-    with profile() as session:
-        sections = _compile_sections(graph, config)
-        for group, trace, _macs in sections:
-            session.observe_trace(trace, label=group)
-        per_layer = [(label, counters)
-                     for label, counters in session.samples]
-        totals = session.finalize()
+    sections = _compile_sections(graph, config)
+    per_layer = [PerfCounters.from_trace(trace)
+                 for _group, trace, _work in sections]
+    totals = PerfCounters.merged(per_layer).attach_environment()
 
     manifest = RunManifest.collect(
         model=graph.name, config=config.name,
@@ -120,9 +117,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(_flag_lines(totals))
     print()
     rooflines = layer_rooflines(
-        [(group, macs, counters)
-         for (group, _trace, macs), (_label, counters)
-         in zip(sections, per_layer)],
+        [(group, work, counters)
+         for (group, _trace, work), counters in zip(sections, per_layer)],
         config,
     )
     print(roofline_table(rooflines))
@@ -133,7 +129,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.chrome_trace:
         write_chrome_trace(
             args.chrome_trace,
-            [(group, trace) for group, trace, _macs in sections],
+            [(group, trace) for group, trace, _work in sections],
             manifest=manifest.to_dict(),
             include_flags=not args.no_flags,
         )

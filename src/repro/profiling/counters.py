@@ -3,16 +3,17 @@
 Every consumer that used to re-derive "how busy was the cube pipe" or
 "how many bytes crossed L1" from raw traces — the figure benchmarks, the
 gantt renderer, the SoC/cluster reports — reads one of these instead.
-A :class:`PerfCounters` is populated in a *single vectorized pass* over
-an :class:`~repro.core.trace.ExecutionTrace`'s columns (or copied from a
-:class:`~repro.core.trace.TraceSummary` / compiled layer when the full
-trace was never materialized), and its aggregate fields are defined to
-be *exactly* the numbers the trace's own masked reductions produce —
-the equivalence is pinned by ``tests/profiling/``.
+A :class:`PerfCounters` is built from a result its consumer already
+holds: populated in a *single vectorized pass* over an
+:class:`~repro.core.trace.ExecutionTrace`'s columns (:meth:`from_trace`),
+or copied from a compiled layer (:meth:`from_layer`,
+:func:`model_counters`) when the full trace was never materialized.  Its
+aggregate fields are defined to be *exactly* the numbers the trace's own
+masked reductions produce — the equivalence is pinned by
+``tests/profiling/``.
 
-Counters are a pure view: building one never mutates the trace, and the
-profiling layer as a whole is observational — with ``REPRO_PROFILE``
-off, schedules and traces are byte-identical to a build without it.
+Counters are a pure view: building one never mutates the trace, so
+nothing the simulator schedules depends on whether anyone counts it.
 
 What one pass captures:
 
@@ -39,7 +40,7 @@ import math
 
 import numpy as np
 
-from ..core.trace import ExecutionTrace, TraceSummary
+from ..core.trace import ExecutionTrace
 from ..isa.arena import MOVE_OPS
 from ..isa.instructions import (
     OP_BARRIER,
@@ -118,7 +119,7 @@ class PerfCounters:
     traces: int = 0
     layers: int = 0
     # Environment snapshots (compile cache, fault injection) attached by
-    # the session/CLI at report time; never populated by from_trace.
+    # attach_environment at report time; never populated by from_trace.
     cache: Dict[str, int] = field(default_factory=dict)
     faults: Dict[str, int] = field(default_factory=dict)
 
@@ -220,19 +221,6 @@ class PerfCounters:
         return counters
 
     @classmethod
-    def from_summary(cls, summary: TraceSummary) -> "PerfCounters":
-        """Adopt a fast-path :class:`TraceSummary` (no flag/kind detail)."""
-        counters = cls()
-        counters.total_cycles = summary.total_cycles
-        counters.busy_by_pipe = list(summary.busy_by_pipe)
-        counters.l1_read_bytes = summary.l1_read_bytes
-        counters.l1_write_bytes = summary.l1_write_bytes
-        counters.gm_read_bytes = summary.gm_read_bytes
-        counters.gm_write_bytes = summary.gm_write_bytes
-        counters.traces = 1
-        return counters
-
-    @classmethod
     def from_layer(cls, layer) -> "PerfCounters":
         """Adopt a :class:`~repro.compiler.graph_engine.CompiledLayer`."""
         counters = cls()
@@ -298,7 +286,7 @@ class PerfCounters:
     def attach_environment(self) -> "PerfCounters":
         """Snapshot compile-cache and fault-injection counters.
 
-        Called at report time (session finalize / CLI), never on the
+        Called at report time (the profiling CLI's totals), never on the
         scheduling hot path.
         """
         from ..compiler import cache as compile_cache

@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import math
 
 from ..config.core_configs import CoreConfig
+from ..graph.workload import OpWorkload
 from ..isa.pipes import Pipe
 from .counters import PerfCounters
 
@@ -80,19 +81,29 @@ def _attribute(counters: PerfCounters) -> Tuple[str, float]:
     return (_RESOURCE[busiest], occupancy)
 
 
+def _peak_macs_per_cycle(work: OpWorkload, config: CoreConfig) -> int:
+    """The cube's MAC rate at the layer's GEMM dtype: int8 runs twice
+    the fp16 rate on an fp16-baseline cube.  Mixed dtypes take the
+    highest rate; a layer without GEMMs keeps the cube's native rate."""
+    if not work.gemms:
+        return config.cube.macs_per_cycle
+    return max(config.cube_macs_per_cycle(gemm.dtype) for gemm in work.gemms)
+
+
 def layer_rooflines(
-    layers: Sequence[Tuple[str, int, PerfCounters]],
+    layers: Sequence[Tuple[str, OpWorkload, PerfCounters]],
     config: CoreConfig,
 ) -> List[LayerRoofline]:
-    """Rooflines for ``(name, macs, counters)`` triples on one core.
+    """Rooflines for ``(name, workload, counters)`` triples on one core.
 
-    ``macs`` comes from the workload (graph-side ground truth);
-    everything cycle- and byte-shaped comes from the counters.
+    MACs and the peak they are held against come from the workload
+    (graph-side ground truth); everything cycle- and byte-shaped comes
+    from the counters.
     """
-    peak = config.cube.macs_per_cycle
     llc_limit = config.llc_bytes_per_cycle
     rooflines = []
-    for name, macs, counters in layers:
+    for name, work, counters in layers:
+        macs = work.macs
         cycles = counters.total_cycles
         gm_bytes = counters.gm_read_bytes + counters.gm_write_bytes
         bound, occupancy = _attribute(counters)
@@ -103,7 +114,7 @@ def layer_rooflines(
             macs=macs,
             intensity=(macs / gm_bytes) if gm_bytes else math.inf,
             achieved_macs_per_cycle=(macs / cycles) if cycles else 0.0,
-            peak_macs_per_cycle=peak,
+            peak_macs_per_cycle=_peak_macs_per_cycle(work, config),
             bound=bound,
             bound_occupancy=occupancy,
             llc_demand_bytes_per_cycle=demand,
@@ -115,7 +126,7 @@ def layer_rooflines(
 def model_rooflines(compiled) -> List[LayerRoofline]:
     """Rooflines for a :class:`~repro.compiler.graph_engine.CompiledModel`."""
     return layer_rooflines(
-        [(layer.name, layer.workload.macs, PerfCounters.from_layer(layer))
+        [(layer.name, layer.workload, PerfCounters.from_layer(layer))
          for layer in compiled.layers],
         compiled.config,
     )

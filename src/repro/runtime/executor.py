@@ -25,8 +25,6 @@ from ..dtypes import FP16
 from ..errors import SchedulingError
 from ..graph import Graph, ReferenceBackend
 from ..graph.ops import BatchMatMul, Conv2D, Dense, Input, Op
-from ..profiling.counters import PerfCounters
-from ..profiling.session import active_session, profile
 from .device import Device
 
 __all__ = ["ModelRunner", "RunReport"]
@@ -40,9 +38,6 @@ class RunReport:
     device_cycles: int
     offloaded_nodes: List[str] = field(default_factory=list)
     host_assisted_nodes: List[str] = field(default_factory=list)
-    # Per-run performance counters — populated only when a profiling
-    # session is active during run() (REPRO_PROFILE=1 or profile()).
-    counters: Optional[PerfCounters] = None
 
     def seconds_at(self, clock_ghz: float) -> float:
         """Wall-clock seconds of the device cycles at ``clock_ghz``."""
@@ -67,20 +62,6 @@ class ModelRunner:
     # -- public API --------------------------------------------------------------
 
     def run(self, feeds: Dict[str, np.ndarray]) -> RunReport:
-        # With a profiling session active, scope a child session to this
-        # run: every kernel the device schedules reports into it, the
-        # report carries the run's own counters, and the totals still
-        # fold back into the enclosing session.  With profiling off this
-        # is one None check.
-        if active_session() is None:
-            return self._run(feeds)
-        with profile() as scoped:
-            report = self._run(feeds)
-            scoped.note("graph", self.graph.name)
-            report.counters = scoped.counters
-        return report
-
-    def _run(self, feeds: Dict[str, np.ndarray]) -> RunReport:
         values: Dict[str, np.ndarray] = {}
         offloaded: List[str] = []
         host: List[str] = []

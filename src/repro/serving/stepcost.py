@@ -53,7 +53,6 @@ from ..errors import ConfigError
 from ..graph import Graph
 from ..models.gpt import GptConfig, build_gpt, build_gpt_decode
 from ..profiling.counters import PerfCounters
-from ..profiling.session import active_session
 from .settings import serve_predict
 
 __all__ = ["StepCostModel", "bucket_pow2"]
@@ -222,12 +221,6 @@ class StepCostModel:
             key = cache.bucket_key(self._key_prefix, phase, batch, tokens)
             entry = cache.load_bucket(key)
             if entry is not None:
-                # Reported to a profiling session as a layer-tier hit
-                # is; the per-layer views are built only for one.
-                session = active_session()
-                if session is not None:
-                    for row in entry["layers"]:
-                        session.observe_layer(SimpleNamespace(**row))
                 return entry["cycles"], entry["layers"]
         layers = self.engine.compile_layers(
             self._graph(phase, batch, tokens).grouped_workloads())

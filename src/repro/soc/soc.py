@@ -26,7 +26,6 @@ from ..graph import Graph
 from ..memory.dram import DramModel
 from ..memory.llc import LlcModel
 from ..models.training import training_workloads
-from ..profiling.session import active_session
 from .task_scheduler import TaskScheduler
 
 __all__ = ["AscendSoc", "SocRunResult", "DEFAULT_DEPLOYMENT_EFFICIENCY"]
@@ -186,12 +185,6 @@ class AscendSoc:
             compute_s += opt_cycles / compiled.config.frequency_hz
 
         memory_s = self.dram.transfer_time(dram_traffic)
-
-        session = active_session()
-        if session is not None:
-            session.note("soc", self.config.name)
-            session.note("soc.active_cores", active)
-            session.note("soc.dram_traffic_bytes", dram_traffic)
 
         return SocRunResult(
             soc_name=self.config.name,

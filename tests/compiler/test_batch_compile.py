@@ -2,14 +2,14 @@
 effects of draining them one by one.
 
 ``GraphEngine.compile_pairs`` lowers each layer the tier misses and
-drains them together.  Fault campaigns and profiling sessions must still
-see the compile layer by layer, in pair order: stall and sync faults are
-drawn for one program at a time, just before it drains, so the injector
-draws the same numbers in the same order; the same programs take the
-queue drain; the first deadlock raises at the same program; and a
-session records a fresh layer's summary under its program's name and a
-tier hit as its layer.  The digests below were taken when every layer
-was drained on its own.  resnet18 repeats one of its 11 layer groups.
+drains them together.  Fault campaigns must still see the compile layer
+by layer, in pair order: stall and sync faults are drawn for one program
+at a time, just before it drains, so the injector draws the same numbers
+in the same order; the same programs take the queue drain; and the first
+deadlock raises at the same program.  A warm compile, served by the
+layer tier or by the model's entry, returns the cold compile's rows.
+The digests below were taken when every layer was drained on its own.
+resnet18 repeats one of its 11 layer groups.
 """
 
 import hashlib
@@ -23,7 +23,6 @@ from repro.compiler.lowering import clear_lowering_memo
 from repro.config import core_config_by_name
 from repro.core.engine import engine_stats, reset_engine_stats
 from repro.errors import DeadlockError
-from repro.profiling.session import profile
 from repro.reliability import fault_scope, parse_fault_spec
 
 
@@ -52,11 +51,6 @@ def _rows(compiled):
     return [[layer.name] + [getattr(layer, field)
                             for field in cache.LAYER_FIELDS]
             for layer in compiled.layers]
-
-
-def _samples(session):
-    return [[label, counters.to_dict()]
-            for label, counters in session.samples]
 
 
 def _campaign(spec):
@@ -95,23 +89,17 @@ def test_fault_campaign_sees_layer_by_layer_drains(fresh, spec, expected):
     assert _campaign(spec) == expected
 
 
-def test_session_records_the_compile_in_pair_order(fresh, monkeypatch):
-    with profile() as cold:
-        compiled = _compile()
-    assert _digest(_rows(compiled)) == (
+def test_warm_compiles_return_the_cold_rows(fresh, monkeypatch):
+    cold = _rows(_compile())
+    assert _digest(cold) == (
         "4c16fad5c4117153469c63877133b3edfb1463500e1b0e474ace1182e542139b")
-    # Ten fresh summaries and one tier hit, in pair order.
-    assert len(cold.samples) == 11
-    assert _digest(_samples(cold)) == (
-        "eceb3596c59376d8c21e795c75fb2904bcec229bf82be4460f8a4a3b57ed598d")
 
-    warm = {}
     monkeypatch.setenv("REPRO_CACHE", "0")   # every layer a tier hit
-    with profile() as warm["layer tier"]:
-        _compile()
+    before = cache.snapshot()
+    layer_tier = _rows(_compile())
+    assert cache.snapshot()["memory_hits"] - before["memory_hits"] == 11
     monkeypatch.delenv("REPRO_CACHE")        # the model entry
-    with profile() as warm["model entry"]:
-        _compile()
-    for session in warm.values():
-        assert _digest(_samples(session)) == (
-            "892058f8ff47e514eb227c10919979605a56aee2f7e8249408d64e2642c4f8d8")
+    before = cache.snapshot()
+    model_entry = _rows(_compile())
+    assert cache.snapshot()["model_hits"] - before["model_hits"] == 1
+    assert layer_tier == model_entry == cold

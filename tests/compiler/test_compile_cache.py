@@ -252,7 +252,7 @@ class TestModelLevel:
         assert cache.stats()["model_stores"] == 1
 
         calls = []
-        engine.compile_workload = lambda *a, **kw: calls.append(a)  # type: ignore[assignment]
+        engine.compile_layers = lambda *a, **kw: calls.append(a)  # type: ignore[assignment]
         warm = engine.compile_graph(graph)
         assert calls == []
         assert warm.layers == cold.layers
@@ -272,7 +272,7 @@ class TestModelLevel:
         warm_engine = GraphEngine(ASCEND)
         warm_engine._cache = {}
         calls = []
-        warm_engine.compile_workload = lambda *a, **kw: calls.append(a)  # type: ignore[assignment]
+        warm_engine.compile_layers = lambda *a, **kw: calls.append(a)  # type: ignore[assignment]
         warm = warm_engine.compile_graph(graph)
         assert calls == []  # artifact hit: no layer ever compiled
         assert cache.stats()["model_hits"] == 1

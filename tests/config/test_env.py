@@ -111,18 +111,6 @@ class TestWorkerKnobsIntegration:
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "0")
         assert sweep_workers(8) == 1
 
-    def test_profile_flag_is_strict(self, monkeypatch):
-        import repro.profiling.session as session_mod
-
-        monkeypatch.setenv("REPRO_PROFILE", "yes")
-        session_mod._ENV_MEMO = None
-        try:
-            with pytest.raises(ConfigError, match="REPRO_PROFILE"):
-                session_mod.active_session()
-        finally:
-            session_mod._ENV_MEMO = None
-            session_mod._ENV_SESSION = None
-
 
 # Every environment knob the program reads.  Adding or dropping one is a
 # deliberate edit here, in config/env.py's KNOBS, and in the docs that
@@ -135,7 +123,6 @@ PINNED = (
     "REPRO_FAULTS",
     "REPRO_PREDICT",
     "REPRO_PREDICT_MODEL",
-    "REPRO_PROFILE",
     "REPRO_SERVE_PREDICT",
     "REPRO_SWEEP_CHECKPOINT",
     "REPRO_SWEEP_RETRIES",
@@ -165,7 +152,7 @@ class TestKnobSet:
     def test_package_reads_exactly_the_pinned_knobs(self):
         assert env.KNOBS == PINNED
         assert tuple(sorted(_knob_literals())) == PINNED
-        assert len(PINNED) == 13
+        assert len(PINNED) == 12
 
 
 def _never(args):

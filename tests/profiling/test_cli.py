@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from repro.compiler import GraphEngine
+from repro.config import ASCEND_LITE
+from repro.models import build_model
 from repro.profiling import PerfCounters
 from repro.profiling.cli import main
 
@@ -48,6 +51,17 @@ class TestRun:
         counters = PerfCounters.from_dict(payload)
         assert counters.total_cycles > 0
         assert counters.traces > 0
+
+    def test_counters_artifact_counts_each_section_once(self, artifacts):
+        """The totals are sums over the run's layer groups: the cycles
+        and instructions a compile of the same model returns."""
+        payload = json.loads(artifacts["counters"].read_text())
+        compiled = GraphEngine(ASCEND_LITE).compile_graph(
+            build_model("gesture"))
+        assert payload["total_cycles"] == compiled.total_cycles == 17_557
+        assert payload["events"] == sum(
+            layer.instr_count for layer in compiled.layers) == 2_128
+        assert payload["traces"] == len(compiled.layers)
 
     def test_manifest_artifact(self, artifacts):
         payload = json.loads(artifacts["manifest"].read_text())

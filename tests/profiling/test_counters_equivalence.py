@@ -1,13 +1,13 @@
 """PerfCounters is a pure view over the trace arena.
 
-Two equivalences are pinned here, both hypothesis-gated over randomized
+Two claims are pinned here, both hypothesis-gated over randomized
 multi-pipe flagged programs:
 
 * every aggregate a counters registry reports equals the number the
   trace's own masked reductions produce (``summary()``, ``moved_bytes``,
   a plain-python stall oracle);
-* profiling changes nothing it observes — scheduling under an active
-  session yields byte-identical traces and summaries.
+* counting changes nothing it reads — ``from_trace`` leaves the trace's
+  columns byte-identical.
 """
 
 import numpy as np
@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from repro.config import ASCEND_MAX
 from repro.core.costs import CostModel
-from repro.core.engine import schedule, schedule_summary
-from repro.isa import MemSpace, Pipe, Program, ScalarInstr
+from repro.core.engine import schedule
+from repro.isa import MemSpace, Pipe
 from repro.isa.instructions import OP_WAIT
-from repro.profiling import PerfCounters, active_session, profile
+from repro.profiling import PerfCounters
 from repro.profiling.counters import KIND_NAMES
 
 from tests.core.test_engine_equivalence import _random_flagged_program
@@ -74,20 +74,6 @@ class TestCountersMatchTrace:
             for src in MemSpace for dst in MemSpace)
         assert counters.moved_bytes_total == from_trace_total
 
-    @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(1, 50))
-    @settings(max_examples=30, deadline=None)
-    def test_from_summary_agrees_with_from_trace(self, seed, n):
-        program, trace = _traced(seed, n)
-        (summary,) = schedule_summary([program], _COSTS)
-        fast = PerfCounters.from_summary(summary)
-        full = PerfCounters.from_trace(trace)
-        assert fast.total_cycles == full.total_cycles
-        assert fast.busy_by_pipe == full.busy_by_pipe
-        assert (fast.l1_read_bytes, fast.l1_write_bytes,
-                fast.gm_read_bytes, fast.gm_write_bytes) == \
-               (full.l1_read_bytes, full.l1_write_bytes,
-                full.gm_read_bytes, full.gm_write_bytes)
-
 
 class TestWaitAttribution:
     """Stall accounting invariants plus a plain-python gap oracle."""
@@ -132,71 +118,33 @@ class TestWaitAttribution:
 
 
 class TestProfilingIsPure:
-    """The ISSUE gate: profiling on vs off is byte-identical."""
+    """Counting reads a finished trace and never writes to it."""
 
     @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(1, 60))
     @settings(max_examples=60, deadline=None)
-    def test_traces_identical_under_session(self, seed, n):
-        rng = np.random.default_rng(seed)
-        program = _random_flagged_program(rng, n, allow_deadlock=False)
-        baseline = schedule(program, _COSTS)
-        with profile() as session:
-            observed = schedule(program, _COSTS)
-        assert len(session.samples) == 1
-        assert np.array_equal(baseline.starts, observed.starts)
-        assert np.array_equal(baseline.ends, observed.ends)
-        assert np.array_equal(baseline.pipes, observed.pipes)
-        assert np.array_equal(baseline.arena.kind, observed.arena.kind)
-        assert baseline.events == observed.events
+    def test_from_trace_leaves_trace_intact(self, seed, n):
+        _, trace = _traced(seed, n)
 
-    @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(1, 50))
-    @settings(max_examples=30, deadline=None)
-    def test_summaries_identical_under_session(self, seed, n):
-        rng = np.random.default_rng(seed)
-        program = _random_flagged_program(rng, n, allow_deadlock=False)
-        baseline = schedule_summary([program], _COSTS)
-        with profile():
-            observed = schedule_summary([program], _COSTS)
-        assert baseline == observed
+        def columns():
+            return [(column.dtype, column.tobytes()) for column in (
+                trace.starts, trace.ends, trace.pipes, trace.arena.kind)]
 
-    def test_env_session_is_pure_and_observes(self, monkeypatch):
-        program = Program([ScalarInstr(op="nop", cycles=3, tag="t")])
-        baseline = schedule(program, _COSTS)
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        session = active_session()
-        assert session is not None
-        traced = schedule(program, _COSTS)
-        assert traced.events == baseline.events
-        assert session.counters.total_cycles == baseline.total_cycles
-        assert session.samples
+        before = columns()
+        PerfCounters.from_trace(trace)
+        assert columns() == before
 
 
-class TestSessionSemantics:
-    def test_off_by_default(self):
-        assert active_session() is None
-
-    def test_schedule_hook_deposits_sample(self):
-        program = Program([ScalarInstr(op="nop", cycles=4, tag="t")],
-                          name="prog")
-        with profile() as session:
-            trace = schedule(program, _COSTS)
-        assert [label for label, _ in session.samples] == ["prog"]
-        assert session.counters.total_cycles == trace.total_cycles
-
-    def test_nested_sessions_fold_into_outer(self):
-        program = Program([ScalarInstr(op="nop", cycles=2)])
-        with profile() as outer:
-            with profile() as inner:
-                schedule(program, _COSTS)
-            assert len(inner.samples) == 1
-        assert [label for label, _ in outer.samples] == ["(scoped)"]
-        assert outer.counters.total_cycles == inner.counters.total_cycles
-
-    def test_finalize_attaches_numeric_snapshots(self):
-        with profile() as session:
-            schedule(Program([ScalarInstr(op="nop", cycles=1)]), _COSTS)
-        totals = session.finalize()
-        assert all(isinstance(v, int) for v in totals.cache.values())
+class TestAttachEnvironment:
+    def test_takes_numeric_snapshots(self):
+        _, trace = _traced(seed=3, n=20)
+        counters = PerfCounters.from_trace(trace)
+        assert counters.cache == {}
+        totals = counters.attach_environment()
+        assert totals is counters
+        assert totals.cache
+        assert "schema" not in totals.cache
+        assert all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in totals.cache.values())
 
 
 class TestCountersAlgebra:

@@ -4,9 +4,8 @@ A bucket entry is keyed by the GPT builders' inputs and the design
 point, not by the graph, so a hit prices a step without building or
 hashing a graph.  These tests hold a hit equal to the graph path it
 replaces, check that bad entries are quarantined and re-priced, that
-the tier stays out of the way wherever the stats tiers do, that a
-profiling session cannot tell a bucket hit from a layer-tier hit, and
-pin the graphs behind the buckets so that changing them without a
+the tier stays out of the way wherever the stats tiers do, and pin the
+graphs behind the buckets so that changing them without a
 ``SCHEMA_VERSION`` bump fails here.
 """
 
@@ -23,7 +22,6 @@ from repro.config.soc_configs import soc_config_by_name
 from repro.dtypes import FP16
 from repro.models.gpt import (GPT_SMALL, GPT_TINY, GptConfig, build_gpt,
                               build_gpt_decode)
-from repro.profiling.session import profile
 from repro.reliability import fault_scope, parse_fault_spec
 from repro.serving import StepCostModel, serve_max_batch
 from repro.serving import stepcost
@@ -232,39 +230,6 @@ def test_predictor_tier_bypasses_the_tier(isolated, monkeypatch):
     assert _delta(before, "bucket_stores") == 0
     assert not _entry_path(TINY, CORE, "decode", 4, 32).exists()
     assert cost.aggregate_counters().layers == 0
-
-
-def _samples(session):
-    return [(label, counters.to_dict()) for label, counters in session.samples]
-
-
-def test_profiling_sees_a_bucket_hit_as_a_model_hit(isolated):
-    StepCostModel(TINY, CORE, use_predictor=False).decode_cycles(2, 32)
-    _entry_path(TINY, CORE, "decode", 2, 32).unlink()
-    before = cache.snapshot()
-    with profile() as model_hit:
-        StepCostModel(TINY, CORE, use_predictor=False).decode_cycles(2, 32)
-    assert _delta(before, "bucket_stores") == 1
-    with profile() as bucket_hit:
-        StepCostModel(TINY, CORE, use_predictor=False).decode_cycles(2, 32)
-    assert _delta(before, "bucket_hits") == 1
-    assert model_hit.samples
-    assert _samples(bucket_hit) == _samples(model_hit)
-    assert bucket_hit.counters == model_hit.counters
-
-
-def test_a_hit_outside_a_session_builds_no_layer_views(isolated,
-                                                       monkeypatch):
-    StepCostModel(TINY, CORE, use_predictor=False).decode_cycles(2, 32)
-
-    def refuse(**row):
-        raise AssertionError("a bucket hit built a layer view that no "
-                             "profiling session reads")
-
-    monkeypatch.setattr(stepcost, "SimpleNamespace", refuse)
-    before = cache.snapshot()
-    StepCostModel(TINY, CORE, use_predictor=False).decode_cycles(2, 32)
-    assert _delta(before, "bucket_hits") == 1
 
 
 def _graph_text(model, phase, batch, tokens):
