@@ -25,9 +25,12 @@ test-faults:
 # first program, queue drains and deadlocks inside a batch; arena
 # lowering (dense, sparse and
 # weight-stationary GEMMs, vector streams, workloads, memo hits) vs
-# the per-object emitters in tests/compiler/lowering_oracle.py; the
-# one-pass tiling table vs the scalar search in
-# tests/compiler/tiling_oracle.py; the event-driven serving loop and
+# the per-object emitters in tests/compiler/lowering_oracle.py; a
+# lowering batch (a compile's missed layers lowered together) vs its
+# workloads lowered one at a time, memo hits, evictions and first
+# errors included; the one-pass tiling table, one GEMM shape or many,
+# vs the scalar search in tests/compiler/tiling_oracle.py; the
+# event-driven serving loop and
 # its early-stopping admission rounds vs the self-contained per-step
 # loop in tests/serving/oracle.py (its own admission and KV ledger, so
 # it covers admission too); the one-pass cache
@@ -49,6 +52,7 @@ test-equiv:
 		tests/core/test_deadlock_report.py \
 		tests/compiler/test_lowering_arena.py \
 		tests/compiler/test_lowering_memo.py \
+		tests/compiler/test_batch_lowering.py \
 		tests/compiler/test_tiling_equivalence.py \
 		tests/compiler/test_key_equivalence.py \
 		tests/serving/test_scheduler_equivalence.py \
@@ -78,8 +82,9 @@ profile-smoke:
 # predictor plus one validated 200-candidate triage sweep, on a private
 # empty compile cache so both timed legs start cold; fails unless
 # held-out MAPE <= 15%, the triage tier is >= 10x faster end-to-end
-# than simulate-everything, and the true top-5 designs all land in the
-# simulated shortlist.
+# than simulate-everything (both legs timed through the same serial
+# runner), and the true top-5 designs all land in the simulated
+# shortlist.
 predict-smoke:
 	$(PY) -m repro.perf.predictor smoke
 

@@ -17,8 +17,9 @@ def _measure():
     graph = build_model("mobilenet_v2", batch=1)
     rows = []
     total_raw = total_packed = 0
-    for group, work in graph.grouped_workloads()[:8]:
-        program = lower_workload(work, ASCEND_LITE)
+    pairs = graph.grouped_workloads()[:8]
+    programs = lower_workload([work for _, work in pairs], ASCEND_LITE)
+    for (group, _), program in zip(pairs, programs):
         raw = len(encode_program(program))
         packed = len(compress_program(program))
         total_raw += raw

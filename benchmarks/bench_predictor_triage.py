@@ -14,7 +14,11 @@ and the model fit are deterministic, so the top-5 reproduction check is
 wall-clock independent (only the speedup line varies with machine load).
 Like ``make predict-smoke`` it runs on a private, empty persistent
 compile cache: on a filled ``REPRO_CACHE_DIR`` (a second run in the same
-checkout) the simulate-everything leg would be mostly disk hits.
+checkout) the simulate-everything leg would be mostly disk hits.  Both
+timed legs run through the same serial runner (``max_workers=1``), so
+the ratio compares the work each leg does rather than how well a worker
+pool amortizes its start-up over 200 jobs against 12; training keeps
+its workers.
 """
 
 import tempfile
@@ -39,7 +43,7 @@ def _train_and_triage():
             sweep = triage_design_sweep(
                 report.predictor, model="gesture", base_core="ascend-lite",
                 n_candidates=_CANDIDATES, top_k=_TOP_K, epsilon=_EPSILON,
-                seed=1, validate=True)
+                seed=1, validate=True, max_workers=1)
     return report, sweep
 
 

@@ -23,7 +23,7 @@ Five measurements per run:
 
 Each entry also records a **cold-phase breakdown** — seconds spent in
 lower / validate / cost / schedule over the distinct layers of each
-job, lowered one by one and drained as one batch as a cold compile
+job, lowered as one batch and drained as one batch as a cold compile
 does, with all caches bypassed — so a regression can be attributed to
 a phase without re-profiling.
 
@@ -102,15 +102,16 @@ def measure_cold_phases(jobs) -> dict:
     """Per-phase cold-compile seconds for each job, every cache bypassed.
 
     The phases follow ``GraphEngine.compile_graph`` on an empty layer
-    tier: ``lower`` lowers each distinct layer of the model, with its
-    im2col scale (one ``lower_workload`` call per layer the tier would
-    miss), and ``schedule`` drains them as one batch
-    (``schedule_summary``), so the two add up to the compile's own work
-    less its cache keying and bookkeeping.  ``validate`` and ``cost``
-    are standalone diagnostics: ``validate`` checks each program
-    (concatenating its parts), and ``cost`` concatenates and prices the
-    batch once, which ``schedule`` also does inside.  ``workloads``
-    counts the model's layer groups, repeats included.
+    tier: ``lower`` lowers the model's distinct layers, each with its
+    im2col scale, in one batch (the one ``lower_workload`` call the
+    compile makes for the layers the tier misses), and ``schedule``
+    drains them as one batch (``schedule_summary``), so the two add up
+    to the compile's own work less its cache keying and bookkeeping.
+    ``validate`` and ``cost`` are standalone diagnostics: ``validate``
+    checks each program (concatenating its parts), and ``cost``
+    concatenates and prices the batch once, which ``schedule`` also
+    does inside.  ``workloads`` counts the model's layer groups, repeats
+    included.
 
     The lowering memo, which holds every tiling choice too, is cleared
     before each job so every job measures a true cold start —
@@ -140,10 +141,9 @@ def measure_cold_phases(jobs) -> dict:
             misses.setdefault(cache.content_key(config, work, scale),
                               (work, scale))
 
+        works, miss_scales = zip(*misses.values())
         t0 = time.perf_counter()
-        programs = [lower_workload(work, config,
-                                   a_bytes_scale_for_gemms=scale)
-                    for work, scale in misses.values()]
+        programs = lower_workload(works, config, miss_scales)
         lower_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -216,8 +216,9 @@ def measure_trace_aggregation() -> dict:
 
     graph = build_model("resnet50", batch=1)
     costs = CostModel(ASCEND)
-    traces = [schedule(lower_workload(work, ASCEND), costs)
-              for _, work in graph.grouped_workloads()]
+    programs = lower_workload([work for _, work in graph.grouped_workloads()],
+                              ASCEND)
+    traces = [schedule(program, costs) for program in programs]
 
     identical = [_columnar_aggregate(t) for t in traces] \
         == [_legacy_aggregate_walk(t) for t in traces]
@@ -286,8 +287,8 @@ def measure_events_per_sec(reps: int = 3) -> dict:
 
     graph = build_model("resnet50", batch=1)
     costs = CostModel(ASCEND)
-    programs = [lower_workload(work, ASCEND)
-                for _, work in graph.grouped_workloads()]
+    programs = lower_workload([work for _, work in graph.grouped_workloads()],
+                              ASCEND)
     reset_engine_stats()
     events = 0
     times = []

@@ -4,8 +4,10 @@ This is the "Graph -> Streams -> Tasks" tier of Figure 16.  Each layer
 group is lowered (``lower_workload``), scheduled on the event engine, and
 summarized into a :class:`CompiledLayer` carrying the statistics every
 evaluation figure needs: per-pipe busy cycles, L1 traffic, GM traffic.
-A compile's layers are lowered one by one and drained as one batch
-(``schedule_summary``), each program still timed as if alone.
+A compile's missed layers are lowered as one batch (``lower_workload``:
+one tiling pass, one GEMM and one vector emission pass) and drained as
+one batch (``schedule_summary``), each program still lowered and timed
+as if alone.
 
 Identical layer groups (e.g. the 12/24 transformer layers of BERT) hit a
 compilation cache keyed by workload structure, so large models compile in
@@ -113,10 +115,11 @@ class GraphEngine:
         The process-global layer tier is keyed by :func:`cache.content_key`
         (the fields lowering reads), so each distinct layer shape compiles
         once per process; a repeat within the batch is a tier hit too.
-        The misses are lowered one by one (``lower_workload``) and drained
-        as one batch (``schedule_summary``).  Layers are not persisted:
-        across processes the whole-model and step-cost entries of
-        :mod:`repro.compiler.cache` answer before any layer is compiled.
+        The misses are lowered as one batch (``lower_workload``) and
+        drained as one batch (``schedule_summary``).  Layers are not
+        persisted: across processes the whole-model and step-cost entries
+        of :mod:`repro.compiler.cache` answer before any layer is
+        compiled.
         """
         scales = scales or {}
         # Active stall/sync fault campaigns suspend every stats tier:
@@ -128,7 +131,8 @@ class GraphEngine:
         first: Dict[tuple, int] = {}   # key -> its pair compiled here
         repeats: Dict[int, int] = {}   # pair -> the pair it repeats
         compiled: List[Tuple[int, tuple]] = []
-        programs = []
+        misses: List[OpWorkload] = []
+        miss_scales: List[float] = []
         for i, (group, work) in enumerate(pairs):
             scale = scales.get(group, 1.0)
             key = cache.content_key(self.config, work, scale)
@@ -143,8 +147,10 @@ class GraphEngine:
                     continue
                 first[key] = i
             compiled.append((i, key))
-            programs.append(lower_workload(work, self.config,
-                                           a_bytes_scale_for_gemms=scale))
+            misses.append(work)
+            miss_scales.append(scale)
+        programs = (lower_workload(misses, self.config, miss_scales)
+                    if misses else [])
         summaries = schedule_summary(programs, self.costs) if programs else []
         for (i, key), program, summary in zip(compiled, programs, summaries):
             group, work = pairs[i]
@@ -211,9 +217,10 @@ class GraphEngine:
 
         The model's ``model-`` entry answers first.  On a miss every
         layer is keyed for the in-memory layer tier; the layers it
-        misses (a repeat within the model is a hit) are lowered one by
-        one and drained as one batch — one concatenation, one pricing
-        pass, one wait matching and one summary pass for the compile
+        misses (a repeat within the model is a hit) are lowered as one
+        batch — one tiling pass, one GEMM and one vector emission pass —
+        and drained as one batch — one concatenation, one pricing pass,
+        one wait matching and one summary pass for the compile
         (:meth:`compile_layers`) — and the rows are stored as the
         model's entry.  Under a stall/sync fault campaign both tiers
         are bypassed and every pair compiles, repeats included.

@@ -21,8 +21,12 @@ id    channel            meaning
 9     M -> MTE1          resident B column retired (weight-stationary)
 ====  =================  ==========================================
 
-The emitter behind every entry point here is the columnar one in
-:mod:`repro.compiler.arena_lowering`; every returned program is
+Lowering runs in batches: ``lower_workload`` takes a compile's whole
+list of missed layers, walks their requests over the memo in order, then
+tiles every missed GEMM shape in one pass (:func:`tiling_spaces`) and
+emits every missed GEMM and every missed vector stream in one pass each
+(:mod:`repro.compiler.arena_lowering`).  ``lower_gemm`` and
+``lower_vector_work`` are the batch of one.  Every returned program is
 arena-built (``lower_workload``'s from its sub-programs' arenas, as
 parts).
 """
@@ -37,12 +41,12 @@ import numpy as np
 
 from ..config.core_configs import CoreConfig
 from ..dtypes import DType, FP16
-from ..errors import CompileError
+from ..errors import CompileError, IsaError, ReproError
 from ..graph.workload import OpWorkload, VectorWork
 from ..isa.instructions import VectorOpcode
 from ..isa.program import Program
 from .arena_lowering import lower_gemm_arena, lower_vector_arena
-from .tiling import Tiling, choose_tiling, tiling_space
+from .tiling import Tiling, TilingSpace, tiling_spaces
 
 __all__ = ["GemmLayout", "PostOp", "clear_lowering_memo", "lower_gemm",
            "lower_vector_work", "lower_workload", "lowering_stats",
@@ -76,13 +80,6 @@ def reset_lowering_stats() -> None:
 # lowered arena.
 _ARENA_MEMO: dict = {}
 _ARENA_MEMO_CAP = 1024
-
-
-def _memo_get(key):
-    hit = _ARENA_MEMO.get(key)
-    if hit is not None:
-        _LOWERING_STATS["memo_hits"] += 1
-    return hit
 
 
 def _memo_put(key, arena) -> None:
@@ -119,6 +116,229 @@ class PostOp:
     scalar: Optional[float] = None
 
 
+class _Pending:
+    """A miss's memo value (an arena, or a workload's parts), filled in
+    once its batch is emitted."""
+
+    __slots__ = ("value",)
+
+
+def _resolve(source):
+    return source.value if isinstance(source, _Pending) else source
+
+
+class _Batch:
+    """One lowering batch: its requests walked over the memo in order,
+    then every miss lowered at once.
+
+    The walk (:meth:`gemm`, :meth:`vector`, :meth:`workload`) reads the
+    memo without changing it.  It decides each request's hit or miss as
+    lowering the requests one by one would, first-in-first-out evictions
+    included, counts the hits and queues each miss with a pending value.
+    :meth:`lower` then runs one tiling pass over the missed GEMMs'
+    distinct shapes and one GEMM and one vector emission pass, fills in
+    the pending values, and only then replays the walk's stores and hit
+    count on the memo.
+
+    The first request that fails ends the walk.  :meth:`lower` raises
+    what lowering the requests in order raises first: a tiling error of
+    an earlier miss, or of the failing request itself (its search runs
+    before its emission), else the walk's error; the memo and its
+    counters are left as they were.
+
+    ``tiling``, ``post_ops``, ``layout``, ``weight_density`` and
+    ``b_resident`` apply to every GEMM of the batch, and ``load_input``
+    and ``store_output`` to every vector stream.
+    """
+
+    def __init__(self, config: CoreConfig, tiling: Optional[Tiling] = None,
+                 post_ops: Sequence["PostOp"] = (),
+                 layout: Optional["GemmLayout"] = None,
+                 weight_density: Optional[float] = None,
+                 b_resident: bool = False, load_input: bool = True,
+                 store_output: bool = True) -> None:
+        self.config = config
+        self.tiling = tiling
+        self.post_ops = tuple(post_ops)
+        self.layout = layout
+        self.weight_density = weight_density
+        self.b_resident = b_resident
+        self.load_input = load_input
+        self.store_output = store_output
+        self.gemms: List[tuple] = []      # (request, tag, pending)
+        self.vectors: List[tuple] = []    # (work, tag, pending)
+        self.workloads: List[tuple] = []  # (pending, tag, [(source, reps)])
+        self.error: Optional[ReproError] = None
+        self._stores: List[tuple] = []    # (key, pending), in walk order
+        self._stored_at: dict = {}        # key -> its latest store
+        self._hits = 0
+        self._held = len(_ARENA_MEMO)
+        self._order: Optional[dict] = None
+
+    # -- the walk -------------------------------------------------------------
+
+    def _get(self, key):
+        """The memo's answer for ``key`` at this point of the walk: the
+        memo's entries come first, then the walk's stores, and the
+        oldest are evicted past the cap."""
+        evicted = self._held + len(self._stores) - _ARENA_MEMO_CAP
+        value = _ARENA_MEMO.get(key)
+        if value is not None and evicted > 0:
+            if self._order is None:
+                self._order = {k: i for i, k in enumerate(_ARENA_MEMO)}
+            if self._order[key] < evicted:
+                value = None
+        if value is None:
+            # Only a key the memo lacks (or evicted) can have been stored.
+            at = self._stored_at.get(key)
+            if at is not None and self._held + at >= evicted:
+                value = self._stores[at][1]
+        if value is not None:
+            self._hits += 1
+        return value
+
+    def _store(self, key) -> _Pending:
+        pending = _Pending()
+        self._stored_at[key] = len(self._stores)
+        self._stores.append((key, pending))
+        return pending
+
+    def _fail(self, error: ReproError) -> None:
+        self.error = error
+
+    def gemm(self, m: int, k: int, n: int, dtype: DType, out_dtype: DType,
+             a_bytes_scale: float, tag: str):
+        """Walk one GEMM request: its memo source (an arena, or a pending
+        miss), or None once the walk has failed."""
+        if self.error is not None:
+            return None
+        if self.weight_density is not None and self.layout is not None:
+            return self._fail(CompileError(
+                "compressed weights are performance-only lowering"))
+        if not 0 < a_bytes_scale <= 1:
+            return self._fail(CompileError(
+                f"a_bytes_scale must be in (0, 1], got {a_bytes_scale}"))
+        key = ("gemm", self.config, dtype, out_dtype, m, k, n, self.tiling,
+               self.post_ops, self.layout, a_bytes_scale,
+               self.weight_density, self.b_resident)
+        hit = self._get(key)
+        if hit is not None:
+            return hit
+        request = (m, k, n, dtype, out_dtype, a_bytes_scale)
+        # The L1 -> L0A feed copy is always pitched, and Region
+        # construction rejects pitched sub-byte regions: fail the same
+        # way, after this request's own tiling search (queued here).
+        if dtype.bits % 8 or (self.layout is not None and out_dtype.bits % 8):
+            self.gemms.append((request, tag, _Pending()))
+            return self._fail(
+                IsaError("pitched regions require byte-aligned dtypes"))
+        pending = self._store(key)
+        self.gemms.append((request, tag, pending))
+        return pending
+
+    def vector(self, work: VectorWork, tag: str):
+        """Walk one vector stream request (see :meth:`gemm`)."""
+        if self.error is not None:
+            return None
+        key = ("vec", self.config, work, self.load_input, self.store_output)
+        hit = self._get(key)
+        if hit is not None:
+            return hit
+        pending = self._store(key)
+        self.vectors.append((work, tag, pending))
+        return pending
+
+    def workload(self, work: OpWorkload, a_bytes_scale: float):
+        """Walk one workload: the source of its parts, or None once the
+        walk has failed."""
+        if self.error is not None:
+            return None
+        key = ("workload", self.config, work.gemms, work.vector, a_bytes_scale)
+        hit = self._get(key)
+        if hit is not None:
+            return hit
+        tag = work.name
+        subs = [(self.gemm(g.m, g.k, g.n, g.dtype, g.dtype, a_bytes_scale,
+                           tag), g.count) for g in work.gemms]
+        subs += [(self.vector(v, tag), 1) for v in work.vector]
+        pending = self._store(key)
+        self.workloads.append((pending, tag, subs))
+        return pending
+
+    # -- lowering the misses --------------------------------------------------
+
+    def lower(self) -> None:
+        """Tile and emit every queued miss, fill in the pending values and
+        commit the walk to the memo; or raise the first failing request's
+        error (see the class docstring)."""
+        config = self.config
+        requests = [request for request, _, _ in self.gemms]
+        tilings = [self.tiling] * len(requests)
+        if self.tiling is None and requests:
+            shapes = list(dict.fromkeys(r[:4] for r in requests))
+            space = tiling_spaces(shapes, config)
+            best = space.cheapest()
+            if self.b_resident and self.weight_density is None:
+                best = [fit or plain for fit, plain in
+                        zip(_resident_tilings(space, shapes, config), best)]
+            index = {shape: i for i, shape in enumerate(shapes)}
+            tilings = [best[index[r[:4]]] for r in requests]
+        if self.error is not None:
+            raise self.error
+
+        if requests:
+            resident = [self.b_resident and self.weight_density is None
+                        and _b_strip_fits(r, t, config)
+                        for r, t in zip(requests, tilings)]
+            arenas = lower_gemm_arena(
+                requests, tilings, resident, [tag for _, tag, _ in self.gemms],
+                self.post_ops, self.layout, self.weight_density)
+            for (_, _, pending), arena in zip(self.gemms, arenas):
+                pending.value = arena
+        if self.vectors:
+            arenas = lower_vector_arena(
+                config, [work for work, _, _ in self.vectors],
+                [tag for _, tag, _ in self.vectors], self.load_input,
+                self.store_output)
+            for (_, _, pending), arena in zip(self.vectors, arenas):
+                pending.value = arena
+        # The sub-program memo hands structurally identical adjacent
+        # layers the *same* arena object — fold them into the repeat
+        # count so concat records one wide repeat block (better
+        # steady-state extrapolation) instead of several narrow ones.
+        for pending, tag, subs in self.workloads:
+            parts: List[list] = []
+            for source, count in subs:
+                arena = _resolve(source).retagged(tag)
+                if parts and arena is parts[-1][0]:
+                    parts[-1][1] += count
+                else:
+                    parts.append([arena, count])
+            pending.value = tuple(tuple(part) for part in parts)
+
+        for key, pending in self._stores:
+            _memo_put(key, pending.value)
+        _LOWERING_STATS["memo_hits"] += self._hits
+
+
+def _resident_tilings(space: TilingSpace, shapes: Sequence[tuple],
+                      config: CoreConfig) -> List[Optional[Tiling]]:
+    """Per ``(m, k, n, dtype)`` shape of ``space``, the best tiling whose
+    whole B K-strip fits L0B, or None: the first cheapest row of its
+    space under a B-strip mask."""
+    k = np.array([shape[1] for shape in shapes], np.int64)[space.shape]
+    nbytes = np.array([shape[3].bytes for shape in shapes])[space.shape]
+    return space.cheapest(np.ceil(k / space.tk) * space.tk * space.tn
+                          * nbytes <= config.l0b_bytes)
+
+
+def _b_strip_fits(request: tuple, tiling: Tiling, config: CoreConfig) -> bool:
+    """Whether a GEMM's whole B K-strip under ``tiling`` fits L0B."""
+    k, dtype = request[1], request[3]
+    return int(math.ceil(k / tiling.tk) * tiling.tk * tiling.tn
+               * dtype.bytes) <= config.l0b_bytes
+
+
 def lower_gemm(
     m: int,
     k: int,
@@ -134,7 +354,8 @@ def lower_gemm(
     a_bytes_scale: float = 1.0,
     b_resident: bool = False,
 ) -> Program:
-    """Lower one M x K x N GEMM to a pipelined instruction stream.
+    """Lower one M x K x N GEMM to a pipelined instruction stream: a
+    lowering batch of one.
 
     The default schedule walks output tiles row-major.  Per tile, MTE2
     stages an A strip and a B panel into L1 per K stage, MTE1 feeds
@@ -159,45 +380,20 @@ def lower_gemm(
             the B bus).  Falls back to the default schedule when B does
             not fit.
     """
-    if weight_density is not None and layout is not None:
-        raise CompileError("compressed weights are performance-only lowering")
-    if not 0 < a_bytes_scale <= 1:
-        raise CompileError(f"a_bytes_scale must be in (0, 1], got {a_bytes_scale}")
-    out_dtype = out_dtype or dtype
-    name = f"gemm_{m}x{k}x{n}_{config.name}"
-    key = ("gemm", config, dtype, out_dtype, m, k, n, tiling,
-           tuple(post_ops), layout, a_bytes_scale, weight_density, b_resident)
-    hit = _memo_get(key)
-    if hit is not None:
-        return Program.from_arena(hit.retagged(tag), name=name)
-    resident = b_resident and weight_density is None
-    if tiling is None and resident:
-        tiling = _residency_tiling(m, k, n, config, dtype)
-    tiling = tiling or choose_tiling(m, k, n, config, dtype)
-    if resident:
-        b_strip_bytes = int(math.ceil(k / tiling.tk) * tiling.tk * tiling.tn
-                            * dtype.bytes)
-        resident = b_strip_bytes <= config.l0b_bytes
-    program = lower_gemm_arena(m, k, n, config, dtype, out_dtype, tag,
-                               tiling, post_ops, layout, a_bytes_scale,
-                               weight_density, resident)
-    _memo_put(key, program._arena)
-    return program
-
-
-def _residency_tiling(m: int, k: int, n: int, config: CoreConfig,
-                      dtype: DType) -> Optional[Tiling]:
-    """Best tiling whose whole B K-strip fits L0B, or None: the first
-    cheapest row of the tiling space under a B-strip mask."""
-    space = tiling_space(m, k, n, config, dtype)
-    return space.cheapest(np.ceil(k / space.tk) * space.tk * space.tn
-                          * dtype.bytes <= config.l0b_bytes)
+    batch = _Batch(config, tiling=tiling, post_ops=post_ops, layout=layout,
+                   weight_density=weight_density, b_resident=b_resident)
+    source = batch.gemm(m, k, n, dtype, out_dtype or dtype, a_bytes_scale,
+                        tag)
+    batch.lower()
+    return Program.from_arena(_resolve(source).retagged(tag),
+                              name=f"gemm_{m}x{k}x{n}_{config.name}")
 
 
 def lower_vector_work(work: VectorWork, config: CoreConfig, tag: str = "",
                       load_input: bool = True,
                       store_output: bool = True) -> Program:
-    """Lower a pure vector workload to a UB-tiled streaming program.
+    """Lower a pure vector workload to a UB-tiled streaming program: a
+    lowering batch of one.
 
     Each chunk streams GM -> UB (MTE2), runs ``passes`` datapath passes,
     and streams back UB -> GM (MTE3); chunks double-buffer through UB.
@@ -205,51 +401,36 @@ def lower_vector_work(work: VectorWork, config: CoreConfig, tag: str = "",
     ``passes * elems`` element-passes — the quantity the workload model
     defines.
     """
-    key = ("vec", config, work, load_input, store_output)
-    hit = _memo_get(key)
-    if hit is not None:
-        return Program.from_arena(
-            hit.retagged(tag),
-            name=f"vector_{work.elems}x{work.passes}_{config.name}")
-    program = lower_vector_arena(work, config, tag, load_input, store_output)
-    _memo_put(key, program._arena)
-    return program
+    batch = _Batch(config, load_input=load_input, store_output=store_output)
+    source = batch.vector(work, tag)
+    batch.lower()
+    return Program.from_arena(
+        _resolve(source).retagged(tag),
+        name=f"vector_{work.elems}x{work.passes}_{config.name}")
 
 
-def lower_workload(work: OpWorkload, config: CoreConfig,
-                   tag: Optional[str] = None,
-                   a_bytes_scale_for_gemms: float = 1.0) -> Program:
-    """Lower an op workload (GEMMs + vector work) to one program.
+def lower_workload(works: Sequence[OpWorkload], config: CoreConfig,
+                   scales: Optional[Sequence[float]] = None
+                   ) -> List[Program]:
+    """Lower a batch of op workloads (GEMMs + vector work), one program
+    each, with ``scales[i]`` the im2col A-fetch scale of every GEMM of
+    ``works[i]`` (1.0 when omitted).
 
-    Performance-only: the program is its sub-programs end to end; each
-    is internally flag-balanced, so the concatenation is a legal
-    program.  It keeps them as parts (:meth:`Program.from_parts`) and
-    concatenates them only when its ``arena`` is read, so the timing
-    engine concatenates a batch of lowered workloads in one pass.
+    The programs, memo entries and hit count are those of lowering the
+    workloads one at a time, in order; the work is one tiling pass, one
+    GEMM and one vector emission pass for the whole batch.
+    Performance-only: each program is its sub-programs end to end, each
+    internally flag-balanced, so the concatenation is a legal program.
+    It keeps them as parts (:meth:`Program.from_parts`) and concatenates
+    them only when its ``arena`` is read, so the timing engine
+    concatenates a batch of lowered workloads in one pass.
     """
-    tag = tag if tag is not None else work.name
-    name = f"{work.name}_{config.name}"
-    key = ("workload", config, work.gemms, work.vector,
-           a_bytes_scale_for_gemms)
-    hit = _memo_get(key)
-    if hit is not None:
-        return Program.from_parts(
-            [(arena.retagged(tag), reps) for arena, reps in hit], name=name)
-    # The sub-program memo hands structurally identical adjacent layers
-    # the *same* arena object — fold them into the repeat count so concat
-    # records one wide repeat block (better steady-state extrapolation)
-    # instead of several narrow ones.
-    parts: List[list] = []
-    subs = [(lower_gemm(g.m, g.k, g.n, config, dtype=g.dtype, tag=tag,
-                        a_bytes_scale=a_bytes_scale_for_gemms)._arena,
-             g.count) for g in work.gemms]
-    subs += [(lower_vector_work(v, config, tag=tag)._arena, 1)
-             for v in work.vector]
-    for arena, count in subs:
-        if parts and arena is parts[-1][0]:
-            parts[-1][1] += count
-        else:
-            parts.append([arena, count])
-    program = Program.from_parts([tuple(part) for part in parts], name=name)
-    _memo_put(key, program.parts)
-    return program
+    scales = [1.0] * len(works) if scales is None else scales
+    batch = _Batch(config)
+    sources = [batch.workload(work, scale)
+               for work, scale in zip(works, scales)]
+    batch.lower()
+    return [Program.from_parts([(arena.retagged(work.name), reps)
+                                for arena, reps in _resolve(source)],
+                               name=f"{work.name}_{config.name}")
+            for work, source in zip(works, sources)]

@@ -89,7 +89,13 @@ class CostModel:
         """Cycles of one CubeMatmul per row of (m, k, n) columns, for one
         dtype: startup plus one cycle per native tile, every dimension
         rounded up by a float64 ceil division."""
-        m0, k0, n0 = self.cube_tile_shape(dtype)
+        return self.cube_tile_cycles(m, k, n, *self.cube_tile_shape(dtype))
+
+    @staticmethod
+    def cube_tile_cycles(m: np.ndarray, k: np.ndarray, n: np.ndarray,
+                         m0, k0, n0) -> np.ndarray:
+        """:meth:`cube_cycle_columns` for native tile dims given as
+        scalars or as per-row columns (a batch of mixed dtypes)."""
         tiles = np.ceil(m / m0) * np.ceil(k / k0) * np.ceil(n / n0)
         return _CUBE_STARTUP + tiles.astype(np.int64)
 

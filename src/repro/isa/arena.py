@@ -386,6 +386,27 @@ class InstructionArena:
         out._nbytes = None
         return out
 
+    def split(self, bounds: Sequence[int],
+              tags: Sequence[List[str]]) -> List["InstructionArena"]:
+        """Rows ``bounds[i]:bounds[i + 1]`` as arenas whose columns are
+        zero-copy views of this one's, the ``i``-th with tag table
+        ``tags[i]`` (which this arena's tag ids must index): a lowering
+        batch's programs, emitted into one arena."""
+        columns = [(name, getattr(self, name)) for name in _COLUMN_NAMES]
+        out = []
+        for start, stop, table in zip(bounds[:-1], bounds[1:], tags):
+            part = InstructionArena.__new__(InstructionArena)
+            for name, column in columns:
+                setattr(part, name, column[start:stop])
+            part.n = stop - start
+            part.tags = table
+            part.exact = self.exact
+            part.repeats = []
+            part._objects = None
+            part._nbytes = None
+            out.append(part)
+        return out
+
     def retagged(self, tag: str) -> "InstructionArena":
         """A copy of this arena with every row's tag replaced by ``tag``.
 

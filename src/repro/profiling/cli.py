@@ -51,17 +51,18 @@ def _build_graph(model: str, batch: int, seq: int):
 
 def _compile_sections(graph, config
                       ) -> List[Tuple[str, ExecutionTrace, OpWorkload]]:
-    """(group, trace, workload) per layer group, in model order."""
+    """(group, trace, workload) per layer group, in model order: every
+    group lowered in one batch, each scheduled alone.  No compile cache
+    tier is read or written."""
     from ..compiler.graph_engine import _im2col_scales
 
     costs = CostModel(config)
     scales = _im2col_scales(graph)
-    sections = []
-    for group, work in graph.grouped_workloads():
-        program = lower_workload(work, config,
-                                 a_bytes_scale_for_gemms=scales.get(group, 1.0))
-        sections.append((group, schedule(program, costs), work))
-    return sections
+    pairs = graph.grouped_workloads()
+    programs = lower_workload([work for _, work in pairs], config,
+                              [scales.get(group, 1.0) for group, _ in pairs])
+    return [(group, schedule(program, costs), work)
+            for (group, work), program in zip(pairs, programs)]
 
 
 def _pipe_table(counters: PerfCounters) -> str:
@@ -122,9 +123,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config,
     )
     print(roofline_table(rooflines))
-    interesting = {k: v for k, v in totals.cache.items() if v}
-    print()
-    print(f"compile cache: {interesting or 'cold'}")
 
     if args.chrome_trace:
         write_chrome_trace(

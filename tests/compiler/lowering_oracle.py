@@ -16,8 +16,8 @@ import math
 from collections import Counter
 from typing import List, Optional, Sequence
 
-from repro.compiler.lowering import GemmLayout, PostOp, _residency_tiling
-from repro.compiler.tiling import Tiling, choose_tiling
+from repro.compiler.lowering import GemmLayout, PostOp, _resident_tilings
+from repro.compiler.tiling import Tiling, choose_tiling, tiling_space
 from repro.config.core_configs import CoreConfig
 from repro.dtypes import DType, FP16, INT8, accumulator_for
 from repro.errors import CompileError
@@ -121,7 +121,8 @@ def lower_gemm(
         raise CompileError(f"a_bytes_scale must be in (0, 1], got {a_bytes_scale}")
     out_dtype = out_dtype or dtype
     if tiling is None and b_resident and weight_density is None:
-        tiling = _residency_tiling(m, k, n, config, dtype)
+        tiling = _resident_tilings(tiling_space(m, k, n, config, dtype),
+                                   [(m, k, n, dtype)], config)[0]
     tiling = tiling or choose_tiling(m, k, n, config, dtype)
     acc = accumulator_for(dtype)
     functional = layout is not None

@@ -93,7 +93,7 @@ class TestContentKey:
         """Both in-process tiers key a layer by the same fields, so they
         cannot disagree about which workloads are the same layer."""
         lowering.clear_lowering_memo()
-        lowering.lower_workload(_WORK, ASCEND, a_bytes_scale_for_gemms=0.5)
+        lowering.lower_workload([_WORK], ASCEND, [0.5])
         assert list(lowering._ARENA_MEMO)[-1] \
             == ("workload",) + cache.content_key(ASCEND, _WORK, 0.5)
 

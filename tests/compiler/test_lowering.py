@@ -187,16 +187,14 @@ class TestVectorLowering:
             gemms=(GemmWork(64, 64, 64),),
             vector=(VectorWork(1000, 2),),
         )
-        prog = lower_workload(work, ASCEND_MAX)
+        (prog,) = lower_workload([work], ASCEND_MAX)
         trace = schedule(prog, CostModel(ASCEND_MAX))
         assert trace.busy_cycles(Pipe.M) > 0
         assert trace.busy_cycles(Pipe.V) > 0
 
     def test_gemm_count_replays(self):
-        one = lower_workload(OpWorkload(name="x",
-                                        gemms=(GemmWork(64, 64, 64),)),
-                             ASCEND_MAX)
-        many = lower_workload(
-            OpWorkload(name="x", gemms=(GemmWork(64, 64, 64, count=3),)),
+        one, many = lower_workload(
+            [OpWorkload(name="x", gemms=(GemmWork(64, 64, 64),)),
+             OpWorkload(name="x", gemms=(GemmWork(64, 64, 64, count=3),))],
             ASCEND_MAX)
         assert len(many) == 3 * len(one)

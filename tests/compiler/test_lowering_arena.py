@@ -41,11 +41,21 @@ def _outcome(lower, *args, **kwargs):
         return type(exc)
 
 
+def _lower_one(work, config):
+    """Production ``lower_workload`` on a batch of one workload."""
+    (program,) = lowering.lower_workload([work], config)
+    return program
+
+
 def _check(entry, *args, **kwargs):
     """``lowering.<entry>`` matches ``oracle.<entry>`` row for row (or
-    both fail with the same error class); returns the production program."""
+    both fail with the same error class); returns the production program.
+    ``lower_workload`` takes a batch in production and one workload in
+    the oracle, so it is checked on a batch of one."""
     want = _outcome(getattr(oracle, entry), *args, **kwargs)
-    got = _outcome(getattr(lowering, entry), *args, **kwargs)
+    produce = (_lower_one if entry == "lower_workload"
+               else getattr(lowering, entry))
+    got = _outcome(produce, *args, **kwargs)
     if isinstance(want, type):
         assert got is want
         return None
@@ -184,9 +194,9 @@ class TestGemmEquivalence:
             lowering.lower_gemm(64, 64, 64, ASCEND_MAX, layout=layout,
                                 b_resident=True),
             lowering.lower_vector_work(VectorWork(elems=5000), ASCEND_MAX),
-            lowering.lower_workload(
-                OpWorkload(name="w", gemms=(GemmWork(32, 32, 32),),
-                           vector=(VectorWork(elems=100),)), ASCEND_MAX),
+            *lowering.lower_workload(
+                [OpWorkload(name="w", gemms=(GemmWork(32, 32, 32),),
+                            vector=(VectorWork(elems=100),))], ASCEND_MAX),
         ]
         assert all(p._instructions is None for p in programs)
 
@@ -276,7 +286,7 @@ class TestSchedulerEquivalence:
             vector=(VectorWork(elems=400_000),),
         )
         return (oracle.lower_workload(work, ASCEND_MAX),
-                lowering.lower_workload(work, ASCEND_MAX))
+                _lower_one(work, ASCEND_MAX))
 
     def test_traces_bit_identical(self):
         p_obj, p_ar = self._programs()

@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.compiler import lowering, tiling
+from repro.compiler import lowering
 from repro.compiler.lowering import (
     clear_lowering_memo,
     lower_gemm,
@@ -21,7 +21,7 @@ from repro.compiler.lowering import (
     lowering_stats,
     reset_lowering_stats,
 )
-from repro.compiler.tiling import choose_tiling, tiling_space
+from repro.compiler.tiling import choose_tiling, tiling_spaces
 from repro.config import ASCEND_MAX
 from repro.config.core_configs import CORE_CONFIGS
 from repro.dtypes import FP16, INT8, INT32
@@ -103,10 +103,10 @@ class TestMemoEquivalence:
                     vector=(VectorWork(elems=2048, passes=1, dtype=FP16),))
         w1 = OpWorkload(name="layer_0", **base)
         w2 = OpWorkload(name="layer_7", **base)
-        ref = _fresh(lower_workload, w2, config)
+        (ref,) = _fresh(lower_workload, [w2], config)
         clear_lowering_memo()
-        lower_workload(w1, config)
-        hit = lower_workload(w2, config)
+        lower_workload([w1], config)
+        (hit,) = lower_workload([w2], config)
         # Name differs (tag differs) but the structure memo hits and the
         # retagged result is identical to the fresh lowering.
         _columns_identical(ref, hit)
@@ -136,10 +136,9 @@ class TestMemoEquivalence:
 
         def spy(*args, **kwargs):
             searches.append(args)
-            return tiling_space(*args, **kwargs)
+            return tiling_spaces(*args, **kwargs)
 
-        monkeypatch.setattr(tiling, "tiling_space", spy)
-        monkeypatch.setattr(lowering, "tiling_space", spy)
+        monkeypatch.setattr(lowering, "tiling_spaces", spy)
         adhoc = dataclasses.replace(ASCEND_MAX, name="adhoc")
         for config in (ASCEND_MAX, adhoc):
             for kw in ({}, {"b_resident": True}):

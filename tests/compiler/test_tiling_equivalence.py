@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import tiling
-from repro.compiler.lowering import _residency_tiling
+from repro.compiler.lowering import _resident_tilings
 from repro.config.core_configs import (ASCEND_LITE, CORE_CONFIGS, CubeShape,
                                        core_config_by_name)
 from repro.dtypes import FP16, FP32, INT4, INT8, dtype_by_name
@@ -76,6 +76,12 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _resident(m, k, n, config, dtype):
+    """The weight-stationary tiling as ``lower_gemm`` picks it."""
+    space = tiling.tiling_space(m, k, n, config, dtype)
+    return _resident_tilings(space, [(m, k, n, dtype)], config)[0]
+
+
 def _worst(m, k, n, config, dtype):
     """The worst legal tiling as the Auto-Tiling ablation picks it."""
     space = tiling.tiling_space(m, k, n, config, dtype)
@@ -87,7 +93,7 @@ def _assert_matches_oracle(m, k, n, config, dtype):
     want = _outcome(oracle.legal_tilings, m, k, n, config, dtype)
     assert _outcome(tiling.legal_tilings, m, k, n, config, dtype) == want, case
     for prod, ref in ((tiling.choose_tiling, oracle.choose_tiling),
-                      (_residency_tiling, oracle.residency_tiling),
+                      (_resident, oracle.residency_tiling),
                       (_worst, oracle.worst_tiling)):
         got = _outcome(prod, m, k, n, config, dtype)
         assert got == _outcome(ref, m, k, n, config, dtype), (case, prod)

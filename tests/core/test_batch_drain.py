@@ -75,8 +75,10 @@ def _misses(model, core):
         scale = scales.get(group, 1.0)
         works.setdefault(cache.content_key(config, work, scale),
                          (work, scale))
-    return [lower_workload(work, config, a_bytes_scale_for_gemms=scale)
-            for work, scale in works.values()], CostModel(config)
+    misses = list(works.values())
+    return (lower_workload([work for work, _ in misses], config,
+                           [scale for _, scale in misses]),
+            CostModel(config))
 
 
 def _repeated_gemm(count):
@@ -113,11 +115,13 @@ class TestPerProgramPaths:
     def test_repeat_region_extrapolates_after_the_first_program(self):
         # Over two thousand rows ahead of a short block: its dispatch
         # margin holds only if the bound counts from its own first row.
-        lead = lower_workload(OpWorkload(name="lead", gemms=(
-            GemmWork(m=512, k=512, n=512, dtype=FP16),),
-            vector=(VectorWork(elems=3000),)), ASCEND_MAX)
-        stack = lower_workload(OpWorkload(name="stack", gemms=(
-            GemmWork(m=32, k=32, n=32, dtype=FP16, count=8),)), ASCEND_MAX)
+        lead, stack = lower_workload([
+            OpWorkload(name="lead", gemms=(
+                GemmWork(m=512, k=512, n=512, dtype=FP16),),
+                vector=(VectorWork(elems=3000),)),
+            OpWorkload(name="stack", gemms=(
+                GemmWork(m=32, k=32, n=32, dtype=FP16, count=8),))],
+            ASCEND_MAX)
         assert stack.arena.repeats
         summaries, stats = _assert_batch_equals_singles(
             [lead, stack, lead], _COSTS)
@@ -131,7 +135,7 @@ class TestPerProgramPaths:
             ScalarInstr(op="nop", cycles=2),
             SetFlag(src_pipe=Pipe.M, dst_pipe=Pipe.V, event_id=0),
         ])
-        flat = lower_workload(_repeated_gemm(1), ASCEND_MAX)
+        (flat,) = lower_workload([_repeated_gemm(1)], ASCEND_MAX)
         summaries, stats = _assert_batch_equals_singles(
             [flat, forward, flat], _COSTS)
         assert (stats["flat_drains"], stats["general_drains"]) == (2, 1)
@@ -146,7 +150,7 @@ class TestPerProgramPaths:
             SetFlag(src_pipe=Pipe.M, dst_pipe=Pipe.V, event_id=1),
             WaitFlag(src_pipe=Pipe.M, dst_pipe=Pipe.V, event_id=1),
         ])
-        flat = lower_workload(_repeated_gemm(1), ASCEND_MAX)
+        (flat,) = lower_workload([_repeated_gemm(1)], ASCEND_MAX)
         summaries, _ = _assert_batch_equals_singles([flat, far], _COSTS)
         assert summaries[1] == schedule_fixpoint(far, _COSTS).summary()
 

@@ -221,7 +221,7 @@ class TestCompiledCorpusEquivalence:
         graph = build_model("resnet50", batch=1)
         costs = CostModel(ASCEND)
         for _, work in graph.grouped_workloads():
-            program = lower_workload(work, ASCEND)
+            (program,) = lower_workload([work], ASCEND)
             fast = schedule(program, costs)
             oracle = schedule_fixpoint(program, costs)
             assert fast.events == oracle.events

@@ -67,8 +67,7 @@ class TestFlatDrainEquivalence:
             OpWorkload(name="v", gemms=(GemmWork(m=64, k=128, n=64,
                                                  dtype=FP16),)),
         ]
-        for work in graph_works:
-            program = lower_workload(work, ASCEND_MAX)
+        for program in lower_workload(graph_works, ASCEND_MAX):
             assert program._instructions is None  # built from arenas
             _assert_traces_identical(program)
         stats = engine_stats()
@@ -104,7 +103,8 @@ class TestRepeatExtrapolation:
 
     @pytest.mark.parametrize("count", [4, 7, 12])
     def test_extrapolated_blocks_bit_identical(self, count):
-        program = lower_workload(self._repeated_workload(count), ASCEND_MAX)
+        (program,) = lower_workload([self._repeated_workload(count)],
+                                    ASCEND_MAX)
         assert program._instructions is None  # built from arenas
         assert program.arena.repeats  # concat recorded the block
         reset_engine_stats()
@@ -114,22 +114,22 @@ class TestRepeatExtrapolation:
     def test_below_threshold_repeats_walk_plainly(self):
         # reps < 4 are not worth verifying — the metadata is recorded
         # but the drain walks every row; results identical either way.
-        program = lower_workload(self._repeated_workload(2), ASCEND_MAX)
+        (program,) = lower_workload([self._repeated_workload(2)], ASCEND_MAX)
         reset_engine_stats()
         _assert_traces_identical(program)
         assert engine_stats()["extrapolated_blocks"] == 0
 
     def test_summary_equals_trace_summary(self):
-        program = lower_workload(self._repeated_workload(8), ASCEND_MAX)
+        (program,) = lower_workload([self._repeated_workload(8)], ASCEND_MAX)
         trace = schedule(program, _COSTS)
         assert schedule_summary([program], _COSTS) == [trace.summary()]
 
 
 class TestRepeatMetadata:
     def test_concat_records_repeat_regions(self):
-        sub = lower_workload(
-            OpWorkload(name="s",
-                       gemms=(GemmWork(m=64, k=64, n=64, dtype=FP16),)),
+        (sub,) = lower_workload(
+            [OpWorkload(name="s",
+                        gemms=(GemmWork(m=64, k=64, n=64, dtype=FP16),))],
             ASCEND_MAX)
         arena = InstructionArena.concat([sub.arena, sub.arena], [5, 1])
         (start, block, reps), = [r for r in arena.repeats if r[2] == 5]
@@ -139,11 +139,11 @@ class TestRepeatMetadata:
         assert arena.n == 6 * sub.arena.n
 
     def test_retagged_shares_columns_and_keeps_repeats(self):
-        program = lower_workload(
-            OpWorkload(name="s",
-                       gemms=(GemmWork(m=64, k=64, n=64, dtype=FP16,
-                                       count=4),)),
-            ASCEND_MAX, tag="alpha")
+        (program,) = lower_workload(
+            [OpWorkload(name="alpha",
+                        gemms=(GemmWork(m=64, k=64, n=64, dtype=FP16,
+                                        count=4),))],
+            ASCEND_MAX)
         arena = program.arena
         other = arena.retagged("beta")
         assert other.kind is arena.kind  # zero-copy column sharing

@@ -31,7 +31,7 @@ def _column_readers(trace):
 @pytest.mark.parametrize("group", range(3))
 def test_columns_only_until_rows_are_asked_for(group):
     _, work = list(build_model("gesture").grouped_workloads())[group]
-    program = lower_workload(work, _CONFIG)
+    (program,) = lower_workload([work], _CONFIG)
     assert program._instructions is None
     assert program.arena._objects is None
 
